@@ -208,10 +208,6 @@ def sigma_vector(archive: list[ArchiveSolution], rank: int, xi: float) -> np.nda
     return xi * np.abs(X - X[rank]).sum(axis=0) / (len(archive) - 1)
 
 
-def sigma(archive: list[ArchiveSolution], rank: int, j: int, xi: float) -> float:
-    return float(sigma_vector(archive, rank, xi)[j])
-
-
 def sample_solution(
     archive: list[ArchiveSolution],
     rank: int,

@@ -74,8 +74,9 @@ class ExprParseError(FreacoError, ValueError):
 
 
 class EvalDomainError(FreacoError, ArithmeticError):
-    """Objective evaluation hit a domain fault (log of non-positive value,
-    division by zero, fractional power of a negative base, overflow).
+    """Objective evaluation hit a domain fault: overflow, division by zero
+    or an invalid operation (ln of a non-positive value, a fractional
+    power of a negative base, ...) in any intermediate value.
 
     Carries the offending point.
     """

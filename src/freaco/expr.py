@@ -16,275 +16,127 @@ Grammar (see docs/expression-grammar.ebnf for the shipped EBNF)::
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 * and /, which bind tighter than + and -.  Power is right-associative.
-Angles are radians; ln is the natural logarithm.
+Angles are radians; ln is the natural logarithm.  Nesting (parentheses,
+calls, sums, unary minus, power) may go ``MAX_NESTING`` levels deep.
 
 Computed indices may only use loop variables, integer literals, +, -, *
-and unary minus; they are range-checked against the declared dimension
-at parse time by enumerating the (literal, bounded) loop ranges.
+and unary minus.
+
+:func:`parse` compiles each objective once.  Every ``sum`` is expanded
+term by term (its bounds are integer literals, so parse cost grows with
+the sum's range, up to ``MAX_OPERATIONS`` operations in all), and every
+loop variable and computed index becomes a constant; each computed index
+is range-checked against the dimension as it is resolved.  The result is
+a flat tuple of instructions over registers.  One executor runs it on
+``np.float64`` scalars for :func:`evaluate` and on columns for
+:func:`evaluate_many`, so both give bit-identical values for a point.
+
+Domain policy: overflow, division by zero or an invalid operation (ln of
+a non-positive value, a fractional power of a negative base, inf - inf,
+...) in any intermediate value raises :class:`EvalDomainError` carrying
+the point.  Underflow to 0 is allowed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprParseError
+from .errors import DimensionMismatchError, EvalDomainError, ExprParseError
 
-FUNCTIONS = ("sin", "cos", "exp", "ln", "abs")
-
-_SCALAR_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-}
-_VECTOR_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
+# + - * / and negation use Python's operators; ^ and the named functions
+# use numpy ufuncs.  np.float64 scalars and arrays then run the same
+# routines, so single points and batches agree bit for bit.
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": np.abs}
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
 }
 
-
-class _VecFault(Exception):
-    """Internal: a vectorized operation faulted at the masked points."""
-
-    def __init__(self, mask):
-        self.mask = mask
+MAX_NESTING = 100
+MAX_OPERATIONS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Syntax tree: the parser's output, which the compiler consumes.
 
 
-class Expr:
-    """Base node.  Trees are immutable and safe to share across threads."""
-
-    def _sval(self, xs, env) -> float:
-        raise NotImplementedError
-
-    def _vval(self, X, env):
-        raise NotImplementedError
-
-    def _render(self) -> str:
-        raise NotImplementedError
+class Node:
+    """Base syntax-tree node."""
 
 
 @dataclass(frozen=True)
-class Num(Expr):
+class Num(Node):
     value: float
 
-    def _sval(self, xs, env):
-        return self.value
-
-    def _vval(self, X, env):
-        return self.value
-
-    def _render(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
-class Var(Expr):
+class Var(Node):
     index: int  # 1-based
 
-    def _sval(self, xs, env):
-        return xs[self.index - 1]
 
-    def _vval(self, X, env):
-        return X[:, self.index - 1]
-
-    def _render(self):
-        return f"x{self.index}"
+@dataclass(frozen=True)
+class IndexedVar(Node):
+    index: Node
+    pos: tuple[int, int]
 
 
 @dataclass(frozen=True)
-class IndexedVar(Expr):
-    index: Expr
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
-
-    def _sval(self, xs, env):
-        return xs[_index_value(self.index, env) - 1]
-
-    def _vval(self, X, env):
-        return X[:, _index_value(self.index, env) - 1]
-
-    def _render(self):
-        return f"x({self.index._render()})"
-
-
-@dataclass(frozen=True)
-class Name(Expr):
+class Name(Node):
     """Reference to an enclosing sum's loop variable."""
 
     name: str
 
-    def _sval(self, xs, env):
-        return float(env[self.name])
 
-    def _vval(self, X, env):
-        return float(env[self.name])
-
-    def _render(self):
-        return self.name
+@dataclass(frozen=True)
+class Neg(Node):
+    arg: Node
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-    def _sval(self, xs, env):
-        return -self.arg._sval(xs, env)
-
-    def _vval(self, X, env):
-        return -self.arg._vval(X, env)
-
-    def _render(self):
-        return f"(-{self.arg._render()})"
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
+class BinOp(Node):
     op: str  # one of + - * / ^
-    lhs: Expr
-    rhs: Expr
-
-    def _sval(self, xs, env):
-        a = self.lhs._sval(xs, env)
-        b = self.rhs._sval(xs, env)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero", xs)
-            return a / b
-        # power
-        if a < 0.0 and not float(b).is_integer():
-            raise EvalDomainError("fractional power of negative base", xs)
-        if a == 0.0 and b < 0.0:
-            raise EvalDomainError("zero raised to a negative power", xs)
-        try:
-            r = a**b
-        except OverflowError:
-            raise EvalDomainError("power overflow", xs) from None
-        if math.isinf(r):
-            raise EvalDomainError("power overflow", xs)
-        return r
-
-    def _vval(self, X, env):
-        a = self.lhs._vval(X, env)
-        b = self.rhs._vval(X, env)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            bad = np.equal(b, 0.0)
-            if np.any(bad):
-                shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-                raise _VecFault(np.broadcast_to(bad, shape))
-            return a / b
-        bb = np.asarray(b, dtype=float)
-        aa = np.asarray(a, dtype=float)
-        bad = (aa < 0.0) & (bb != np.floor(bb)) | ((aa == 0.0) & (bb < 0.0))
-        if np.any(bad):
-            raise _VecFault(np.broadcast_to(bad, np.broadcast_shapes(aa.shape, bb.shape)))
-        r = aa**bb
-        finite = np.isfinite(r)
-        if not np.all(finite):
-            raise _VecFault(~finite)
-        return r
-
-    def _render(self):
-        return f"({self.lhs._render()} {self.op} {self.rhs._render()})"
+    lhs: Node
+    rhs: Node
 
 
 @dataclass(frozen=True)
-class Call(Expr):
+class Call(Node):
     fn: str
-    arg: Expr
-
-    def _sval(self, xs, env):
-        v = self.arg._sval(xs, env)
-        if self.fn == "ln":
-            if v <= 0.0:
-                raise EvalDomainError("ln of non-positive value", xs)
-            return math.log(v)
-        try:
-            return _SCALAR_FUNCS[self.fn](v)
-        except OverflowError:
-            raise EvalDomainError(f"{self.fn} overflow", xs) from None
-
-    def _vval(self, X, env):
-        v = self.arg._vval(X, env)
-        if self.fn == "ln":
-            vv = np.asarray(v, dtype=float)
-            bad = vv <= 0.0
-            if np.any(bad):
-                raise _VecFault(bad)
-            return np.log(vv)
-        r = _VECTOR_FUNCS[self.fn](v)
-        finite = np.isfinite(r)
-        if not np.all(finite):
-            raise _VecFault(~np.asarray(finite))
-        return r
-
-    def _render(self):
-        return f"{self.fn}({self.arg._render()})"
+    arg: Node
 
 
 @dataclass(frozen=True)
-class Sum(Expr):
+class Sum(Node):
     var: str
     lo: int
     hi: int
-    body: Expr
-
-    def _sval(self, xs, env):
-        total = 0.0
-        env = dict(env)
-        for k in range(self.lo, self.hi + 1):
-            env[self.var] = k
-            total += self.body._sval(xs, env)
-        return total
-
-    def _vval(self, X, env):
-        total = 0.0
-        env = dict(env)
-        for k in range(self.lo, self.hi + 1):
-            env[self.var] = k
-            total = total + self.body._vval(X, env)
-        return total
-
-    def _render(self):
-        return f"sum({self.var}, {self.lo}, {self.hi}, {self.body._render()})"
+    body: Node
+    pos: tuple[int, int]
 
 
-def _index_value(node: Expr, env) -> int:
-    """Evaluate a computed-index expression to an int (integer arithmetic only)."""
-    if isinstance(node, Num):
-        return int(node.value)
-    if isinstance(node, Name):
-        return int(env[node.name])
-    if isinstance(node, Neg):
-        return -_index_value(node.arg, env)
-    if isinstance(node, BinOp):
-        a = _index_value(node.lhs, env)
-        b = _index_value(node.rhs, env)
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-    raise AssertionError("index expression not integer arithmetic")
+@dataclass(frozen=True)
+class Expr:
+    """A compiled objective over x1..xn.
+
+    Registers 0..n-1 hold the coordinates; the rest start as ``tail``,
+    where constants are ``np.float64`` and scratch slots None.
+    Instruction ``(fn, dst, a, b)`` stores ``fn(r[a], r[b])`` in
+    ``r[dst]``, or ``fn(r[a])`` when ``b`` is -1.  The value is left in
+    ``r[out]``.  Immutable, so safe to share across threads.
+    """
+
+    n: int
+    code: tuple
+    tail: tuple
+    out: int
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +193,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.scopes: list[str] = []
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -360,38 +213,48 @@ class _Parser:
             self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
         return self.advance()
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> Node:
         node = self.parse_term()
         while self.peek().text in ("+", "-"):
             op = self.advance().text
             node = BinOp(op, node, self.parse_term())
         return node
 
-    def parse_term(self) -> Expr:
+    def parse_term(self) -> Node:
         node = self.parse_factor()
         while self.peek().text in ("*", "/"):
             op = self.advance().text
             node = BinOp(op, node, self.parse_factor())
         return node
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> Node:
+        # Every recursive path of the grammar passes through here.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels")
         if self.peek().text == "-":
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+            node = Neg(self.parse_factor())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
-    def parse_power(self) -> Expr:
+    def parse_power(self) -> Node:
         node = self.parse_atom()
         if self.peek().text == "^":
             self.advance()
             node = BinOp("^", node, self.parse_factor())
         return node
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                self.fail(f"number {tok.text} is out of range", tok)
+            return Num(value)
         if tok.text == "(":
             self.advance()
             node = self.parse_expr()
@@ -401,7 +264,7 @@ class _Parser:
             return self.parse_name()
         self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
-    def parse_name(self) -> Expr:
+    def parse_name(self) -> Node:
         tok = self.advance()
         name = tok.text
         var = _VAR_RE.match(name)
@@ -415,9 +278,8 @@ class _Parser:
         if name == "x":
             self.expect("(")
             index = self.parse_expr()
-            close = self.expect(")")
-            self.check_index_expr(index, tok)
-            return IndexedVar(index, pos=(tok.line, tok.col))
+            self.expect(")")
+            return IndexedVar(index, (tok.line, tok.col))
         if name in FUNCTIONS:
             self.expect("(")
             arg = self.parse_expr()
@@ -429,7 +291,7 @@ class _Parser:
             return Name(name)
         self.fail(f"unknown identifier {name!r}", tok)
 
-    def parse_sum(self, tok: _Token) -> Expr:
+    def parse_sum(self, tok: _Token) -> Node:
         self.expect("(")
         var_tok = self.advance()
         if var_tok.kind != "name":
@@ -450,7 +312,7 @@ class _Parser:
         body = self.parse_expr()
         self.scopes.pop()
         self.expect(")")
-        return Sum(var, lo, hi, body)
+        return Sum(var, lo, hi, body, (tok.line, tok.col))
 
     def parse_int_literal(self) -> int:
         negate = False
@@ -464,55 +326,121 @@ class _Parser:
         value = int(float(tok.text))
         return -value if negate else value
 
-    def check_index_expr(self, node: Expr, tok: _Token):
-        """Computed indices may only use integer arithmetic over loop vars."""
-        if isinstance(node, Num):
-            if not float(node.value).is_integer():
-                self.fail("variable index must be an integer", tok)
-            return
-        if isinstance(node, Name):
-            return
-        if isinstance(node, Neg):
-            self.check_index_expr(node.arg, tok)
-            return
-        if isinstance(node, BinOp) and node.op in ("+", "-", "*"):
-            self.check_index_expr(node.lhs, tok)
-            self.check_index_expr(node.rhs, tok)
-            return
-        self.fail("variable index must use integer arithmetic over loop variables", tok)
+
+# ---------------------------------------------------------------------------
+# Compiler
 
 
-def _check_index_ranges(node: Expr, n: int, scopes: dict[str, range]):
-    """Range-check every computed index by enumerating loop assignments."""
-    if isinstance(node, IndexedVar):
-        names = sorted(scopes)
-        for combo in itertools.product(*(scopes[name] for name in names)):
-            env = dict(zip(names, combo))
-            idx = _index_value(node.index, env)
-            if not 1 <= idx <= n:
-                line, col = node.pos
-                raise ExprParseError(
-                    f"computed index evaluates to {idx}, outside 1..{n}", line, col
-                )
-        _check_index_ranges(node.index, n, scopes)
-    elif isinstance(node, Neg):
-        _check_index_ranges(node.arg, n, scopes)
-    elif isinstance(node, BinOp):
-        _check_index_ranges(node.lhs, n, scopes)
-        _check_index_ranges(node.rhs, n, scopes)
-    elif isinstance(node, Call):
-        _check_index_ranges(node.arg, n, scopes)
-    elif isinstance(node, Sum):
-        inner = dict(scopes)
-        inner[node.var] = range(node.lo, node.hi + 1)
-        _check_index_ranges(node.body, n, inner)
+@dataclass(frozen=True)
+class _Apply:
+    """Pending instruction: apply ``fn`` to the last one or two operands."""
+
+    fn: object
+    unary: bool
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """Pending terms ``k..hi`` of a sum, each added to the running total."""
+
+    sum: Sum
+    k: int
+
+
+_APPLY = {
+    **{sym: _Apply(fn, False) for sym, fn in _BINARY.items()},
+    **{name: _Apply(fn, True) for name, fn in FUNCTIONS.items()},
+    "neg": _Apply(operator.neg, True),
+}
+_INDEX_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _resolve_index(node: IndexedVar, env: dict[str, int], n: int) -> int:
+    """The 1-based coordinate a computed index names under ``env``."""
+    line, col = node.pos
+    values: list[int] = []
+    todo: list = [node.index]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):  # an operator, its operands done
+            b = values.pop()
+            values.append(-b if item == "neg" else _INDEX_OPS[item](values.pop(), b))
+        elif isinstance(item, Name):
+            values.append(env[item.name])
+        elif isinstance(item, Num):
+            if not item.value.is_integer():
+                raise ExprParseError("variable index must be an integer", line, col)
+            values.append(int(item.value))
+        elif isinstance(item, Neg):
+            todo += ["neg", item.arg]
+        elif isinstance(item, BinOp) and item.op in _INDEX_OPS:
+            todo += [item.op, item.rhs, item.lhs]
+        else:
+            raise ExprParseError(
+                "variable index must use integer arithmetic over loop variables", line, col
+            )
+    (idx,) = values
+    if not 1 <= idx <= n:
+        raise ExprParseError(f"computed index evaluates to {idx}, outside 1..{n}", line, col)
+    return idx
+
+
+def _compile(root: Node, n: int) -> Expr:
+    """Lower a tree to flat code, iteratively, since trees can be thousands deep.
+
+    A subtree compiled at stack depth d leaves its value in scratch slot
+    d, so a run holds at most tree-depth temporaries.
+    """
+    tail: list = []  # registers n, n+1, ... in order of first use
+    consts: dict[float, int] = {}
+    slots: list[int] = []  # register of each scratch slot
+    code = []
+    operands = []  # register of each finished subtree
+    todo: list = [(root, {}, 0)]
+    while todo:
+        node, env, d = todo.pop()
+        kind = type(node)
+        if kind is _Apply:
+            b = -1 if node.unary else operands.pop()
+            while len(slots) <= d:
+                slots.append(n + len(tail))
+                tail.append(None)
+            code.append((node.fn, slots[d], operands.pop(), b))
+            operands.append(slots[d])
+        elif kind is Var:
+            operands.append(node.index - 1)
+        elif kind is IndexedVar:
+            operands.append(_resolve_index(node, env, n) - 1)
+        elif kind is Num or kind is Name:
+            value = node.value if kind is Num else float(env[node.name])
+            if value not in consts:
+                consts[value] = n + len(tail)
+                tail.append(np.float64(value))
+            operands.append(consts[value])
+        elif kind is BinOp:
+            todo += [(_APPLY[node.op], env, d), (node.rhs, env, d + 1), (node.lhs, env, d)]
+        elif kind is Neg or kind is Call:
+            todo += [(_APPLY[node.fn if kind is Call else "neg"], env, d), (node.arg, env, d)]
+        elif kind is Sum:
+            todo.append((_Terms(node, node.lo), env, d))
+        else:  # _Terms: compile term k, add it to the total so far, go on
+            s, k = node.sum, node.k
+            if len(code) > MAX_OPERATIONS:
+                raise ExprParseError(f"sum expands to more than {MAX_OPERATIONS} operations", *s.pos)
+            if k < s.hi:
+                todo.append((_Terms(s, k + 1), env, d))
+            if k > s.lo:
+                todo.append((_APPLY["+"], env, d))
+            todo.append((s.body, {**env, s.var: k}, d + (k > s.lo)))
+    return Expr(n, tuple(code), tuple(tail), operands.pop())
 
 
 def parse(src: str, n: int) -> Expr:
-    """Parse ``src`` into an expression over x1..xn.
+    """Parse ``src`` into a compiled expression over x1..xn.
 
     Raises :class:`ExprParseError` (with line/column) on syntax errors,
-    unknown identifiers and out-of-range variable indices.
+    unknown identifiers, out-of-range variable indices, too deep nesting
+    and too large expansions.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -521,43 +449,81 @@ def parse(src: str, n: int) -> Expr:
     tok = parser.peek()
     if tok.kind != "end":
         parser.fail(f"unexpected trailing {tok.text!r}", tok)
-    _check_index_ranges(node, n, {})
-    return node
+    return _compile(node, n)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
+def _run(expr: Expr, columns):
+    """Execute ``expr`` on one value per coordinate, all np.float64
+    scalars or all arrays of one length."""
+    r = [*columns, *expr.tail]
+    with np.errstate(all="raise", under="ignore"):
+        for fn, dst, a, b in expr.code:
+            r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])
+    return r[expr.out]
+
+
+def _reason(exc: FloatingPointError) -> str:
+    # numpy names scalar operations "scalar divide" and so on; drop that
+    # so a fault reads the same from evaluate and evaluate_many.
+    return str(exc).replace("scalar ", "")
+
+
 def evaluate(expr: Expr, x) -> float:
-    """Evaluate at a single point (len(x) must cover every index used).
+    """Evaluate at a single point of length n.
 
     Raises :class:`EvalDomainError` carrying the point on domain faults.
     """
-    xs = [float(v) for v in x]
-    return float(expr._sval(xs, {}))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (expr.n,):
+        raise DimensionMismatchError("point", expr.n, x.size)
+    try:
+        return float(_run(expr, x))
+    except FloatingPointError as exc:
+        raise EvalDomainError(_reason(exc), x.copy()) from None
 
 
 def evaluate_many(expr: Expr, X) -> np.ndarray:
-    """Evaluate at each row of ``X`` (N x n), vectorized.
+    """Evaluate at each row of ``X`` (N x n), bit-identical to :func:`evaluate`.
 
-    Domain faults are reported through the same :class:`EvalDomainError`
-    as :func:`evaluate`, pinned to the first offending row.
+    A domain fault raises the same :class:`EvalDomainError` as
+    :func:`evaluate` at the first faulting row.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (points by coordinates)")
+    if X.shape[1] != expr.n:
+        raise DimensionMismatchError("points", expr.n, X.shape[1])
     try:
-        with np.errstate(all="ignore"):
-            value = expr._vval(X, {})
-    except _VecFault as fault:
-        mask = np.asarray(fault.mask)
-        bad = int(np.argmax(mask)) if mask.ndim else 0
-        evaluate(expr, X[bad])  # raises the precise structured error
-        raise AssertionError("vector fault not reproduced at scalar point")
-    return np.broadcast_to(np.asarray(value, dtype=float), (X.shape[0],)).copy()
+        value = _run(expr, X.T.copy())
+    except FloatingPointError as exc:
+        # Rows are independent: run them alone, as 1-row arrays, to find
+        # the first that faults; when no earlier row does, the last must.
+        for row in X[:-1]:
+            try:
+                _run(expr, row[:, None])
+            except FloatingPointError as row_exc:
+                raise EvalDomainError(_reason(row_exc), row.copy()) from None
+        raise EvalDomainError(_reason(exc), X[-1].copy()) from None
+    return np.broadcast_to(value, X.shape[:1]).copy()
 
 
 def render(expr: Expr) -> str:
-    """Text form that re-parses to an equivalent expression."""
-    return expr._render()
+    """Text form that re-parses to an equivalent expression.
+
+    It is written from the compiled code, so sums appear expanded.
+    """
+    names = {fn: name for name, fn in (*_BINARY.items(), *FUNCTIONS.items())}
+    text = [f"x{j}" for j in range(1, expr.n + 1)]
+    text += [None if v is None else repr(float(v)) if v >= 0 else f"({float(v)!r})" for v in expr.tail]
+    for fn, dst, a, b in expr.code:
+        if b >= 0:
+            text[dst] = f"({text[a]} {names[fn]} {text[b]})"
+        elif fn is operator.neg:
+            text[dst] = f"(-{text[a]})"
+        else:
+            text[dst] = f"{names[fn]}({text[a]})"
+    return text[expr.out]

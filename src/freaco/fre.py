@@ -213,10 +213,13 @@ def cell_of(path, inst: Instance, xbar: np.ndarray) -> Cell:
 
     For any valid path the corner sits below ``xbar``; a violation beyond
     EPS_EQ means the path was not drawn from this instance's candidate
-    sets, which is an internal bug upstream.
+    sets, and raises :class:`InvalidPathError`.
     """
     lower = path_to_candidate(path, inst.b, inst.n)
-    assert np.all(lower <= xbar + EPS_EQ), "path lower corner exceeds xbar"
+    if np.any(lower > xbar + EPS_EQ):
+        raise InvalidPathError(
+            f"path {np.asarray(path).tolist()} has a lower corner above xbar"
+        )
     return Cell(np.minimum(lower, xbar), xbar)
 
 

@@ -83,6 +83,40 @@ def test_solve_writes_trace_and_out(capsys, tmp_path):
     assert all(a >= b for a, b in zip(best, best[1:]))
 
 
+def _ex1_with_objective(tmp_path, objective):
+    path = tmp_path / "objective.json"
+    payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": objective}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_solve_overflowing_objective_exits_one(capsys, tmp_path):
+    # 1e308*10 overflows; unchecked, inf - inf made best_f NaN (not JSON)
+    path = _ex1_with_objective(
+        tmp_path, "x1 + 1e308*10*(x2-0.25)*(x2-0.25) - 1e308*10*(x3-0.1)*(x3-0.1)"
+    )
+    code, out, err = call(capsys, ["solve", "--file", path, "--iters", "5"])
+    assert code == 1
+    assert out == ""
+    assert "error: overflow" in err
+
+
+def test_solve_objective_thousands_of_terms_deep(capsys, tmp_path):
+    path = _ex1_with_objective(tmp_path, " + ".join(["x1"] * 3000))
+    code, out, err = call(capsys, ["solve", "--file", path, "--iters", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_f"] == pytest.approx(3000 * payload["best_x"][0], rel=1e-12)
+
+
+@pytest.mark.parametrize("objective", ["(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"])
+def test_solve_objective_nested_too_deep_exits_one(capsys, tmp_path, objective):
+    code, out, err = call(capsys, ["solve", "--file", _ex1_with_objective(tmp_path, objective)])
+    assert code == 1
+    assert out == ""
+    assert "nests deeper" in err
+
+
 def test_solve_requires_exactly_one_source(capsys):
     code, out, err = call(capsys, ["solve"])
     assert code == 1

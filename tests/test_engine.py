@@ -25,7 +25,6 @@ from freaco.engine import (
     probability_matrix,
     sample_solution,
     select_rank,
-    sigma,
     sigma_vector,
     update_pheromone,
     weights,
@@ -235,12 +234,12 @@ def _toy_archive(points):
 
 def test_sigma_zero_when_coordinates_agree():
     archive = _toy_archive([[0.3, 0.1], [0.3, 0.9], [0.3, 0.4]])
-    assert sigma(archive, 0, 0, xi=1.0) == 0.0
+    assert sigma_vector(archive, 0, xi=1.0)[0] == 0.0
 
 
 def test_sigma_two_points():
     archive = _toy_archive([[0.1], [0.5]])
-    assert sigma(archive, 0, 0, xi=1.0) == pytest.approx(0.4, abs=1e-15)
+    assert sigma_vector(archive, 0, xi=1.0)[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_sigma_linear_in_xi():

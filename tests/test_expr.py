@@ -2,8 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from freaco import EvalDomainError, ExprParseError, evaluate, evaluate_many, parse, render
+from freaco import (
+    DimensionMismatchError,
+    EvalDomainError,
+    ExprParseError,
+    builtin_problems,
+    evaluate,
+    evaluate_many,
+    parse,
+    render,
+)
+from freaco import expr as expr_module
 
 
 def test_parse_product_expression():
@@ -121,6 +134,53 @@ def test_computed_index_out_of_range_detected_at_parse():
     assert "11" in str(info.value)
 
 
+def test_number_literal_out_of_range():
+    with pytest.raises(ExprParseError) as info:
+        parse("1e999*x1", 1)
+    assert info.value.col == 1
+
+
+def test_sum_expansion_is_capped(monkeypatch):
+    monkeypatch.setattr(expr_module, "MAX_OPERATIONS", 1000)
+    parse("sum(k, 1, 900, x1)", 1)
+    with pytest.raises(ExprParseError) as info:
+        parse("1 + sum(k, 1, 2000, x1)", 1)
+    assert (info.value.line, info.value.col) == (1, 5)
+
+
+# ---------------------------------------------------------------------------
+# deep expressions
+
+
+@pytest.mark.parametrize("x1", [0.25, 0.5, 1.0])
+def test_thousands_of_terms_parse_and_evaluate(x1):
+    # every partial sum of these values is exact, so the result is too
+    expr = parse(" + ".join(["x1"] * 3000), 1)
+    assert evaluate(expr, [x1]) == 3000 * x1
+    assert np.array_equal(evaluate_many(expr, [[x1], [0.0]]), [3000 * x1, 0.0])
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(" * 300 + "x1" + ")" * 300,
+        "-" * 2000 + "x1",
+        "2^" * 300 + "x1",
+        "sin(" * 300 + "x1" + ")" * 300,
+    ],
+    ids=["parentheses", "unary-minus", "power", "calls"],
+)
+def test_nesting_beyond_limit_is_a_parse_error(src):
+    with pytest.raises(ExprParseError):
+        parse(src, 1)
+
+
+def test_nesting_within_limit_parses():
+    depth = expr_module.MAX_NESTING - 1
+    assert evaluate(parse("(" * depth + "x1" + ")" * depth, 1), [0.5]) == 0.5
+    assert evaluate(parse("-" * depth + "x1", 1), [0.5]) == -0.5
+
+
 def test_computed_index_must_be_integer_arithmetic():
     with pytest.raises(ExprParseError):
         parse("sum(k, 1, 3, x(k/2))", 3)
@@ -156,6 +216,28 @@ def test_zero_to_negative_power():
         evaluate(parse("x1^-1", 1), [0.0])
 
 
+@pytest.mark.parametrize(
+    "src,x",
+    [
+        ("x1 + 1e308*10*(x2 - 0.25)", [0.5, 0.5]),  # overflow in a product
+        ("exp(1000*x1)", [1.0, 0.0]),
+        ("x1 - x2/(x1 - x1)", [0.5, 0.5]),  # 0/0
+    ],
+)
+def test_any_overflow_or_invalid_intermediate_raises(src, x):
+    expr = parse(src, 2)
+    with pytest.raises(EvalDomainError):
+        evaluate(expr, x)
+    with pytest.raises(EvalDomainError):
+        evaluate_many(expr, [x])
+
+
+def test_underflow_to_zero_is_allowed():
+    expr = parse("exp(-1000*x1) + 1e-300*1e-300", 1)
+    assert evaluate(expr, [1.0]) == 0.0
+    assert np.array_equal(evaluate_many(expr, [[1.0]]), [0.0])
+
+
 def test_evaluate_many_raises_same_error_at_offending_row():
     expr = parse("ln(x1)", 1)
     X = np.array([[0.5], [0.0], [0.7]])
@@ -187,14 +269,59 @@ def test_render_round_trip(src, n):
         assert abs(evaluate(expr, x) - evaluate(again, x)) <= 1e-12
 
 
-@pytest.mark.parametrize("src,n", ROUND_TRIP_SOURCES)
+# the ten built-in objectives, less the two already listed above
+BUILTIN_SOURCES = [
+    (p.objective_src, p.n)
+    for p in builtin_problems()
+    if (p.objective_src, p.n) not in ROUND_TRIP_SOURCES
+]
+
+
+@pytest.mark.parametrize("src,n", ROUND_TRIP_SOURCES + BUILTIN_SOURCES)
 def test_vectorized_matches_scalar(src, n):
     expr = parse(src, n)
     rng = np.random.default_rng(43)
     X = rng.random((64, n))
     batched = evaluate_many(expr, X)
     singles = np.array([evaluate(expr, x) for x in X])
-    assert np.allclose(batched, singles, atol=1e-12, rtol=0)
+    assert np.array_equal(batched, singles)
+
+
+FAULTING_SOURCES = [
+    ("ln(x1 - 0.5) + x2", 2),
+    ("1/(x1 - x2)", 2),
+    ("(x1 - 0.5)^x2", 2),
+    ("exp(800*x1)*x2", 2),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_and_batch_agree_bit_for_bit(data):
+    src, n = data.draw(st.sampled_from(ROUND_TRIP_SOURCES + BUILTIN_SOURCES + FAULTING_SOURCES))
+    expr = parse(src, n)
+    rows = data.draw(st.integers(1, 12))
+    X = data.draw(arrays(float, (rows, n), elements=st.floats(0.0, 1.0)))
+    singles = []
+    try:
+        for x in X:
+            singles.append(evaluate(expr, x))
+    except EvalDomainError as fault:
+        with pytest.raises(EvalDomainError) as info:
+            evaluate_many(expr, X)
+        assert np.array_equal(info.value.point, fault.point)
+        assert info.value.reason == fault.reason
+    else:
+        assert np.array_equal(evaluate_many(expr, X), singles)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_point_length_must_match_dimension(length):
+    expr = parse("x1 + x3", 3)
+    with pytest.raises(DimensionMismatchError):
+        evaluate(expr, np.full(length, 0.5))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_many(expr, np.full((2, length), 0.5))
 
 
 def test_evaluate_is_pure():

@@ -8,6 +8,7 @@ from freaco import (
     InfeasibleInstanceError,
     Instance,
     InvalidInstanceError,
+    InvalidPathError,
     candidate_matrix,
     cell_of,
     clamp_to_cell,
@@ -287,6 +288,14 @@ def test_cell_of_unique_cell():
     cell = cell_of(np.array([0, 1]), inst, xbar)
     assert np.array_equal(cell.lower, [0.5, 0.3])
     assert np.array_equal(cell.upper, [0.5, 1.0])
+
+
+def test_cell_of_rejects_path_not_from_candidate_sets(ex_instance):
+    # row 1 choosing column 4 puts x4 >= 0.7 in the lower corner, above
+    # xbar's 0.1; the check must hold under python -O as well
+    xbar = compute_max_solution(ex_instance)
+    with pytest.raises(InvalidPathError):
+        cell_of(np.array([3, 0, 5, 4, 0]), ex_instance, xbar)
 
 
 def test_cell_samples_all_feasible(ex_instance):
