@@ -6,9 +6,9 @@ summarizes them as average / median / sample standard deviation / best,
 mean evaluation count and the error averaged over every run and
 iteration (best-so-far minus the recorded optimum).
 
-Runs are independent; when FREACO_THREADS allows it they execute in a
-process pool, and results are merged by run index so the summary does
-not depend on completion order.
+Runs are independent; when FREACO_THREADS allows it every (problem,
+run) job executes in one process pool, and results are merged by
+(problem, run index) so the summary does not depend on completion order.
 """
 
 from __future__ import annotations
@@ -81,31 +81,6 @@ def thread_budget() -> int:
     return os.cpu_count() or 1
 
 
-def _run_problem(problem: Problem, spec: ExperimentSpec) -> list[RunResult]:
-    jobs = [
-        (problem, replace(spec.config, seed=spec.base_seed + r))
-        for r in range(spec.runs)
-    ]
-    workers = min(thread_budget(), spec.runs)
-    if workers > 1 and spec.runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_one, job) for job in jobs]
-            results = []
-            for r, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    raise ExperimentError(problem.name, r) from exc
-            return results
-    results = []
-    for r, job in enumerate(jobs):
-        try:
-            results.append(_solve_one(job))
-        except Exception as exc:
-            raise ExperimentError(problem.name, r) from exc
-    return results
-
-
 def summarize_runs(problem: Problem, results: list[RunResult]) -> ProblemSummary:
     finals = np.array([r.trace[-1] for r in results])
     trace = np.vstack([r.trace for r in results])
@@ -123,10 +98,51 @@ def summarize_runs(problem: Problem, results: list[RunResult]) -> ProblemSummary
     )
 
 
+def run_problems(spec: ExperimentSpec) -> list[ProblemSummary | ExperimentError]:
+    """Per problem, its summary or the :class:`ExperimentError` of its
+    first failing run (chained to the failure).
+
+    Every (problem, run) job goes to one process pool when FREACO_THREADS
+    allows more than one worker; results are merged by (problem, run).
+    """
+    jobs = [
+        (problem, replace(spec.config, seed=spec.base_seed + r))
+        for problem in spec.problems
+        for r in range(spec.runs)
+    ]
+    workers = min(thread_budget(), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_solve_one, job) for job in jobs]
+            # a job's failure, or a lost worker, is kept to be reported by job
+            done = [f.exception() or f.result() for f in futures]
+    else:
+        done = []
+        for job in jobs:
+            try:
+                done.append(_solve_one(job))
+            except Exception as exc:  # reported below as the job's ExperimentError
+                done.append(exc)
+    outcomes = []
+    for p, problem in enumerate(spec.problems):
+        results = done[p * spec.runs : (p + 1) * spec.runs]
+        failed = [r for r, res in enumerate(results) if isinstance(res, Exception)]
+        if failed:
+            error = ExperimentError(problem.name, failed[0])
+            error.__cause__ = results[failed[0]]
+            outcomes.append(error)
+        else:
+            outcomes.append(summarize_runs(problem, results))
+    return outcomes
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
-    summaries = []
-    for problem in spec.problems:
-        summaries.append(summarize_runs(problem, _run_problem(problem, spec)))
+    """Summarize every problem of ``spec``; the first problem with a
+    failing run raises its :class:`ExperimentError`."""
+    summaries = run_problems(spec)
+    for outcome in summaries:
+        if isinstance(outcome, ExperimentError):
+            raise outcome
     return ExperimentSummary(
         problems=tuple(summaries),
         runs=spec.runs,

@@ -158,17 +158,15 @@ def _parse_problem_list(text: str) -> list[Problem]:
 def _cmd_bench(args) -> int:
     problems = _parse_problem_list(args.problems)
     os.makedirs(args.out, exist_ok=True)
+    spec = bench_mod.ExperimentSpec(problems=problems, runs=args.runs, base_seed=args.seed)
     summaries = []
     failures = 0
-    for problem in problems:
-        spec = bench_mod.ExperimentSpec(
-            problems=(problem,), runs=args.runs, base_seed=args.seed
-        )
-        try:
-            summaries.extend(bench_mod.run_experiment(spec).problems)
-        except ExperimentError as exc:
+    for outcome in bench_mod.run_problems(spec):
+        if isinstance(outcome, ExperimentError):
             failures += 1
-            _diag(f"error: {exc} ({exc.__cause__})")
+            _diag(f"error: {outcome} ({outcome.__cause__})")
+        else:
+            summaries.append(outcome)
     summary = bench_mod.ExperimentSummary(
         problems=tuple(summaries),
         runs=args.runs,

@@ -2,47 +2,48 @@
 
 Each iteration couples a combinatorial phase with a continuous phase:
 
-* Phase one walks the candidate matrix row by row, picking one candidate
-  column per row with probabilities proportional to pheromone, which
-  yields a path and hence a feasible box (cell) of the solution set.
-* Phase two keeps a ranked archive of feasible points.  It refreshes the
-  archive with one fresh uniform draw from the phase-one cell, then
-  samples around archived points with per-coordinate Gaussians whose
-  spread is the mean coordinate distance across the archive, clamping
-  every draw back into the originating cell so feasibility never needs
-  re-checking.
+* Phase one picks one candidate column per matrix row with probabilities
+  proportional to pheromone, which yields a path and hence a feasible box
+  (cell) of the solution set.  All rows of a path are drawn at once, by
+  inverse CDF over the candidates' cumulative probabilities, padded with
+  zeros to the longest candidate set.
+* Phase two keeps a ranked archive of feasible points as four arrays:
+  points ``X`` (s_pop x n), values ``f``, cell lower corners ``LB``
+  (s_pop x n) and paths ``E`` (s_pop x m), ascending in ``f``.  It
+  refreshes the archive with one fresh uniform draw from the phase-one
+  cell, then samples around archived points with per-coordinate
+  Gaussians whose spread is the mean coordinate distance across the
+  archive, clamping every draw back into the originating cell so
+  feasibility never needs re-checking.  After each insertion round a
+  stable argsort reorders the rows and truncates them to ``s_pop``.
 * The archive then reinforces the pheromone of the paths its members
   came from (deposit ``Q * exp(-f)`` per member, followed by one
-  multiplicative evaporation), steering phase one toward cells that
-  contained good points.
+  multiplicative evaporation).  One ``np.add.at`` makes every deposit,
+  adding member by member in rank order, as a loop over members would.
 
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
-(PCG64) and consumes it in a fixed order - iteration 1 draws one uniform
-per matrix row for each of the ``s_pop`` paths, then ``n`` uniforms per
-initial archive entry; every later iteration draws one uniform per row
-(one path), ``n`` uniforms (cell refresh), then per Gaussian sample one
-uniform (rank selection) and ``n`` normal variates via
-``Generator.normal``.  Identical configurations therefore produce
-bit-identical results.
+(PCG64) and consumes it in a fixed order.  Iteration 1 draws
+``random((s_pop, m))`` (one uniform per row of each path), then
+``random((s_pop, n))`` (one point per cell).  Every later iteration
+draws ``random((1, m))`` (one path) and ``random((1, n))`` (its cell
+point), evaluates and ranks that point, and only then draws the Gaussian
+samples, each as one uniform (rank selection) followed by ``n`` normal
+variates via ``Generator.normal``.  A batch ``random(shape)`` yields the
+same stream as that many single draws, so identical configurations give
+bit-identical results, equal to those of a row-by-row loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleInstanceError
-from .expr import evaluate
-from .fre import (
-    EPS_EQ,
-    Instance,
-    compute_candidate_sets,
-    compute_max_solution,
-    path_to_candidate,
-    violated_rows,
-)
+from .expr import evaluate, evaluate_many
+from .fre import EPS_EQ, compute_candidate_sets, compute_max_solution, violated_rows
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
@@ -50,7 +51,6 @@ DEPOSIT_EXP_LIMIT = 700.0
 
 #: Row sums of pheromone below this are reset to the initial uniform row.
 ROW_SUM_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -125,6 +125,15 @@ class RunResult:
         object.__setattr__(self, "trace", trace)
 
 
+class Archive(NamedTuple):
+    """Archive rows, ascending in ``f``: points, values, lower corners, paths."""
+
+    X: np.ndarray
+    f: np.ndarray
+    LB: np.ndarray
+    E: np.ndarray
+
+
 def init_pheromone(sets: list[np.ndarray], n: int) -> PheromoneMatrix:
     """Unit pheromone on every candidate entry, zero elsewhere."""
     support = np.zeros((len(sets), n), dtype=bool)
@@ -138,50 +147,46 @@ def probability_matrix(tau: PheromoneMatrix) -> np.ndarray:
     return tau.values / tau.values.sum(axis=1, keepdims=True)
 
 
+def candidate_table(sets: list[np.ndarray]) -> np.ndarray:
+    """Candidate columns per row, padded with -1 to the longest set (m x kmax)."""
+    table = np.full((len(sets), max(len(cols) for cols in sets)), -1, dtype=np.int64)
+    for i, cols in enumerate(sets):
+        table[i, : len(cols)] = cols
+    return table
+
+
 def construct_paths(
-    p: np.ndarray, sets: list[np.ndarray], m1: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Draw ``m1`` paths, one categorical column choice per row per path."""
-    m = len(sets)
-    cums = [np.cumsum(p[i, cols]) for i, cols in enumerate(sets)]
-    paths = []
-    for _ in range(m1):
-        e = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            c = cums[i]
-            k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-            e[i] = sets[i][min(k, len(c) - 1)]
-        paths.append(e)
-    return paths
+    tau: PheromoneMatrix, table: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``k`` paths (k x m), one categorical column choice per row.
 
-
-def _fresh_solution(
-    e: np.ndarray,
-    inst: Instance,
-    xbar: np.ndarray,
-    objective,
-    rng: np.random.Generator,
-) -> ArchiveSolution:
-    """Uniform draw from the cell of ``e``, evaluated once."""
-    lb = path_to_candidate(e, inst.b, inst.n)
-    x = lb + rng.random(inst.n) * (xbar - lb)
-    return ArchiveSolution(x=x, lb=lb, e=e, f=objective(x))
-
-
-def init_archive(
-    paths: list[np.ndarray],
-    inst: Instance,
-    xbar: np.ndarray,
-    objective,
-    rng: np.random.Generator,
-) -> list[ArchiveSolution]:
-    """One uniform cell sample per path, sorted ascending by value.
-
-    The sort is stable, so on exact ties earlier draws keep lower rank.
+    Row i picks its ``c``-th candidate, where ``c`` counts the cumulative
+    probabilities at or below ``u * total`` for a uniform ``u``, capped
+    at the last candidate: ``searchsorted(side="right")`` and a clamp.
+    The cumulative matrix is padded with zeros, which leaves each row's
+    partial sums exact and puts its total in the last column.
     """
-    entries = [_fresh_solution(e, inst, xbar, objective, rng) for e in paths]
-    entries.sort(key=lambda s: s.f)
-    return entries
+    rows = np.arange(len(table))
+    p = tau.values[rows[:, None], table] / tau.values.sum(axis=1)[:, None]
+    cum = np.where(table >= 0, p, 0.0).cumsum(axis=1)
+    # Never counting a row's last partial sum (or its padding) is the clamp.
+    inner = np.where(table[:, 1:] >= 0, cum[:, :-1], np.inf)
+    target = rng.random((k, len(table))) * cum[:, -1]
+    picks = np.empty((k, len(table)), dtype=np.int64)
+    for r in range(k):  # one path at a time keeps temporaries at m x kmax
+        picks[r] = (inner <= target[r, :, None]).sum(axis=1)
+    return table[rows, picks]
+
+
+def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, rng: np.random.Generator):
+    """One uniform point per path from the path's cell, and the cell's lower corner.
+
+    Corner coordinate j is the largest ``b_i`` over rows whose path picks
+    column j, or 0 when none does.
+    """
+    LB = np.zeros((len(E), len(xbar)))
+    np.maximum.at(LB, (np.arange(len(E))[:, None], E), b)
+    return LB + rng.random(LB.shape) * (xbar - LB), LB
 
 
 def weights(s_pop: int, q: float) -> np.ndarray:
@@ -191,72 +196,80 @@ def weights(s_pop: int, q: float) -> np.ndarray:
     return np.exp(-0.5 * ((ranks - 1.0) / scale) ** 2) / (math.sqrt(2 * math.pi) * scale)
 
 
-def select_rank(w: np.ndarray, rng: np.random.Generator) -> int:
-    """Categorical draw over ranks; returns a 0-based archive index."""
-    c = np.cumsum(w)
-    k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return min(k, len(w) - 1)
+def select_rank(cw: np.ndarray, rng: np.random.Generator) -> int:
+    """Categorical draw over ranks given cumulative weights; 0-based index."""
+    return min(int(cw.searchsorted(rng.random() * cw[-1], side="right")), len(cw) - 1)
 
 
-def sigma_vector(archive: list[ArchiveSolution], rank: int, xi: float) -> np.ndarray:
-    """Per-coordinate Gaussian spread around the rank-th archive point.
+def sigma_vector(X: np.ndarray, rank: int, xi: float) -> np.ndarray:
+    """Per-coordinate Gaussian spread around archive point ``X[rank]``.
 
-    Coordinate j gets xi times the mean |x_kj - x_rank,j| over the other
-    archive members.
+    Coordinate j gets xi times the mean |X_kj - X_rank,j| over the other
+    archive points.
     """
-    X = np.array([s.x for s in archive])
-    return xi * np.abs(X - X[rank]).sum(axis=0) / (len(archive) - 1)
+    return xi * np.abs(X - X[rank]).sum(axis=0) / (len(X) - 1)
 
 
-def sample_solution(
-    archive: list[ArchiveSolution],
-    rank: int,
-    xi: float,
-    xbar: np.ndarray,
-    objective,
-    rng: np.random.Generator,
-) -> ArchiveSolution:
-    """Gaussian draw around an archive point, clamped into its cell.
+def gaussian_samples(
+    archive: Archive, cw: np.ndarray, k: int, xi: float, xbar: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` Gaussian draws around rank-selected archive points (k x n), and their ranks.
 
-    The new solution inherits the selected entry's lower bound and path,
-    so it stays feasible by construction.  A zero spread returns the
-    coordinate mean exactly.
+    Each draw picks a rank with :func:`select_rank`, then one normal
+    variate per coordinate around that point with spread
+    :func:`sigma_vector`.  Clamping into ``[LB[rank], xbar]`` keeps the
+    draw in the selected point's cell, so it stays feasible by
+    construction.  A zero spread returns the point itself.
     """
-    sel = archive[rank]
-    x = rng.normal(loc=sel.x, scale=sigma_vector(archive, rank, xi))
-    x = np.minimum(np.maximum(x, sel.lb), xbar)
-    return ArchiveSolution(x=x, lb=sel.lb, e=sel.e, f=objective(x))
-
-
-def deposit(tau: PheromoneMatrix, sol: ArchiveSolution, big_q: float):
-    """Reinforce the solution's path entries by ``big_q * exp(-f)``.
-
-    The exponent is clamped to +-700 so extreme objective values degrade
-    to zero (or the double ceiling) instead of overflowing.
-    """
-    amount = big_q * math.exp(-min(max(sol.f, -DEPOSIT_EXP_LIMIT), DEPOSIT_EXP_LIMIT))
-    tau.values[np.arange(tau.values.shape[0]), sol.e] += amount
-
-
-def evaporate(tau: PheromoneMatrix, rho: float):
-    tau.values *= 1.0 - rho
+    X = archive.X
+    ranks = np.empty(k, dtype=np.int64)
+    Xs = np.empty((k, X.shape[1]))
+    for s in range(k):
+        ranks[s] = r = select_rank(cw, rng)
+        Xs[s] = rng.normal(loc=X[r], scale=sigma_vector(X, r, xi))
+    return np.minimum(np.maximum(Xs, archive.LB[ranks]), xbar), ranks
 
 
 def update_pheromone(
-    tau: PheromoneMatrix, archive: list[ArchiveSolution], big_q: float, rho: float
+    tau: PheromoneMatrix, f: np.ndarray, E: np.ndarray, big_q: float, rho: float
 ):
-    """One deposit per archive member, then one evaporation.
+    """Deposit ``big_q * exp(-f_r)`` on every entry of path ``E[r]``, then evaporate.
 
-    Rows whose sum underflows below ROW_SUM_FLOOR (possible when every
-    deposit is ~exp(-700) and evaporation keeps halving) are reset to the
-    initial uniform row so the selection probabilities stay well defined.
+    The deposits are added member by member in the order given.  The
+    exponent is clamped to +-700 so extreme objective values degrade to
+    zero (or the double ceiling) instead of overflowing.  Rows whose sum
+    underflows below ROW_SUM_FLOOR (possible when every deposit is
+    ~exp(-700) and evaporation keeps halving) are reset to the initial
+    uniform row so the selection probabilities stay well defined.
     """
-    for sol in archive:
-        deposit(tau, sol, big_q)
-    evaporate(tau, rho)
+    exponents = (-f.clip(-DEPOSIT_EXP_LIMIT, DEPOSIT_EXP_LIMIT)).tolist()
+    amounts = big_q * np.fromiter(map(math.exp, exponents), float, len(exponents))
+    np.add.at(tau.values, (np.arange(tau.values.shape[0]), E), amounts[:, None])
+    tau.values *= 1.0 - rho
     dead = tau.values.sum(axis=1) < ROW_SUM_FLOOR
     if dead.any():
         tau.values[dead] = tau.support[dead].astype(float)
+
+
+def ranked(archive: Archive, s_pop: int) -> Archive:
+    """The ``s_pop`` rows lowest in ``f``, ascending; on ties earlier rows first."""
+    keep = np.argsort(archive.f, kind="stable")[:s_pop]
+    return Archive(*(a[keep] for a in archive))
+
+
+def keep_best(archive: Archive, new: Archive, s_pop: int) -> Archive:
+    """:func:`ranked` of the ranked ``archive`` followed by ``new``.
+
+    New rows no better than a full archive's worst would rank after all
+    of it, so then the archive comes back as it is.
+    """
+    if len(archive.f) == s_pop and not (new.f < archive.f[-1]).any():
+        return archive
+    return ranked(Archive(*map(np.concatenate, zip(archive, new))), s_pop)
+
+
+def _views(archive: Archive) -> tuple[ArchiveSolution, ...]:
+    return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in zip(*archive))
 
 
 def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
@@ -267,67 +280,46 @@ def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
     directly.  Every later iteration builds one path, refreshes the
     archive with one uniform draw from its cell, performs
     ``samples_per_iter`` Gaussian samples against the archive as it
-    stood at the start of the round, and updates the pheromone; after
-    each insertion round the archive is re-sorted and truncated back to
-    the ``s_pop`` best, so the best value can never regress.
+    stood after that refresh, and updates the pheromone; each insertion
+    round keeps the ``s_pop`` best, so the best value never regresses.
 
-    ``observer(t, archive, tau)``, when given, is called read-only after
-    each iteration.
+    ``observer(t, archive, tau)``, when given, is called after each
+    iteration with the archive as a tuple of read-only
+    :class:`ArchiveSolution` views, best first.
 
     Raises :class:`InfeasibleInstanceError` (carrying the maximum point
     and the violated rows) when the constraint system has no solution.
     """
-    inst = problem.instance
+    inst, objective, s_pop = problem.instance, problem.objective, config.s_pop
     rng = np.random.default_rng(config.seed)
     xbar = compute_max_solution(inst)
     bad = violated_rows(inst, xbar, EPS_EQ)
     if bad.size:
         raise InfeasibleInstanceError(xbar, bad)
     sets = compute_candidate_sets(inst, xbar)
-
-    evals = 0
-
-    def objective(x) -> float:
-        nonlocal evals
-        evals += 1
-        return evaluate(problem.objective, x)
-
+    table = candidate_table(sets)
     tau = init_pheromone(sets, inst.n)
+    cw = np.cumsum(weights(s_pop, config.q))
     trace = np.empty(config.t_max)
 
-    paths = construct_paths(probability_matrix(tau), sets, config.s_pop, rng)
-    archive = init_archive(paths, inst, xbar, objective, rng)
-    update_pheromone(tau, archive, config.big_q, config.rho)
-    trace[0] = archive[0].f
-    if observer is not None:
-        observer(1, archive, tau)
-
-    w = weights(config.s_pop, config.q)
-    for t in range(2, config.t_max + 1):
-        (e,) = construct_paths(probability_matrix(tau), sets, 1, rng)
-        archive.append(_fresh_solution(e, inst, xbar, objective, rng))
-        archive.sort(key=lambda s: s.f)
-        del archive[config.s_pop :]
-
-        if config.samples_per_iter > 0:
-            pool = list(archive)  # selection pool frozen for the round
-            fresh = [
-                sample_solution(pool, select_rank(w, rng), config.xi, xbar, objective, rng)
-                for _ in range(config.samples_per_iter)
-            ]
-            archive.extend(fresh)
-            archive.sort(key=lambda s: s.f)
-            del archive[config.s_pop :]
-
-        update_pheromone(tau, archive, config.big_q, config.rho)
-        trace[t - 1] = archive[0].f
+    E = construct_paths(tau, table, s_pop, rng)
+    X, LB = cell_points(E, inst.b, xbar, rng)
+    archive = ranked(Archive(X, evaluate_many(objective, X), LB, E), s_pop)
+    evals = s_pop
+    for t in range(1, config.t_max + 1):
+        if t > 1:
+            e = construct_paths(tau, table, 1, rng)
+            x, lb = cell_points(e, inst.b, xbar, rng)
+            f = np.array([evaluate(objective, x[0])])
+            archive = keep_best(archive, Archive(x, f, lb, e), s_pop)  # before sampling
+            Xs, ranks = gaussian_samples(archive, cw, config.samples_per_iter, config.xi, xbar, rng)
+            samples = Archive(Xs, evaluate_many(objective, Xs), archive.LB[ranks], archive.E[ranks])
+            archive = keep_best(archive, samples, s_pop)
+            evals += 1 + len(ranks)
+        update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho)
+        trace[t - 1] = archive.f[0]
         if observer is not None:
-            observer(t, archive, tau)
+            observer(t, _views(archive), tau)
 
-    return RunResult(
-        best=archive[0],
-        trace=trace,
-        eval_count=evals,
-        seed=config.seed,
-        config=config,
-    )
+    best = ArchiveSolution(archive.X[0], archive.LB[0], archive.E[0], float(archive.f[0]))
+    return RunResult(best=best, trace=trace, eval_count=evals, seed=config.seed, config=config)

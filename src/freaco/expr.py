@@ -34,7 +34,10 @@ a flat tuple of instructions over registers.  One executor runs it on
 Domain policy: overflow, division by zero or an invalid operation (ln of
 a non-positive value, a fractional power of a negative base, inf - inf,
 ...) in any intermediate value raises :class:`EvalDomainError` carrying
-the point.  Underflow to 0 is allowed.
+the point.  So does a NaN or infinite result, which a finite point cannot
+give without one of those faults, but a point with a NaN or infinite
+coordinate can (quiet NaNs raise no floating-point flag).  Underflow to 0
+is allowed.
 """
 
 from __future__ import annotations
@@ -481,34 +484,42 @@ def evaluate(expr: Expr, x) -> float:
     if x.shape != (expr.n,):
         raise DimensionMismatchError("point", expr.n, x.size)
     try:
-        return float(_run(expr, x))
+        value = float(_run(expr, x))
     except FloatingPointError as exc:
         raise EvalDomainError(_reason(exc), x.copy()) from None
+    if not math.isfinite(value):
+        raise EvalDomainError("non-finite result", x.copy())
+    return value
 
 
 def evaluate_many(expr: Expr, X) -> np.ndarray:
     """Evaluate at each row of ``X`` (N x n), bit-identical to :func:`evaluate`.
 
-    A domain fault raises the same :class:`EvalDomainError` as
-    :func:`evaluate` at the first faulting row.
+    A domain fault or non-finite result raises the same
+    :class:`EvalDomainError` as :func:`evaluate` at the first faulting
+    row.  A batch of zero rows gives an empty array.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (points by coordinates)")
     if X.shape[1] != expr.n:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
+    if not len(X):
+        return np.empty(0)
     try:
-        value = _run(expr, X.T.copy())
+        values = np.empty(len(X))
+        values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar
     except FloatingPointError as exc:
-        # Rows are independent: run them alone, as 1-row arrays, to find
-        # the first that faults; when no earlier row does, the last must.
+        # Rows are independent and evaluate() gives each row's value or
+        # fault: run them alone to find the first that faults; when no
+        # earlier row does, the last must.
         for row in X[:-1]:
-            try:
-                _run(expr, row[:, None])
-            except FloatingPointError as row_exc:
-                raise EvalDomainError(_reason(row_exc), row.copy()) from None
+            evaluate(expr, row)
         raise EvalDomainError(_reason(exc), X[-1].copy()) from None
-    return np.broadcast_to(value, X.shape[:1]).copy()
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvalDomainError("non-finite result", X[finite.argmin()].copy())
+    return values
 
 
 def render(expr: Expr) -> str:

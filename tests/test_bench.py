@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from freaco import (
+    EvalDomainError,
     ExperimentError,
     ExperimentSpec,
     SolverConfig,
@@ -15,7 +16,8 @@ from freaco import (
     run,
     run_experiment,
 )
-from freaco.bench import summary_csv_text
+from freaco import bench
+from freaco.bench import run_problems, summary_csv_text
 
 from conftest import EX_A, EX_B, EX_OBJECTIVE
 
@@ -187,3 +189,35 @@ def test_unknown_format_rejected(tmp_path):
     summary = run_experiment(small_spec(runs=1))
     with pytest.raises(ValueError):
         export(summary, "xml", tmp_path / "nope.xml")
+
+
+def test_one_pool_for_all_problems_equals_sequential(monkeypatch):
+    spec = ExperimentSpec(
+        problems=(builtin_problem(1), builtin_problem(4), builtin_problem(7)),
+        runs=3, config=SMALL, base_seed=5,
+    )
+    seq = run_experiment(spec)
+    monkeypatch.setenv("FREACO_THREADS", "2")
+    started = []
+    real = bench.ProcessPoolExecutor
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", lambda **kw: started.append(kw) or real(**kw))
+    par = run_experiment(spec)
+    assert len(started) == 1
+    assert summary_csv_text(seq) == summary_csv_text(par)
+    for a, b in zip(seq.problems, par.problems):
+        assert np.array_equal(a.trace, b.trace)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pooled_error_names_problem_and_run(monkeypatch, threads):
+    monkeypatch.setenv("FREACO_THREADS", threads)
+    faulty = make_problem("faulty", EX_A, EX_B, "ln(x1 - 1)")
+    spec = ExperimentSpec(problems=(builtin_problem(1), faulty), runs=2, config=SMALL)
+    outcomes = run_problems(spec)
+    assert outcomes[0].name == "problem-01"
+    assert isinstance(outcomes[1], ExperimentError)
+    assert (outcomes[1].problem, outcomes[1].run_index) == ("faulty", 0)
+    assert isinstance(outcomes[1].__cause__, EvalDomainError)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(spec)
+    assert (info.value.problem, info.value.run_index) == ("faulty", 0)

@@ -5,7 +5,6 @@ import pytest
 
 from freaco import (
     EPS_EQ,
-    ArchiveSolution,
     InfeasibleInstanceError,
     Instance,
     SolverConfig,
@@ -13,17 +12,20 @@ from freaco import (
     compose_many,
     compute_candidate_sets,
     compute_max_solution,
+    evaluate_many,
     make_problem,
     run,
 )
 from freaco.engine import (
+    Archive,
+    candidate_table,
+    cell_points,
     construct_paths,
-    deposit,
-    evaporate,
-    init_archive,
+    gaussian_samples,
     init_pheromone,
+    keep_best,
     probability_matrix,
-    sample_solution,
+    ranked,
     select_rank,
     sigma_vector,
     update_pheromone,
@@ -41,6 +43,20 @@ def ex_problem():
 def ex_sets(problem):
     inst = problem.instance
     return inst, compute_max_solution(inst), compute_candidate_sets(inst)
+
+
+def deposit_one(tau, e, f, big_q=1.0):
+    """A single member's deposit: update_pheromone without evaporation."""
+    update_pheromone(tau, np.array([f]), np.array([e]), big_q=big_q, rho=0.0)
+
+
+def uniform_archive(problem, k, rng):
+    """``k`` fresh paths, one uniform point per cell, ranked."""
+    inst, xbar, sets = ex_sets(problem)
+    tau = init_pheromone(sets, inst.n)
+    E = construct_paths(tau, candidate_table(sets), k, rng)
+    X, LB = cell_points(E, inst.b, xbar, rng)
+    return ranked(Archive(X, evaluate_many(problem.objective, X), LB, E), k)
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +93,13 @@ def test_probability_single_candidate_row():
 def test_probability_after_one_deposit(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
-    sol = ArchiveSolution(
-        x=xbar, lb=np.zeros(inst.n), e=np.array([0, 0, 2, 1, 0]), f=0.5
-    )
-    deposit(tau, sol, big_q=1.0)
+    e = np.array([0, 0, 2, 1, 0])
+    deposit_one(tau, e, 0.5)
     d = math.exp(-0.5)
     p = probability_matrix(tau)
     for i, cols in enumerate(sets):
         expected = (1 + d) / (len(cols) - 1 + 1 + d)
-        assert p[i, sol.e[i]] == pytest.approx(expected, abs=1e-12)
+        assert p[i, e[i]] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +110,18 @@ def test_single_candidate_rows_give_unique_path():
     sets = [np.array([1]), np.array([0]), np.array([2])]
     tau = init_pheromone(sets, 3)
     rng = np.random.default_rng(0)
-    paths = construct_paths(probability_matrix(tau), sets, 5, rng)
+    paths = construct_paths(tau, candidate_table(sets), 5, rng)
+    assert paths.shape == (5, 3)
     for e in paths:
         assert np.array_equal(e, [1, 0, 2])
 
 
 def test_path_frequencies_match_uniform_probabilities(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    p = probability_matrix(init_pheromone(sets, inst.n))
+    tau = init_pheromone(sets, inst.n)
     rng = np.random.default_rng(57)
     draws = 100_000
-    paths = np.array(construct_paths(p, sets, draws, rng))
+    paths = construct_paths(tau, candidate_table(sets), draws, rng)
     for i, cols in enumerate(sets):
         prob = 1.0 / len(cols)
         sd = math.sqrt(prob * (1 - prob) / draws)
@@ -117,10 +132,10 @@ def test_path_frequencies_match_uniform_probabilities(ex_problem):
 
 def test_paths_reproducible_for_fixed_seed(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    p = probability_matrix(init_pheromone(sets, inst.n))
-    a = construct_paths(p, sets, 20, np.random.default_rng(9))
-    b = construct_paths(p, sets, 20, np.random.default_rng(9))
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    tau, table = init_pheromone(sets, inst.n), candidate_table(sets)
+    a = construct_paths(tau, table, 20, np.random.default_rng(9))
+    b = construct_paths(tau, table, 20, np.random.default_rng(9))
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +147,34 @@ def test_degenerate_cell_yields_its_unique_point():
     inst = problem.instance
     xbar = compute_max_solution(inst)
     rng = np.random.default_rng(0)
-    archive = init_archive([np.array([0])], inst, xbar, problem.evaluate, rng)
-    assert archive[0].x[0] == 1.0 and archive[0].f == 1.0
+    X, LB = cell_points(np.array([[0]]), inst.b, xbar, rng)
+    assert X[0, 0] == 1.0 and evaluate_many(problem.objective, X)[0] == 1.0
 
 
 def test_init_archive_samples_live_in_their_cells(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    rng = np.random.default_rng(3)
-    p = probability_matrix(init_pheromone(sets, inst.n))
-    paths = construct_paths(p, sets, 64, rng)
-    archive = init_archive(paths, inst, xbar, ex_problem.evaluate, rng)
-    for sol in archive:
-        assert np.all(sol.lb - EPS_EQ <= sol.x) and np.all(sol.x <= xbar + EPS_EQ)
-        assert math.isfinite(sol.f)
-    fs = [sol.f for sol in archive]
-    assert fs == sorted(fs)
+    archive = uniform_archive(ex_problem, 64, np.random.default_rng(3))
+    assert np.all(archive.LB - EPS_EQ <= archive.X) and np.all(archive.X <= xbar + EPS_EQ)
+    assert np.all(np.isfinite(archive.f))
+    assert np.all(np.diff(archive.f) >= 0)
+
+
+def test_keep_best_ties_keep_older_rows_first():
+    def rows(fs, tag):
+        k = len(fs)
+        return Archive(np.full((k, 1), tag), np.array(fs), np.zeros((k, 1)), np.zeros((k, 1), int))
+
+    old = rows([0.1, 0.5, 0.9], tag=0.0)
+    merged = keep_best(old, rows([0.5, 0.2], tag=1.0), 3)
+    assert merged.f.tolist() == [0.1, 0.2, 0.5]
+    assert merged.X[:, 0].tolist() == [0.0, 1.0, 0.0]  # the older 0.5 wins the tie
+    assert keep_best(old, rows([0.9, 1.0], tag=1.0), 3) is old  # nothing beats the worst
 
 
 def test_init_archive_points_all_feasible(ex_problem):
-    inst, xbar, sets = ex_sets(ex_problem)
-    rng = np.random.default_rng(5)
-    p = probability_matrix(init_pheromone(sets, inst.n))
-    paths = construct_paths(p, sets, 1000, rng)
-    archive = init_archive(paths, inst, xbar, ex_problem.evaluate, rng)
-    X = np.array([sol.x for sol in archive])
-    assert np.abs(compose_many(inst, X) - inst.b).max() <= EPS_EQ
+    inst = ex_problem.instance
+    archive = uniform_archive(ex_problem, 1000, np.random.default_rng(5))
+    assert np.abs(compose_many(inst, archive.X) - inst.b).max() <= EPS_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +217,7 @@ def test_select_rank_frequency_matches_weights():
     prob = w / w.sum()
     rng = np.random.default_rng(61)
     draws = 100_000
-    picks = np.array([select_rank(w, rng) for _ in range(draws)])
+    picks = np.array([select_rank(np.cumsum(w), rng) for _ in range(draws)])
     sd = math.sqrt(prob[0] * (1 - prob[0]) / draws)
     assert abs(np.mean(picks == 0) - prob[0]) <= 3 * sd
 
@@ -209,7 +227,7 @@ def test_large_q_selection_near_uniform():
     prob = w / w.sum()
     rng = np.random.default_rng(63)
     draws = 100_000
-    picks = np.array([select_rank(w, rng) for _ in range(draws)])
+    picks = np.array([select_rank(np.cumsum(w), rng) for _ in range(draws)])
     for rank in range(5):
         sd = math.sqrt(prob[rank] * (1 - prob[rank]) / draws)
         assert abs(np.mean(picks == rank) - prob[rank]) <= 3 * sd
@@ -220,32 +238,20 @@ def test_large_q_selection_near_uniform():
 # Gaussian spread
 
 
-def _toy_archive(points):
-    return [
-        ArchiveSolution(
-            x=np.asarray(p, dtype=float),
-            lb=np.zeros(len(p)),
-            e=np.zeros(1, dtype=np.int64),
-            f=float(i),
-        )
-        for i, p in enumerate(points)
-    ]
-
-
 def test_sigma_zero_when_coordinates_agree():
-    archive = _toy_archive([[0.3, 0.1], [0.3, 0.9], [0.3, 0.4]])
-    assert sigma_vector(archive, 0, xi=1.0)[0] == 0.0
+    X = np.array([[0.3, 0.1], [0.3, 0.9], [0.3, 0.4]])
+    assert sigma_vector(X, 0, xi=1.0)[0] == 0.0
 
 
 def test_sigma_two_points():
-    archive = _toy_archive([[0.1], [0.5]])
-    assert sigma_vector(archive, 0, xi=1.0)[0] == pytest.approx(0.4, abs=1e-15)
+    X = np.array([[0.1], [0.5]])
+    assert sigma_vector(X, 0, xi=1.0)[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_sigma_linear_in_xi():
-    archive = _toy_archive([[0.1, 0.2], [0.5, 0.9], [0.2, 0.3]])
-    base = sigma_vector(archive, 1, xi=1.0)
-    assert np.allclose(sigma_vector(archive, 1, xi=2.0), 2 * base, atol=1e-15)
+    X = np.array([[0.1, 0.2], [0.5, 0.9], [0.2, 0.3]])
+    base = sigma_vector(X, 1, xi=1.0)
+    assert np.allclose(sigma_vector(X, 1, xi=2.0), 2 * base, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -256,43 +262,37 @@ def test_sample_with_zero_spread_returns_mean(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     point = np.array([0.8, 0.3, 0.2, 0.0, 0.7, 1.0])
     lb = np.array([0.6, 0.0, 0.0, 0.0, 0.7, 0.3])
-    archive = [
-        ArchiveSolution(x=point, lb=lb, e=np.array([4, 0, 5, 4, 0]), f=0.958)
-        for _ in range(4)
-    ]
+    archive = Archive(
+        np.tile(point, (4, 1)), np.full(4, 0.958), np.tile(lb, (4, 1)),
+        np.tile([4, 0, 5, 4, 0], (4, 1)),
+    )
     rng = np.random.default_rng(11)
-    out = sample_solution(archive, 0, 1.0, xbar, ex_problem.evaluate, rng)
-    assert np.array_equal(out.x, point)
-    assert out.f == pytest.approx(0.958, abs=1e-12)
+    Xs, _ = gaussian_samples(archive, np.cumsum(weights(4, 0.5)), 1, 1.0, xbar, rng)
+    assert np.array_equal(Xs[0], point)
+    assert evaluate_many(ex_problem.objective, Xs)[0] == pytest.approx(0.958, abs=1e-12)
 
 
 def test_samples_stay_in_inherited_cell(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     rng = np.random.default_rng(13)
-    p = probability_matrix(init_pheromone(sets, inst.n))
-    paths = construct_paths(p, sets, 50, rng)
-    archive = init_archive(paths, inst, xbar, ex_problem.evaluate, rng)
-    points = []
-    for _ in range(10_000):
-        sol = sample_solution(archive, select_rank(weights(50, 0.5), rng), 1.0, xbar, ex_problem.evaluate, rng)
-        assert np.all(sol.lb <= sol.x) and np.all(sol.x <= xbar)
-        points.append(sol.x)
-    gaps = np.abs(compose_many(inst, np.array(points)) - inst.b)
+    archive = uniform_archive(ex_problem, 50, rng)
+    cw = np.cumsum(weights(50, 0.5))
+    Xs, ranks = gaussian_samples(archive, cw, 10_000, 1.0, xbar, rng)
+    assert np.all(archive.LB[ranks] <= Xs) and np.all(Xs <= xbar)
+    gaps = np.abs(compose_many(inst, Xs) - inst.b)
     assert gaps.max() <= EPS_EQ
 
 
 def test_sampling_reproducible(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    p = probability_matrix(init_pheromone(sets, inst.n))
 
     def draw(seed):
         rng = np.random.default_rng(seed)
-        paths = construct_paths(p, sets, 10, rng)
-        archive = init_archive(paths, inst, xbar, ex_problem.evaluate, rng)
-        return sample_solution(archive, 0, 1.0, xbar, ex_problem.evaluate, rng)
+        archive = uniform_archive(ex_problem, 10, rng)
+        return gaussian_samples(archive, np.cumsum(weights(10, 0.5)), 1, 1.0, xbar, rng)
 
-    a, b = draw(99), draw(99)
-    assert np.array_equal(a.x, b.x) and a.f == b.f
+    (xa, ra), (xb, rb) = draw(99), draw(99)
+    assert np.array_equal(xa, xb) and np.array_equal(ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,7 @@ def test_deposit_zero_objective_adds_exactly_one(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    sol = ArchiveSolution(x=xbar, lb=np.zeros(inst.n), e=e, f=0.0)
-    deposit(tau, sol, big_q=1.0)
+    deposit_one(tau, e, 0.0)
     for i in range(inst.m):
         assert tau.values[i, e[i]] == 2.0
 
@@ -313,8 +312,7 @@ def test_deposit_amount_for_negative_objective(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    sol = ArchiveSolution(x=xbar, lb=np.zeros(inst.n), e=e, f=-0.0096)
-    deposit(tau, sol, big_q=1.0)
+    deposit_one(tau, e, -0.0096)
     for i in range(inst.m):
         assert tau.values[i, e[i]] == pytest.approx(1 + 1.009646227810575, abs=1e-12)
 
@@ -322,21 +320,17 @@ def test_deposit_amount_for_negative_objective(ex_problem):
 def test_deposit_leaves_off_support_zero(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
-    sol = ArchiveSolution(x=xbar, lb=np.zeros(inst.n), e=np.array([0, 0, 2, 1, 0]), f=1.0)
-    deposit(tau, sol, big_q=1.0)
+    deposit_one(tau, np.array([0, 0, 2, 1, 0]), 1.0)
     assert np.all(tau.values[~tau.support] == 0.0)
 
 
 def test_better_solutions_deposit_more(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     e = np.array([0, 0, 2, 1, 0])
-    lows = np.zeros(inst.n)
-    small = ArchiveSolution(x=xbar, lb=lows, e=e, f=0.2)
-    large = ArchiveSolution(x=xbar, lb=lows, e=e, f=0.9)
     tau1 = init_pheromone(sets, inst.n)
     tau2 = init_pheromone(sets, inst.n)
-    deposit(tau1, small, 1.0)
-    deposit(tau2, large, 1.0)
+    deposit_one(tau1, e, 0.2)
+    deposit_one(tau2, e, 0.9)
     assert np.all(tau1.values[0, [0]] > tau2.values[0, [0]])
 
 
@@ -344,9 +338,10 @@ def test_evaporate():
     sets = [np.array([0, 1])]
     tau = init_pheromone(sets, 2)
     tau.values[0, 0] = 2.0
-    evaporate(tau, 0.5)
+    nobody = (np.empty(0), np.empty((0, 1), dtype=np.int64))  # evaporation alone
+    update_pheromone(tau, *nobody, big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
-    evaporate(tau, 0.0)
+    update_pheromone(tau, *nobody, big_q=1.0, rho=0.0)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
 
 
@@ -354,11 +349,8 @@ def test_update_touches_only_archive_paths(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    archive = [
-        ArchiveSolution(x=xbar, lb=np.zeros(inst.n), e=e, f=0.5) for _ in range(8)
-    ]
     before = tau.values.copy()
-    update_pheromone(tau, archive, big_q=1.0, rho=0.0)
+    update_pheromone(tau, np.full(8, 0.5), np.tile(e, (8, 1)), big_q=1.0, rho=0.0)
     grew = tau.values > before
     expected = np.zeros_like(grew)
     expected[np.arange(inst.m), e] = True
@@ -368,12 +360,9 @@ def test_update_touches_only_archive_paths(ex_problem):
 def test_update_keeps_probability_rows_normalized(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
-    rng = np.random.default_rng(20)
-    p = probability_matrix(tau)
-    paths = construct_paths(p, sets, 30, rng)
-    archive = init_archive(paths, inst, xbar, ex_problem.evaluate, rng)
+    archive = uniform_archive(ex_problem, 30, np.random.default_rng(20))
     for _ in range(5):
-        update_pheromone(tau, archive, big_q=1.0, rho=0.5)
+        update_pheromone(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
         rows = probability_matrix(tau).sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-12)
         assert np.all(tau.values[~tau.support] == 0.0)
@@ -383,12 +372,7 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     tau.values[:] = np.where(tau.support, 1e-300, 0.0)
-    archive = [
-        ArchiveSolution(
-            x=xbar, lb=np.zeros(inst.n), e=np.array([0, 0, 2, 1, 0]), f=1e9
-        )
-    ]
-    update_pheromone(tau, archive, big_q=1.0, rho=0.5)
+    update_pheromone(tau, np.array([1e9]), np.array([[0, 0, 2, 1, 0]]), big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values, tau.support.astype(float))
 
 

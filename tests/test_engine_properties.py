@@ -1,0 +1,108 @@
+"""Property tests of the engine on planted random instances."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freaco import (
+    EPS_EQ,
+    SolverConfig,
+    compute_candidate_sets,
+    make_problem,
+    random_feasible_instance,
+    residual,
+    run,
+)
+from freaco.engine import (
+    candidate_table,
+    construct_paths,
+    init_pheromone,
+    probability_matrix,
+)
+
+# Uniforms at and just below 1.  In round-to-nearest, u * total stays
+# below total for every u < 1, so only u = 1.0 (which Generator.random
+# never returns, but a stand-in can) makes u * total equal total and
+# reaches the clamp to the last candidate.
+NEAR_ONE = st.sampled_from([1.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 1.0 - 2.0**-50])
+UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), NEAR_ONE)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next ``random(shape)`` is known."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def reference_paths(tau, sets, u: np.ndarray) -> np.ndarray:
+    """Row-by-row categorical draw: searchsorted over each row's cumsum."""
+    p = probability_matrix(tau)
+    paths = np.empty(u.shape, dtype=np.int64)
+    for r, row_u in enumerate(u):
+        for i, cols in enumerate(sets):
+            c = np.cumsum(p[i, cols])
+            k = int(np.searchsorted(c, row_u[i] * c[-1], side="right"))
+            paths[r, i] = cols[min(k, len(c) - 1)]
+    return paths
+
+
+@st.composite
+def planted(draw, max_m=12, max_n=16):
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([1.0, 0.6, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_feasible_instance(m, n, density, rng=np.random.default_rng(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=planted(), data=st.data())
+def test_path_draw_matches_searchsorted_reference(inst, data):
+    sets = compute_candidate_sets(inst)
+    tau = init_pheromone(sets, inst.n)
+    # uneven positive pheromone on the support
+    size = int(tau.support.sum())
+    tau.values[tau.support] = data.draw(st.lists(st.floats(1e-300, 1e3), min_size=size, max_size=size))
+    k = data.draw(st.integers(1, 4))
+    u = np.array(data.draw(st.lists(UNIFORMS, min_size=k * inst.m, max_size=k * inst.m)))
+    u = u.reshape(k, inst.m)
+    drawn = construct_paths(tau, candidate_table(sets), k, FixedUniforms(u))
+    assert np.array_equal(drawn, reference_paths(tau, sets, u))
+
+
+def test_uniform_at_total_picks_the_last_candidate():
+    # u * total == total, so searchsorted alone would step past the last
+    # candidate (and, in the padded table, onto padding); both draws
+    # must clamp to the last candidate
+    sets = [np.array([0, 2, 3]), np.array([1])]
+    tau = init_pheromone(sets, 4)
+    tau.values[0, [0, 2, 3]] = [0.1, 0.7, 0.2]
+    total = np.cumsum(probability_matrix(tau)[0, sets[0]])[-1]
+    u = np.array([[1.0, 1.0]])
+    assert u[0, 0] * total == total
+    drawn = construct_paths(tau, candidate_table(sets), 1, FixedUniforms(u))
+    assert drawn.tolist() == [[3, 1]] == reference_paths(tau, sets, u).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(inst=planted(max_m=10, max_n=12), seed=st.integers(0, 2**32 - 1))
+def test_archive_feasible_and_support_fixed_throughout(inst, seed):
+    objective = f"sum(k, 1, {inst.n}, (x(k) - 0.3)^2)"
+    problem = make_problem("planted", inst.A, inst.b, objective)
+    support = init_pheromone(compute_candidate_sets(inst), inst.n).support
+    checked = []
+
+    def observer(t, archive, tau):
+        for sol in archive:
+            assert residual(inst, sol.x) <= EPS_EQ
+        assert np.array_equal(tau.support, support)
+        assert np.all(tau.values[~support] == 0.0)
+        assert np.all(tau.values[support] > 0.0)
+        checked.append(t)
+
+    run(problem, SolverConfig(seed=seed, s_pop=10, t_max=15), observer=observer)
+    assert checked == list(range(1, 16))

@@ -246,6 +246,37 @@ def test_evaluate_many_raises_same_error_at_offending_row():
     assert np.array_equal(info.value.point, [0.0])
 
 
+def test_zero_row_batch_of_faulting_objective_is_empty():
+    # the constant part ln(0) faults even with no rows to pin it to
+    values = evaluate_many(parse("ln(0)", 1), np.empty((0, 1)))
+    assert values.shape == (0,) and values.dtype == float
+    assert evaluate_many(parse("x1 + 1", 1), np.empty((0, 1))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_raises_in_both_modes(bad):
+    # quiet NaNs and infinities pass x1 + x3 without a floating-point flag
+    expr = parse("x1 + x3", 3)
+    point = [bad, 0.0, 0.0]
+    with pytest.raises(EvalDomainError) as single:
+        evaluate(expr, point)
+    with pytest.raises(EvalDomainError) as batch:
+        evaluate_many(expr, [[0.5, 0.0, 0.5], point, [bad, 1.0, 1.0]])
+    for info in (single, batch):
+        assert info.value.reason == "non-finite result"
+        assert np.array_equal(info.value.point, point, equal_nan=True)
+
+
+def test_first_faulting_row_wins_across_fault_kinds():
+    # row 1 gives NaN silently, row 2 divides by zero: row 1 is reported
+    expr = parse("x1 + 1/x2", 2)
+    X = [[0.5, 0.5], [math.nan, 0.5], [0.5, 0.0]]
+    with pytest.raises(EvalDomainError) as info:
+        evaluate_many(expr, X)
+    assert info.value.reason == "non-finite result"
+    assert np.isnan(info.value.point[0])
+
+
 # ---------------------------------------------------------------------------
 # properties
 
