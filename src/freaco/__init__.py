@@ -37,14 +37,10 @@ from .errors import (
 from .expr import Expr, evaluate, evaluate_many, parse, render
 from .fre import (
     EPS_EQ,
-    Cell,
     Instance,
-    cell_of,
-    clamp_to_cell,
     compose_many,
     compute_candidate_sets,
     compute_max_solution,
-    candidate_matrix,
     is_feasible,
     max_min_compose,
     path_space_size,
@@ -71,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchiveSolution",
-    "Cell",
     "DimensionMismatchError",
     "EPS_EQ",
     "EvalDomainError",
@@ -94,9 +89,6 @@ __all__ = [
     "SolverConfig",
     "builtin_problem",
     "builtin_problems",
-    "candidate_matrix",
-    "cell_of",
-    "clamp_to_cell",
     "compose_many",
     "compute_candidate_sets",
     "compute_max_solution",

@@ -20,12 +20,10 @@ import numpy as np
 from . import bench as bench_mod
 from .engine import SolverConfig, run
 from .errors import (
-    EvalDomainError,
     ExperimentError,
     FreacoError,
     InfeasibleInstanceError,
     InvalidInstanceError,
-    ExprParseError,
     PathSpaceTooLargeError,
 )
 from .fre import (
@@ -34,13 +32,17 @@ from .fre import (
     path_space_size,
     path_to_candidate,
 )
-from .oracle import reference_optimum
+from .oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL, reference_optimum
 from .problems import Problem, builtin_problem, builtin_problems, load_problem_file
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
+
+#: Paths per lower-corner batch in ``enumerate``, so a large ``--max`` streams
+#: in bounded memory.
+_ENUMERATE_CHUNK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,15 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="freaco", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SolverConfig()
     solve = subs.add_parser("solve", help="run the solver on one instance")
     _add_source_flags(solve)
-    solve.add_argument("--seed", type=_seed, default=0)
-    solve.add_argument("--iters", type=int, default=100, help="iteration budget")
-    solve.add_argument("--pop", type=int, default=50, help="archive size")
-    solve.add_argument("--q", type=float, default=0.0125, help="rank-selection locality")
-    solve.add_argument("--xi", type=float, default=1.0, help="Gaussian spread factor")
-    solve.add_argument("--rho", type=float, default=0.5, help="evaporation rate")
-    solve.add_argument("--deposit", type=float, default=1.0, help="pheromone deposit constant")
+    solve.add_argument("--seed", type=_seed, default=defaults.seed)
+    solve.add_argument("--iters", type=int, default=defaults.t_max, help="iteration budget")
+    solve.add_argument("--pop", type=int, default=defaults.s_pop, help="archive size")
+    solve.add_argument("--q", type=float, default=defaults.q, help="rank-selection locality")
+    solve.add_argument("--xi", type=float, default=defaults.xi, help="Gaussian spread factor")
+    solve.add_argument("--rho", type=float, default=defaults.rho, help="evaporation rate")
+    solve.add_argument(
+        "--deposit", type=float, default=defaults.big_q, help="pheromone deposit constant"
+    )
     solve.add_argument("--trace", help="write per-iteration best-so-far CSV here")
     solve.add_argument("--out", help="also write the result JSON here")
 
@@ -99,8 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="brute-force reference optimum")
     _add_source_flags(verify)
-    verify.add_argument("--samples", type=int, default=200, help="uniform samples per cell")
-    verify.add_argument("--cap", type=int, default=10**6, help="path enumeration cap")
+    verify.add_argument(
+        "--samples", type=int, default=DEFAULT_SAMPLES_PER_CELL, help="uniform samples per cell"
+    )
+    verify.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP, help="path enumeration cap")
 
     enum = subs.add_parser("enumerate", help="list paths and candidate lower corners")
     _add_source_flags(enum)
@@ -182,12 +189,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem = _load(args)
-    report = reference_optimum(
-        problem,
-        samples_per_cell=args.samples,
-        rng=np.random.default_rng(0),
-        cap=args.cap,
-    )
+    report = reference_optimum(problem, samples_per_cell=args.samples, cap=args.cap)
     print(json.dumps(report.to_dict()))
     return EXIT_OK
 
@@ -204,15 +206,11 @@ def _cmd_enumerate(args) -> int:
         "path_count": path_space_size(sets),
     }
     print(json.dumps(header))
-    if args.max > 0:
-        paths = itertools.product(*[list(map(int, s)) for s in sets])
-        for path in itertools.islice(paths, args.max):
-            lower = path_to_candidate(np.array(path), inst.b, inst.n)
-            line = {
-                "path": [j + 1 for j in path],
-                "candidate": [float(v) for v in lower],
-            }
-            print(json.dumps(line))
+    paths = itertools.islice(itertools.product(*sets), max(args.max, 0))
+    while chunk := list(itertools.islice(paths, _ENUMERATE_CHUNK)):
+        E = np.array(chunk, dtype=np.int64)
+        for path, lower in zip(E.tolist(), path_to_candidate(E, inst.b, inst.n).tolist()):
+            print(json.dumps({"path": [j + 1 for j in path], "candidate": lower}))
     return EXIT_OK
 
 
@@ -254,13 +252,7 @@ def main(argv=None) -> int:
         print(json.dumps({"path_count": exc.path_count, "cap": exc.cap, "waived": True}))
         _diag(f"error: {exc}")
         return EXIT_CAP
-    except (InvalidInstanceError, ExprParseError, EvalDomainError, ExperimentError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_ERROR
-    except FreacoError as exc:
+    except (FreacoError, OSError, ValueError) as exc:
         _diag(f"error: {exc}")
         return EXIT_ERROR
 

@@ -41,9 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError
 from .expr import evaluate, evaluate_many
-from .fre import EPS_EQ, compute_candidate_sets, compute_max_solution, violated_rows
+from .fre import compute_candidate_sets, compute_max_solution, path_to_candidate
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
@@ -179,13 +178,8 @@ def construct_paths(
 
 
 def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, rng: np.random.Generator):
-    """One uniform point per path from the path's cell, and the cell's lower corner.
-
-    Corner coordinate j is the largest ``b_i`` over rows whose path picks
-    column j, or 0 when none does.
-    """
-    LB = np.zeros((len(E), len(xbar)))
-    np.maximum.at(LB, (np.arange(len(E))[:, None], E), b)
+    """One uniform point per path from the path's cell, and the cell's lower corner."""
+    LB = path_to_candidate(E, b, len(xbar))
     return LB + rng.random(LB.shape) * (xbar - LB), LB
 
 
@@ -293,10 +287,7 @@ def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
     inst, objective, s_pop = problem.instance, problem.objective, config.s_pop
     rng = np.random.default_rng(config.seed)
     xbar = compute_max_solution(inst)
-    bad = violated_rows(inst, xbar, EPS_EQ)
-    if bad.size:
-        raise InfeasibleInstanceError(xbar, bad)
-    sets = compute_candidate_sets(inst, xbar)
+    sets = compute_candidate_sets(inst, xbar)  # raises when infeasible
     table = candidate_table(sets)
     tau = init_pheromone(sets, inst.n)
     cw = np.cumsum(weights(s_pop, config.q))

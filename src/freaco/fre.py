@@ -10,8 +10,9 @@ The solution set, when nonempty, has a single greatest element ``xbar``
 and decomposes into finitely many axis-aligned boxes ("cells"), each
 spanned by ``xbar`` above and by one candidate lower corner below.  The
 lower corners are indexed by paths: per-row choices of one column from
-that row's candidate set.  Everything in this module is deterministic
-and pure; instances and cells are immutable after construction.
+that row's candidate set (:func:`path_to_candidate`).  Everything in this
+module is deterministic and pure; instances are immutable after
+construction.
 
 All row/column indices are 0-based throughout the library.  The
 command-line layer converts to 1-based indices for display so that
@@ -79,34 +80,6 @@ class Instance:
         return self.A.shape[1]
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Closed box ``[lower, upper]`` inside [0, 1]^n.
-
-    Every point of a cell produced by :func:`cell_of` solves the instance
-    it came from.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise InvalidInstanceError("cell bounds must be matching vectors")
-        if np.any(lower > upper):
-            raise InvalidInstanceError("cell lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", _readonly(lower.copy()))
-        object.__setattr__(self, "upper", _readonly(upper.copy()))
-
-    def contains(self, x, eps: float = EPS_EQ) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - eps) and np.all(x <= self.upper + eps)
-        )
-
-
 def max_min_compose(inst: Instance, x) -> np.ndarray:
     """Row-wise ``max_j min(a_ij, x_j)``."""
     x = np.asarray(x, dtype=float)
@@ -169,61 +142,27 @@ def compute_candidate_sets(
     return sets
 
 
-def candidate_matrix(sets: list[np.ndarray], b, n: int | None = None) -> np.ndarray:
-    """Matrix with b_i on row i's candidate columns and 0 elsewhere.
-
-    ``n`` defaults to the highest candidate column plus one; pass the
-    instance's column count when trailing columns may be candidate-free.
-    """
-    b = np.asarray(b, dtype=float)
-    if n is None:
-        n = int(max(s.max() for s in sets)) + 1
-    M = np.zeros((len(sets), n))
-    for i, cols in enumerate(sets):
-        M[i, cols] = b[i]
-    return M
-
-
 def path_space_size(sets: list[np.ndarray]) -> int:
     """Number of paths, ``prod_i |candidate set of row i|`` (exact integer)."""
     return math.prod(int(s.size) for s in sets)
 
 
-def path_to_candidate(path, b, n: int) -> np.ndarray:
-    """Lower corner generated by a path.
+def path_to_candidate(paths, b, n: int) -> np.ndarray:
+    """Lower corner of one path's cell (m -> n), or of every path in a batch (k x m -> k x n).
 
     Component j is the largest b_i among rows whose path choice is column
-    j, or 0 when no row chose j.
+    j, or 0 when no row chose j.  The cell itself is the box from this
+    corner up to ``xbar``.
     """
-    path = np.asarray(path, dtype=np.int64)
+    paths = np.asarray(paths, dtype=np.int64)
     b = np.asarray(b, dtype=float)
-    if path.shape != b.shape:
-        raise DimensionMismatchError("path", b.shape[0], path.shape[0])
-    if path.size and (path.min() < 0 or path.max() >= n):
-        raise InvalidPathError(
-            f"path indices must lie in [0, {n}), got {path.tolist()}"
-        )
-    lower = np.zeros(n)
-    np.maximum.at(lower, path, b)
-    return lower
-
-
-def cell_of(path, inst: Instance, xbar: np.ndarray) -> Cell:
-    """The cell spanned by a path's lower corner and ``xbar``.
-
-    For any valid path the corner sits below ``xbar``; a violation beyond
-    EPS_EQ means the path was not drawn from this instance's candidate
-    sets, and raises :class:`InvalidPathError`.
-    """
-    lower = path_to_candidate(path, inst.b, inst.n)
-    if np.any(lower > xbar + EPS_EQ):
-        raise InvalidPathError(
-            f"path {np.asarray(path).tolist()} has a lower corner above xbar"
-        )
-    return Cell(np.minimum(lower, xbar), xbar)
-
-
-def clamp_to_cell(x, cell: Cell) -> np.ndarray:
-    """Componentwise projection of ``x`` onto the cell's box."""
-    x = np.asarray(x, dtype=float)
-    return np.minimum(np.maximum(x, cell.lower), cell.upper)
+    if paths.ndim not in (1, 2) or paths.shape[-1] != b.shape[0]:
+        raise DimensionMismatchError("path", b.shape[0], paths.shape[-1] if paths.ndim else -1)
+    E = paths if paths.ndim == 2 else paths[None, :]
+    # checked before indexing, where a negative index would wrap silently
+    if E.size and (E.min() < 0 or E.max() >= n):
+        bad = E[((E < 0) | (E >= n)).any(axis=1)][0]
+        raise InvalidPathError(f"path indices must lie in [0, {n}), got {bad.tolist()}")
+    lower = np.zeros((len(E), n))
+    np.maximum.at(lower, (np.arange(len(E))[:, None], E), b)
+    return lower if paths.ndim == 2 else lower[0]

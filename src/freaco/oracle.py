@@ -19,6 +19,7 @@ from .fre import (
     compute_candidate_sets,
     compute_max_solution,
     path_space_size,
+    path_to_candidate,
 )
 from .problems import Problem
 
@@ -61,16 +62,6 @@ def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.n
         raise PathSpaceTooLargeError(size, cap)
     grids = np.meshgrid(*sets, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
-
-
-def _cell_lower_bounds(paths: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Lower corners for every path row, vectorized ((N, m) -> (N, n))."""
-    N, m = paths.shape
-    lows = np.zeros((N, n))
-    rows = np.arange(N)
-    for i in range(m):
-        np.maximum.at(lows, (rows, paths[:, i]), b[i])
-    return lows
 
 
 def _pattern_search(
@@ -135,7 +126,7 @@ def reference_optimum(
     xbar = compute_max_solution(inst)
     sets = compute_candidate_sets(inst, xbar)
     paths = enumerate_paths(sets, cap)
-    lows = np.unique(_cell_lower_bounds(paths, inst.b, inst.n), axis=0)
+    lows = np.unique(path_to_candidate(paths, inst.b, inst.n), axis=0)
     K, n = lows.shape
 
     best_x = np.empty((K, n))

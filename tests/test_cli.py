@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from freaco import EPS_EQ, Instance, max_min_compose
-from freaco.cli import main
+from freaco import EPS_EQ, Instance, SolverConfig, max_min_compose
+from freaco import cli
+from freaco.cli import build_parser, main
+from freaco.oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL
 
 from conftest import EX_A, EX_B, EX_OBJECTIVE
 
@@ -40,6 +42,15 @@ def test_solve_builtin_prints_json(capsys):
     assert len(payload["best_x"]) == 6
     assert payload["eval_count"] == 347
     assert payload["seed"] == 7
+
+
+def test_flag_defaults_come_from_library_defaults():
+    solve = build_parser().parse_args(["solve", "--builtin", "1"])
+    flags = (solve.pop, solve.q, solve.xi, solve.rho, solve.deposit, solve.iters, solve.seed)
+    d = SolverConfig()
+    assert flags == (d.s_pop, d.q, d.xi, d.rho, d.big_q, d.t_max, d.seed)
+    verify = build_parser().parse_args(["verify", "--builtin", "1"])
+    assert (verify.samples, verify.cap) == (DEFAULT_SAMPLES_PER_CELL, DEFAULT_PATH_CAP)
 
 
 def test_solve_missing_file_exits_one(capsys):
@@ -209,9 +220,11 @@ def test_verify_cap_exceeded_exits_three(capsys):
 # enumerate
 
 
-def test_enumerate_worked_example(capsys, ex1_file):
+def test_enumerate_worked_example(capsys, ex1_file, monkeypatch):
     code, out, err = call(capsys, ["enumerate", "--file", str(ex1_file), "--max", "80"])
     assert code == 0
+    monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", 7)  # 72 paths over 11 batches
+    assert call(capsys, ["enumerate", "--file", str(ex1_file), "--max", "80"]) == (0, out, err)
     lines = [json.loads(line) for line in out.strip().splitlines()]
     header, paths = lines[0], lines[1:]
     assert header["xbar"] == [1.0, 0.5, 0.3, 0.1, 0.7, 1.0]

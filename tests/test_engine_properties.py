@@ -1,5 +1,7 @@
 """Property tests of the engine on planted random instances."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from freaco import (
     compute_candidate_sets,
     make_problem,
     random_feasible_instance,
+    reference_optimum,
     residual,
     run,
 )
@@ -106,3 +109,33 @@ def test_archive_feasible_and_support_fixed_throughout(inst, seed):
 
     run(problem, SolverConfig(seed=seed, s_pop=10, t_max=15), observer=observer)
     assert checked == list(range(1, 16))
+
+
+def exact_minimum(A, b, target):
+    """Least ``sum((x_j - target)^2)`` over the solution set, in plain Python.
+
+    The objective is separable, so its minimum over a cell ``[lower, xbar]``
+    sits at ``target`` clipped into the cell; the least cell value wins.
+    """
+    m, n = len(A), len(A[0])
+    xbar = [min([b[i] for i in range(m) if A[i][j] > b[i]] + [1.0]) for j in range(n)]
+    sets = [[j for j in range(n) if abs(min(A[i][j], xbar[j]) - b[i]) <= EPS_EQ] for i in range(m)]
+    best = float("inf")
+    for path in itertools.product(*sets):
+        lower = [0.0] * n
+        for i, j in enumerate(path):
+            lower[j] = max(lower[j], b[i])
+        best = min(best, sum((min(max(target, lo), hi) - target) ** 2 for lo, hi in zip(lower, xbar)))
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_oracle_exact_and_never_above_solver(m, n, seed):
+    inst = random_feasible_instance(m, n, rng=np.random.default_rng(seed))
+    problem = make_problem("planted", inst.A, inst.b, f"sum(k, 1, {n}, (x(k) - 0.3)^2)")
+    exact = exact_minimum(inst.A.tolist(), inst.b.tolist(), 0.3)
+    report = reference_optimum(problem)
+    assert abs(report.best_value - exact) <= 1e-9
+    assert residual(inst, report.best_point) <= EPS_EQ
+    assert run(problem, SolverConfig(seed=seed, s_pop=10, t_max=10)).best.f >= exact - 1e-12

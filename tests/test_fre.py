@@ -3,15 +3,11 @@ import pytest
 
 from freaco import (
     EPS_EQ,
-    Cell,
     DimensionMismatchError,
     InfeasibleInstanceError,
     Instance,
     InvalidInstanceError,
     InvalidPathError,
-    candidate_matrix,
-    cell_of,
-    clamp_to_cell,
     compose_many,
     compute_candidate_sets,
     compute_max_solution,
@@ -150,7 +146,7 @@ def test_planted_instances_feasible():
 
 
 # ---------------------------------------------------------------------------
-# candidate sets and matrix
+# candidate sets
 
 
 def test_candidate_sets_worked_example(ex_instance):
@@ -187,36 +183,6 @@ def test_candidate_sets_infeasible_raises():
     assert info.value.rows.tolist() == [0, 1]
 
 
-def test_candidate_matrix_worked_example(ex_instance):
-    sets = compute_candidate_sets(ex_instance)
-    M = candidate_matrix(sets, ex_instance.b)
-    expected_row1 = np.array([0.7, 0, 0, 0, 0.7, 0.7])
-    assert np.array_equal(M[0], expected_row1)
-    for i, cols in enumerate(sets):
-        assert np.array_equal(np.flatnonzero(M[i]), cols)
-        assert np.all(M[i, cols] == ex_instance.b[i])
-
-
-def test_candidate_matrix_full_sets():
-    b = np.array([0.3, 0.6])
-    sets = [np.arange(4), np.arange(4)]
-    M = candidate_matrix(sets, b)
-    assert np.array_equal(M, np.array([[0.3] * 4, [0.6] * 4]))
-
-
-def test_candidate_matrix_pattern_matches_sets():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        inst = random_feasible_instance(5, 6, density=0.8, rng=rng)
-        sets = compute_candidate_sets(inst)
-        M = candidate_matrix(sets, inst.b, inst.n)
-        assert M.shape == (inst.m, inst.n)
-        for i, cols in enumerate(sets):
-            pattern = np.zeros(inst.n, dtype=bool)
-            pattern[cols] = True
-            assert np.array_equal(M[i] > 0, pattern & (inst.b[i] > 0))
-
-
 # ---------------------------------------------------------------------------
 # path space
 
@@ -247,21 +213,58 @@ def test_path_space_size_matches_enumeration():
 # candidate lower corners and cells
 
 
+def plain_lower_corner(path, b, n):
+    """Plain-Python corner: per column, the largest b_i of rows choosing it."""
+    lower = [0.0] * n
+    for i, j in enumerate(path):
+        lower[j] = max(lower[j], float(b[i]))
+    return lower
+
+
+def cell(path, inst):
+    """The box ``[lower corner, xbar]`` spanned by a path."""
+    return path_to_candidate(path, inst.b, inst.n), compute_max_solution(inst)
+
+
 def test_path_to_candidate_worked_example(ex_instance):
     lower = path_to_candidate(EX_PATH, ex_instance.b, ex_instance.n)
     assert np.array_equal(lower, EX_LOWER)
+    batch = path_to_candidate([EX_PATH], ex_instance.b, ex_instance.n)
+    assert batch.shape == (1, ex_instance.n)
+    assert np.array_equal(batch[0], EX_LOWER)
 
 
 def test_path_to_candidate_single_row():
     lower = path_to_candidate([2], [0.4], 4)
     assert np.array_equal(lower, [0, 0, 0.4, 0])
+    assert np.array_equal(path_to_candidate([[2]], [0.4], 4), [[0, 0, 0.4, 0]])
 
 
 def test_path_to_candidate_out_of_range(ex_instance):
-    from freaco import InvalidPathError
+    b, n = ex_instance.b, ex_instance.n
+    for bad in ([0, 0, 0, 0, 6], [0, 0, -1, 0, 0], [0, 0, 0, 0, -6]):
+        with pytest.raises(InvalidPathError):
+            path_to_candidate(bad, b, n)
+        with pytest.raises(InvalidPathError):
+            path_to_candidate([EX_PATH, bad], b, n)  # a bad row anywhere in a batch
+    for short in ([0, 0, 0, 0], [[0, 0, 0, 0]], [[0] * 6] * 2, [[[0] * 5]], 0):
+        with pytest.raises(DimensionMismatchError):
+            path_to_candidate(short, b, n)
 
-    with pytest.raises(InvalidPathError):
-        path_to_candidate([0, 0, 0, 0, 6], ex_instance.b, ex_instance.n)
+
+def test_path_to_candidate_batch_matches_plain_loop(ex_instance):
+    rng = np.random.default_rng(37)
+    instances = [ex_instance] + [
+        random_feasible_instance(m, n, density, rng=rng)
+        for m, n, density in [(3, 4, 1.0), (4, 5, 0.6), (5, 3, 1.0), (6, 6, 0.5), (2, 7, 0.3)]
+    ]
+    for inst in instances:
+        paths = enumerate_paths(compute_candidate_sets(inst))
+        batch = path_to_candidate(paths, inst.b, inst.n)
+        assert batch.shape == (len(paths), inst.n)
+        for e, lower in zip(paths.tolist(), batch.tolist()):
+            assert lower == plain_lower_corner(e, inst.b, inst.n)
+            assert lower == path_to_candidate(e, inst.b, inst.n).tolist()
 
 
 def test_all_worked_example_candidates_solve_the_system(ex_instance):
@@ -274,35 +277,25 @@ def test_all_worked_example_candidates_solve_the_system(ex_instance):
 
 
 def test_cell_of_worked_example(ex_instance):
-    xbar = compute_max_solution(ex_instance)
-    cell = cell_of(EX_PATH, ex_instance, xbar)
-    assert np.array_equal(cell.lower, EX_LOWER)
-    assert np.array_equal(cell.upper, EX_XBAR)
+    lower, upper = cell(EX_PATH, ex_instance)
+    assert np.array_equal(lower, EX_LOWER)
+    assert np.array_equal(upper, EX_XBAR)
+    assert np.all(lower <= upper)
 
 
 def test_cell_of_unique_cell():
     inst = Instance([[0.8, 0.3], [0.2, 0.3]], [0.5, 0.3])
-    xbar = compute_max_solution(inst)
-    sets = compute_candidate_sets(inst, xbar)
+    sets = compute_candidate_sets(inst)
     assert [s.tolist() for s in sets] == [[0], [1]]
-    cell = cell_of(np.array([0, 1]), inst, xbar)
-    assert np.array_equal(cell.lower, [0.5, 0.3])
-    assert np.array_equal(cell.upper, [0.5, 1.0])
-
-
-def test_cell_of_rejects_path_not_from_candidate_sets(ex_instance):
-    # row 1 choosing column 4 puts x4 >= 0.7 in the lower corner, above
-    # xbar's 0.1; the check must hold under python -O as well
-    xbar = compute_max_solution(ex_instance)
-    with pytest.raises(InvalidPathError):
-        cell_of(np.array([3, 0, 5, 4, 0]), ex_instance, xbar)
+    lower, upper = cell(np.array([0, 1]), inst)
+    assert np.array_equal(lower, [0.5, 0.3])
+    assert np.array_equal(upper, [0.5, 1.0])
 
 
 def test_cell_samples_all_feasible(ex_instance):
-    xbar = compute_max_solution(ex_instance)
-    cell = cell_of(EX_PATH, ex_instance, xbar)
+    lower, upper = cell(EX_PATH, ex_instance)
     rng = np.random.default_rng(29)
-    X = cell.lower + rng.random((1000, ex_instance.n)) * (cell.upper - cell.lower)
+    X = lower + rng.random((1000, ex_instance.n)) * (upper - lower)
     vals = compose_many(ex_instance, X)
     assert np.abs(vals - ex_instance.b).max() <= EPS_EQ
 
@@ -310,36 +303,9 @@ def test_cell_samples_all_feasible(ex_instance):
 def test_monotone_closure_within_cell(ex_instance):
     # any point between a feasible point and xbar inside one cell stays
     # feasible
-    xbar = compute_max_solution(ex_instance)
-    cell = cell_of(EX_PATH, ex_instance, xbar)
+    lower, xbar = cell(EX_PATH, ex_instance)
     rng = np.random.default_rng(31)
     for _ in range(200):
-        x = cell.lower + rng.random(ex_instance.n) * (cell.upper - cell.lower)
+        x = lower + rng.random(ex_instance.n) * (xbar - lower)
         y = x + rng.random(ex_instance.n) * (xbar - x)
         assert residual(ex_instance, y) <= EPS_EQ
-
-
-# ---------------------------------------------------------------------------
-# clamping
-
-
-def test_clamp_identity_inside_cell(ex_instance):
-    cell = cell_of(EX_PATH, ex_instance, compute_max_solution(ex_instance))
-    x = np.array([0.8, 0.3, 0.2, 0.0, 0.7, 1.0])
-    assert np.array_equal(clamp_to_cell(x, cell), x)
-
-
-def test_clamp_componentwise(ex_instance):
-    cell = cell_of(EX_PATH, ex_instance, compute_max_solution(ex_instance))
-    x = np.array([2.0, -1.0, 0.2, 0.05, 0.7, 0.5])
-    assert np.array_equal(clamp_to_cell(x, cell), [1.0, 0.0, 0.2, 0.05, 0.7, 0.5])
-
-
-def test_clamp_zeros_to_lower(ex_instance):
-    cell = cell_of(EX_PATH, ex_instance, compute_max_solution(ex_instance))
-    assert np.array_equal(clamp_to_cell(np.zeros(6), cell), cell.lower)
-
-
-def test_cell_rejects_inverted_bounds():
-    with pytest.raises(InvalidInstanceError):
-        Cell(np.array([0.5, 0.5]), np.array([0.4, 0.6]))
