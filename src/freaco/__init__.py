@@ -22,6 +22,7 @@ from .engine import (
     RunResult,
     SolverConfig,
     run,
+    run_many,
 )
 from .errors import (
     DimensionMismatchError,
@@ -111,5 +112,6 @@ __all__ = [
     "residual",
     "run",
     "run_experiment",
+    "run_many",
     "violated_rows",
 ]

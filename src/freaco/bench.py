@@ -6,9 +6,12 @@ summarizes them as average / median / sample standard deviation / best,
 mean evaluation count and the error averaged over every run and
 iteration (best-so-far minus the recorded optimum).
 
-Runs are independent; when FREACO_THREADS allows it every (problem,
-run) job executes in one process pool, and results are merged by
-(problem, run index) so the summary does not depend on completion order.
+Runs are independent.  Each problem's runs go in blocks of consecutive
+seeds to :func:`freaco.engine.run_many`, which solves a block in
+lockstep with results bit-identical to solo runs; when FREACO_THREADS
+allows it the blocks execute in one process pool, and results are merged
+by (problem, run index) so the summary does not depend on the number of
+workers or on completion order.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .engine import RunResult, SolverConfig, run
+from .engine import RunResult, SolverConfig, run_many
 from .errors import ExperimentError
 from .problems import Problem
 
@@ -65,9 +68,9 @@ class ExperimentSummary:
     config: SolverConfig
 
 
-def _solve_one(args) -> RunResult:
-    problem, config = args
-    return run(problem, config)
+def _solve_block(args) -> list[RunResult]:
+    problem, config, seeds = args
+    return run_many(problem, config, seeds)
 
 
 def thread_budget() -> int:
@@ -98,39 +101,73 @@ def summarize_runs(problem: Problem, results: list[RunResult]) -> ProblemSummary
     )
 
 
+def _blocks(runs: int, count: int) -> list[range]:
+    """``runs`` run indices cut into ``count`` consecutive near-equal blocks."""
+    count = min(runs, count)
+    return [range(b * runs // count, (b + 1) * runs // count) for b in range(count)]
+
+
+def _first_failure(spec: ExperimentSpec, problem: Problem, block: range, error: Exception):
+    """The :class:`ExperimentError` of the first run of ``block`` that fails alone.
+
+    A block reports only that one of its runs failed, so each run is
+    repeated by itself until one fails.  A lost worker, or a block whose
+    runs all pass alone, is charged to its first run.
+    """
+    if not isinstance(error, BrokenExecutor):
+        for r in block:
+            try:
+                run_many(problem, spec.config, [spec.base_seed + r])
+            except Exception as exc:  # the run's own failure, reported with its index
+                return _experiment_error(problem, r, exc)
+    return _experiment_error(problem, block[0], error)
+
+
+def _experiment_error(problem: Problem, run_index: int, cause: Exception) -> ExperimentError:
+    error = ExperimentError(problem.name, run_index)
+    error.__cause__ = cause
+    return error
+
+
 def run_problems(spec: ExperimentSpec) -> list[ProblemSummary | ExperimentError]:
     """Per problem, its summary or the :class:`ExperimentError` of its
     first failing run (chained to the failure).
 
-    Every (problem, run) job goes to one process pool when FREACO_THREADS
-    allows more than one worker; results are merged by (problem, run).
+    Each problem's runs are cut into ``ceil(workers / problems)`` blocks
+    of consecutive seeds, so that even one problem keeps every worker
+    busy, and each block is solved by one :func:`run_many` call.  The
+    blocks go to one process pool when FREACO_THREADS allows more than
+    one worker; results are merged by (problem, run), so they do not
+    depend on the number of workers.
     """
+    budget = thread_budget()
+    blocks = _blocks(spec.runs, -(-budget // max(len(spec.problems), 1)))
     jobs = [
-        (problem, replace(spec.config, seed=spec.base_seed + r))
+        (problem, spec.config, [spec.base_seed + r for r in block])
         for problem in spec.problems
-        for r in range(spec.runs)
+        for block in blocks
     ]
-    workers = min(thread_budget(), len(jobs))
+    workers = min(budget, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_one, job) for job in jobs]
+            futures = [pool.submit(_solve_block, job) for job in jobs]
             # a job's failure, or a lost worker, is kept to be reported by job
             done = [f.exception() or f.result() for f in futures]
     else:
         done = []
         for job in jobs:
             try:
-                done.append(_solve_one(job))
+                done.append(_solve_block(job))
             except Exception as exc:  # reported below as the job's ExperimentError
                 done.append(exc)
     outcomes = []
     for p, problem in enumerate(spec.problems):
-        results = done[p * spec.runs : (p + 1) * spec.runs]
-        failed = [r for r, res in enumerate(results) if isinstance(res, Exception)]
-        if failed:
-            error = ExperimentError(problem.name, failed[0])
-            error.__cause__ = results[failed[0]]
-            outcomes.append(error)
+        results = []
+        for block, res in zip(blocks, done[p * len(blocks) : (p + 1) * len(blocks)]):
+            if isinstance(res, Exception):
+                outcomes.append(_first_failure(spec, problem, block, res))
+                break
+            results += res
         else:
             outcomes.append(summarize_runs(problem, results))
     return outcomes

@@ -1,4 +1,4 @@
-"""Two-phase ant colony solver.
+"""Two-phase ant colony solver, run for one seed or for a batch of seeds in lockstep.
 
 Each iteration couples a combinatorial phase with a continuous phase:
 
@@ -8,40 +8,50 @@ Each iteration couples a combinatorial phase with a continuous phase:
   inverse CDF over the candidates' cumulative probabilities, padded with
   zeros to the longest candidate set.
 * Phase two keeps a ranked archive of feasible points as four arrays:
-  points ``X`` (s_pop x n), values ``f``, cell lower corners ``LB``
-  (s_pop x n) and paths ``E`` (s_pop x m), ascending in ``f``.  It
-  refreshes the archive with one fresh uniform draw from the phase-one
-  cell, then samples around archived points with per-coordinate
-  Gaussians whose spread is the mean coordinate distance across the
-  archive, clamping every draw back into the originating cell so
-  feasibility never needs re-checking.  After each insertion round a
+  points ``X``, values ``f``, cell lower corners ``LB`` and paths ``E``,
+  ascending in ``f``.  It refreshes the archive with one fresh uniform
+  draw from the phase-one cell, then samples around archived points with
+  per-coordinate Gaussians whose spread is the mean coordinate distance
+  across the archive, clamping every draw back into the originating cell
+  so feasibility never needs re-checking.  After each insertion round a
   stable argsort reorders the rows and truncates them to ``s_pop``.
 * The archive then reinforces the pheromone of the paths its members
   came from (deposit ``Q * exp(-f)`` per member, followed by one
   multiplicative evaporation).  One ``np.add.at`` makes every deposit,
   adding member by member in rank order, as a loop over members would.
 
+Lockstep: :func:`run_many` advances R runs of one problem together.  Their
+state is stacked on a leading run axis: pheromone R x m x n, archive
+``X`` and ``LB`` R x s_pop x n, ``f`` R x s_pop and ``E`` R x s_pop x m.
+Every step of an iteration works on all R runs at once, except the
+random draws, which each run makes from its own Generator.
+:func:`run` is :func:`run_many` with one seed.
+
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
-(PCG64) and consumes it in a fixed order.  Iteration 1 draws
-``random((s_pop, m))`` (one uniform per row of each path), then
-``random((s_pop, n))`` (one point per cell).  Every later iteration
-draws ``random((1, m))`` (one path) and ``random((1, n))`` (its cell
-point), evaluates and ranks that point, and only then draws the Gaussian
-samples, each as one uniform (rank selection) followed by ``n`` normal
-variates via ``Generator.normal``.  A batch ``random(shape)`` yields the
-same stream as that many single draws, so identical configurations give
-bit-identical results, equal to those of a row-by-row loop.
+(PCG64) and consumes it in a fixed order that does not depend on the
+other runs of its batch.  Iteration 1 draws ``s_pop * (m + n)``
+uniforms: one per row of each of the ``s_pop`` paths, then one point per
+cell (the stream of ``random((s_pop, m))`` followed by
+``random((s_pop, n))``).  Every later iteration draws ``m + n`` uniforms
+(one path and its cell point), then, per Gaussian sample, one uniform
+(rank selection) followed by ``standard_normal(n)``, used as
+``loc + scale * z``: exactly what ``Generator.normal(loc, scale)``
+computes.  No draw depends on the archive, so an iteration makes all of
+its draws before it evaluates, ranks and samples.  A batch
+``random(shape)`` yields the same stream as that many single draws, so
+identical configurations give bit-identical results, whatever batch a
+seed runs in and equal to those of a row-by-row loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .expr import evaluate, evaluate_many
+from .expr import evaluate_many
 from .fre import compute_candidate_sets, compute_max_solution, path_to_candidate
 from .problems import Problem
 
@@ -102,8 +112,9 @@ class ArchiveSolution:
 class PheromoneMatrix:
     """Nonnegative weights on candidate-matrix entries.
 
-    ``support`` is the fixed candidate pattern; entries off the support
-    stay exactly zero forever.
+    ``values`` is m x n for one run, or R x m x n stacked over runs.
+    ``support`` (m x n) is the fixed candidate pattern; entries off the
+    support stay exactly zero forever.
     """
 
     values: np.ndarray
@@ -125,7 +136,8 @@ class RunResult:
 
 
 class Archive(NamedTuple):
-    """Archive rows, ascending in ``f``: points, values, lower corners, paths."""
+    """R runs' archive rows, each run's ascending in ``f``: points (R x s x n),
+    values (R x s), lower corners (R x s x n) and paths (R x s x m)."""
 
     X: np.ndarray
     f: np.ndarray
@@ -155,32 +167,36 @@ def candidate_table(sets: list[np.ndarray]) -> np.ndarray:
 
 
 def construct_paths(
-    tau: PheromoneMatrix, table: np.ndarray, k: int, rng: np.random.Generator
+    values: np.ndarray, sums: np.ndarray, table: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Draw ``k`` paths (k x m), one categorical column choice per row.
+    """Paths (... x k x m) from uniforms ``u`` (... x k x m), one categorical
+    column choice per row, under pheromone ``values`` (... x m x n) whose
+    row sums are ``sums`` (... x m).
 
     Row i picks its ``c``-th candidate, where ``c`` counts the cumulative
-    probabilities at or below ``u * total`` for a uniform ``u``, capped
-    at the last candidate: ``searchsorted(side="right")`` and a clamp.
-    The cumulative matrix is padded with zeros, which leaves each row's
-    partial sums exact and puts its total in the last column.
+    probabilities at or below ``u * total``, capped at the last candidate:
+    ``searchsorted(side="right")`` and a clamp.  The cumulative matrix is
+    padded with zeros, which leaves each row's partial sums exact and puts
+    its total in the last column.
     """
     rows = np.arange(len(table))
-    p = tau.values[rows[:, None], table] / tau.values.sum(axis=1)[:, None]
-    cum = np.where(table >= 0, p, 0.0).cumsum(axis=1)
+    p = values[..., rows[:, None], table] / sums[..., None]
+    cum = np.where(table >= 0, p, 0.0).cumsum(axis=-1)
     # Never counting a row's last partial sum (or its padding) is the clamp.
-    inner = np.where(table[:, 1:] >= 0, cum[:, :-1], np.inf)
-    target = rng.random((k, len(table))) * cum[:, -1]
-    picks = np.empty((k, len(table)), dtype=np.int64)
-    for r in range(k):  # one path at a time keeps temporaries at m x kmax
-        picks[r] = (inner <= target[r, :, None]).sum(axis=1)
+    inner = np.where(table[:, 1:] >= 0, cum[..., :-1], np.inf)
+    target = u * cum[..., None, :, -1]
+    picks = np.empty(u.shape, dtype=np.int64)
+    for s in range(u.shape[-2]):  # one path per run at a time keeps temporaries small
+        picks[..., s, :] = (inner <= target[..., s, :, None]).sum(axis=-1)
     return table[rows, picks]
 
 
-def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, rng: np.random.Generator):
-    """One uniform point per path from the path's cell, and the cell's lower corner."""
-    LB = path_to_candidate(E, b, len(xbar))
-    return LB + rng.random(LB.shape) * (xbar - LB), LB
+def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray):
+    """The point uniforms ``u`` place in each path's cell, and the cell's
+    lower corner: paths ... x m give points and corners ... x n."""
+    n = len(xbar)
+    LB = path_to_candidate(E.reshape(-1, E.shape[-1]), b, n).reshape(*E.shape[:-1], n)
+    return LB + u * (xbar - LB), LB
 
 
 def weights(s_pop: int, q: float) -> np.ndarray:
@@ -190,84 +206,98 @@ def weights(s_pop: int, q: float) -> np.ndarray:
     return np.exp(-0.5 * ((ranks - 1.0) / scale) ** 2) / (math.sqrt(2 * math.pi) * scale)
 
 
-def select_rank(cw: np.ndarray, rng: np.random.Generator) -> int:
-    """Categorical draw over ranks given cumulative weights; 0-based index."""
-    return min(int(cw.searchsorted(rng.random() * cw[-1], side="right")), len(cw) - 1)
+def select_rank(cw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """0-based ranks drawn by uniforms ``u`` (any shape) from cumulative weights."""
+    return np.minimum(cw.searchsorted(u * cw[-1], side="right"), len(cw) - 1)
 
 
-def sigma_vector(X: np.ndarray, rank: int, xi: float) -> np.ndarray:
-    """Per-coordinate Gaussian spread around archive point ``X[rank]``.
+def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
+    """Per-coordinate Gaussian spread (R x k x n) around each run's points
+    ``loc`` (R x k x n), taken from its archive points ``X`` (R x s x n).
 
-    Coordinate j gets xi times the mean |X_kj - X_rank,j| over the other
-    archive points.
+    Coordinate j gets xi times the sum of |X_j - loc_j| over the archive,
+    divided by s - 1: the mean over the other points, since loc is one of
+    the archive's points.
     """
-    return xi * np.abs(X - X[rank]).sum(axis=0) / (len(X) - 1)
+    return xi * np.abs(X[:, None] - loc[:, :, None]).sum(axis=2) / (X.shape[1] - 1)
 
 
 def gaussian_samples(
-    archive: Archive, cw: np.ndarray, k: int, xi: float, xbar: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``k`` Gaussian draws around rank-selected archive points (k x n), and their ranks.
+    archive: Archive, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray
+) -> np.ndarray:
+    """Gaussian draws (R x k x n) around the archive points at ``ranks`` (R x k).
 
-    Each draw picks a rank with :func:`select_rank`, then one normal
-    variate per coordinate around that point with spread
-    :func:`sigma_vector`.  Clamping into ``[LB[rank], xbar]`` keeps the
+    Each draw is ``loc + scale * z`` for standard normals ``z``, with
+    spread :func:`sigma_vector`.  Clamping into ``[LB, xbar]`` keeps the
     draw in the selected point's cell, so it stays feasible by
     construction.  A zero spread returns the point itself.
     """
-    X = archive.X
-    ranks = np.empty(k, dtype=np.int64)
-    Xs = np.empty((k, X.shape[1]))
-    for s in range(k):
-        ranks[s] = r = select_rank(cw, rng)
-        Xs[s] = rng.normal(loc=X[r], scale=sigma_vector(X, r, xi))
-    return np.minimum(np.maximum(Xs, archive.LB[ranks]), xbar), ranks
+    ri = np.arange(len(ranks))[:, None]
+    loc = archive.X[ri, ranks]
+    Xs = loc + sigma_vector(archive.X, loc, xi) * z
+    return np.minimum(np.maximum(Xs, archive.LB[ri, ranks]), xbar)
 
 
 def update_pheromone(
     tau: PheromoneMatrix, f: np.ndarray, E: np.ndarray, big_q: float, rho: float
-):
-    """Deposit ``big_q * exp(-f_r)`` on every entry of path ``E[r]``, then evaporate.
+) -> np.ndarray:
+    """Deposit ``big_q * exp(-f[r, s])`` on every entry of path ``E[r, s]``,
+    then evaporate; return the row sums (R x m) that the next path draw uses.
 
-    The deposits are added member by member in the order given.  The
-    exponent is clamped to +-700 so extreme objective values degrade to
-    zero (or the double ceiling) instead of overflowing.  Rows whose sum
-    underflows below ROW_SUM_FLOOR (possible when every deposit is
-    ~exp(-700) and evaporation keeps halving) are reset to the initial
-    uniform row so the selection probabilities stay well defined.
+    ``tau.values`` is stacked over runs (R x m x n) and C-contiguous, so
+    one flat index reaches every entry.  Each run's deposits are added
+    member by member in the order given.  The exponent is clamped to +-700
+    so extreme objective values degrade to zero (or the double ceiling)
+    instead of overflowing.  Rows whose sum underflows below
+    ROW_SUM_FLOOR (possible when every deposit is ~exp(-700) and
+    evaporation keeps halving) are reset to the initial uniform row so the
+    selection probabilities stay well defined.
     """
-    exponents = (-f.clip(-DEPOSIT_EXP_LIMIT, DEPOSIT_EXP_LIMIT)).tolist()
+    values = tau.values
+    if not values.flags.c_contiguous:  # a flat reshape would be a copy
+        raise ValueError("pheromone values must be C-contiguous")
+    runs, m, n = values.shape
+    exponents = (-f.clip(-DEPOSIT_EXP_LIMIT, DEPOSIT_EXP_LIMIT)).ravel().tolist()
     amounts = big_q * np.fromiter(map(math.exp, exponents), float, len(exponents))
-    np.add.at(tau.values, (np.arange(tau.values.shape[0]), E), amounts[:, None])
-    tau.values *= 1.0 - rho
-    dead = tau.values.sum(axis=1) < ROW_SUM_FLOOR
+    entries = E + np.arange(0, runs * m * n, n).reshape(runs, 1, m)  # (r, i, E[r, s, i])
+    np.add.at(values.reshape(-1), entries.ravel(), amounts.repeat(m))
+    values *= 1.0 - rho
+    sums = values.sum(axis=2)
+    dead = sums < ROW_SUM_FLOOR
     if dead.any():
-        tau.values[dead] = tau.support[dead].astype(float)
+        values[dead] = np.broadcast_to(tau.support, values.shape)[dead]
+        sums[dead] = values[dead].sum(axis=1)
+    return sums
 
 
 def ranked(archive: Archive, s_pop: int) -> Archive:
-    """The ``s_pop`` rows lowest in ``f``, ascending; on ties earlier rows first."""
-    keep = np.argsort(archive.f, kind="stable")[:s_pop]
-    return Archive(*(a[keep] for a in archive))
+    """Each run's ``s_pop`` rows lowest in ``f``, ascending; on ties earlier rows first."""
+    keep = np.argsort(archive.f, axis=1, kind="stable")[:, :s_pop]
+    ri = np.arange(len(keep))[:, None]
+    return Archive(*(a[ri, keep] for a in archive))
 
 
 def keep_best(archive: Archive, new: Archive, s_pop: int) -> Archive:
-    """:func:`ranked` of the ranked ``archive`` followed by ``new``.
+    """:func:`ranked` of each run's ranked ``archive`` rows followed by its ``new`` rows.
 
     New rows no better than a full archive's worst would rank after all
-    of it, so then the archive comes back as it is.
+    of it, so when that holds in every run the archive comes back as it is.
     """
-    if len(archive.f) == s_pop and not (new.f < archive.f[-1]).any():
+    if archive.f.shape[1] == s_pop and not (new.f < archive.f[:, -1:]).any():
         return archive
-    return ranked(Archive(*map(np.concatenate, zip(archive, new))), s_pop)
+    return ranked(Archive(*(np.concatenate(pair, axis=1) for pair in zip(archive, new))), s_pop)
 
 
-def _views(archive: Archive) -> tuple[ArchiveSolution, ...]:
-    return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in zip(*archive))
+def _views(archive: Archive, r: int) -> tuple[ArchiveSolution, ...]:
+    rows = zip(archive.X[r], archive.f[r], archive.LB[r], archive.E[r])
+    return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in rows)
 
 
-def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
-    """Solve ``problem`` under ``config``; deterministic given the seed.
+def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> list[RunResult]:
+    """Solve ``problem`` once per seed in ``seeds`` under ``config``, in lockstep.
+
+    Result r equals ``run(problem, replace(config, seed=seeds[r]))`` bit
+    for bit; ``config.seed`` itself is not used.
 
     Iteration 1 builds ``s_pop`` paths, fills the archive with one
     uniform draw per cell and updates the pheromone from that archive
@@ -277,40 +307,81 @@ def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
     stood after that refresh, and updates the pheromone; each insertion
     round keeps the ``s_pop`` best, so the best value never regresses.
 
-    ``observer(t, archive, tau)``, when given, is called after each
-    iteration with the archive as a tuple of read-only
-    :class:`ArchiveSolution` views, best first.
+    ``observer(t, r, archive, tau)``, when given, is called after each
+    iteration for each run r in order, with that run's archive as a tuple
+    of read-only :class:`ArchiveSolution` views, best first, and its
+    pheromone (m x n).
 
     Raises :class:`InfeasibleInstanceError` (carrying the maximum point
     and the violated rows) when the constraint system has no solution.
     """
-    inst, objective, s_pop = problem.instance, problem.objective, config.s_pop
-    rng = np.random.default_rng(config.seed)
+    seeds = list(seeds)
+    inst, objective = problem.instance, problem.objective
+    m, n, s_pop, k = inst.m, inst.n, config.s_pop, config.samples_per_iter
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    runs = len(gens)
     xbar = compute_max_solution(inst)
     sets = compute_candidate_sets(inst, xbar)  # raises when infeasible
     table = candidate_table(sets)
-    tau = init_pheromone(sets, inst.n)
+    support = init_pheromone(sets, n).support
+    tau = PheromoneMatrix(np.repeat(support[None].astype(float), runs, axis=0), support)
+    per_run = [PheromoneMatrix(values, support) for values in tau.values]
+    sums = tau.values.sum(axis=2)
     cw = np.cumsum(weights(s_pop, config.q))
-    trace = np.empty(config.t_max)
+    trace = np.empty((runs, config.t_max))
 
-    E = construct_paths(tau, table, s_pop, rng)
-    X, LB = cell_points(E, inst.b, xbar, rng)
-    archive = ranked(Archive(X, evaluate_many(objective, X), LB, E), s_pop)
-    evals = s_pop
+    first = np.empty((runs, s_pop * (m + n)))
+    for g, u in zip(gens, first):
+        g.random(out=u)
+    E = construct_paths(tau.values, sums, table, first[:, : s_pop * m].reshape(runs, s_pop, m))
+    X, LB = cell_points(E, inst.b, xbar, first[:, s_pop * m :].reshape(runs, s_pop, n))
+    f = evaluate_many(objective, X.reshape(-1, n)).reshape(runs, s_pop)
+    archive = ranked(Archive(X, f, LB, E), s_pop)
+    fresh, pick, z = np.empty((runs, m + n)), np.empty((runs, k)), np.empty((runs, k, n))
+    ri = np.arange(runs)[:, None]
     for t in range(1, config.t_max + 1):
         if t > 1:
-            e = construct_paths(tau, table, 1, rng)
-            x, lb = cell_points(e, inst.b, xbar, rng)
-            f = np.array([evaluate(objective, x[0])])
+            for g, u, v, w in zip(gens, fresh, pick, z):
+                g.random(out=u)
+                for s in range(k):
+                    v[s] = g.random()
+                    g.standard_normal(out=w[s])
+            e = construct_paths(tau.values, sums, table, fresh[:, None, :m])
+            x, lb = cell_points(e, inst.b, xbar, fresh[:, None, m:])
+            f = evaluate_many(objective, x.reshape(runs, n)).reshape(runs, 1)
             archive = keep_best(archive, Archive(x, f, lb, e), s_pop)  # before sampling
-            Xs, ranks = gaussian_samples(archive, cw, config.samples_per_iter, config.xi, xbar, rng)
-            samples = Archive(Xs, evaluate_many(objective, Xs), archive.LB[ranks], archive.E[ranks])
+            ranks = select_rank(cw, pick)
+            Xs = gaussian_samples(archive, ranks, z, config.xi, xbar)
+            f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, k)
+            samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks])
             archive = keep_best(archive, samples, s_pop)
-            evals += 1 + len(ranks)
-        update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho)
-        trace[t - 1] = archive.f[0]
+        sums = update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho)
+        trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:
-            observer(t, _views(archive), tau)
+            for r in range(runs):
+                observer(t, r, _views(archive, r), per_run[r])
 
-    best = ArchiveSolution(archive.X[0], archive.LB[0], archive.E[0], float(archive.f[0]))
-    return RunResult(best=best, trace=trace, eval_count=evals, seed=config.seed, config=config)
+    evals = s_pop + (config.t_max - 1) * (1 + k)
+    X, f, LB, E = archive
+    return [
+        RunResult(
+            best=ArchiveSolution(X[r, 0], LB[r, 0], E[r, 0], float(f[r, 0])),
+            trace=trace[r],
+            eval_count=evals,
+            seed=seed,
+            config=replace(config, seed=seed),
+        )
+        for r, seed in enumerate(seeds)
+    ]
+
+
+def run(problem: Problem, config: SolverConfig, observer=None) -> RunResult:
+    """Solve ``problem`` under ``config``; deterministic given the seed.
+
+    This is :func:`run_many` with the single seed ``config.seed``.
+    ``observer(t, archive, tau)``, when given, is called after each
+    iteration with the archive as a tuple of read-only
+    :class:`ArchiveSolution` views, best first, and the pheromone.
+    """
+    each = None if observer is None else lambda t, r, archive, tau: observer(t, archive, tau)
+    return run_many(problem, config, [config.seed], each)[0]

@@ -497,15 +497,17 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
 
     A domain fault or non-finite result raises the same
     :class:`EvalDomainError` as :func:`evaluate` at the first faulting
-    row.  A batch of zero rows gives an empty array.
+    row.  A batch of zero rows gives an empty array; a batch of one row
+    goes through :func:`evaluate`, whose scalar operations cost less than
+    array operations on one element.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (points by coordinates)")
     if X.shape[1] != expr.n:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
-    if not len(X):
-        return np.empty(0)
+    if len(X) < 2:
+        return np.array([evaluate(expr, x) for x in X])
     try:
         values = np.empty(len(X))
         values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar

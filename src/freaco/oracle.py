@@ -60,8 +60,13 @@ def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.n
     size = path_space_size(sets)
     if size > cap:
         raise PathSpaceTooLargeError(size, cap)
-    grids = np.meshgrid(*sets, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    paths = np.empty((size, len(sets)), dtype=np.int64)
+    outer = 1  # paths per value of the rows before row i
+    for i, cols in enumerate(sets):
+        inner = size // (outer * len(cols))  # repeats of each of row i's values
+        paths.reshape(outer, len(cols), inner, len(sets))[..., i] = np.reshape(cols, (-1, 1))
+        outer *= len(cols)
+    return paths
 
 
 def _pattern_search(

@@ -192,20 +192,34 @@ def test_unknown_format_rejected(tmp_path):
 
 
 def test_one_pool_for_all_problems_equals_sequential(monkeypatch):
-    spec = ExperimentSpec(
-        problems=(builtin_problem(1), builtin_problem(4), builtin_problem(7)),
-        runs=3, config=SMALL, base_seed=5,
-    )
-    seq = run_experiment(spec)
-    monkeypatch.setenv("FREACO_THREADS", "2")
-    started = []
-    real = bench.ProcessPoolExecutor
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", lambda **kw: started.append(kw) or real(**kw))
-    par = run_experiment(spec)
-    assert len(started) == 1
-    assert summary_csv_text(seq) == summary_csv_text(par)
-    for a, b in zip(seq.problems, par.problems):
-        assert np.array_equal(a.trace, b.trace)
+    started, submitted = [], []
+
+    class Pool(bench.ProcessPoolExecutor):
+        def __init__(self, **kw):
+            started.append(kw)
+            super().__init__(**kw)
+
+        def submit(self, fn, job):
+            submitted.append(job[2])  # the job's seeds
+            return super().submit(fn, job)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    many = (builtin_problem(1), builtin_problem(4), builtin_problem(7)), 3
+    one = (builtin_problem(2),), 4
+    for problems, runs in (many, one):
+        spec = ExperimentSpec(problems=problems, runs=runs, config=SMALL, base_seed=5)
+        monkeypatch.setenv("FREACO_THREADS", "1")
+        seq = run_experiment(spec)
+        monkeypatch.setenv("FREACO_THREADS", "2")
+        started.clear()
+        submitted.clear()
+        par = run_experiment(spec)
+        assert len(started) == 1
+        assert summary_csv_text(seq) == summary_csv_text(par)
+        for a, b in zip(seq.problems, par.problems):
+            assert np.array_equal(a.trace, b.trace)
+    # one problem still keeps both workers busy: two blocks of two seeds
+    assert submitted == [[5, 6], [7, 8]]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -221,3 +235,20 @@ def test_pooled_error_names_problem_and_run(monkeypatch, threads):
     with pytest.raises(ExperimentError) as info:
         run_experiment(spec)
     assert (info.value.problem, info.value.run_index) == ("faulty", 0)
+
+
+def test_block_error_names_its_failing_seed(monkeypatch):
+    # at FREACO_THREADS=1 the four runs form one block; only seed 2 fails,
+    # so the block fails and its runs are repeated alone to name run 2
+    real = bench.run_many
+
+    def seed_keyed_fault(problem, config, seeds, observer=None):
+        if 2 in seeds:
+            raise EvalDomainError("seed-keyed fault", [0.0])
+        return real(problem, config, seeds, observer)
+
+    monkeypatch.setattr(bench, "run_many", seed_keyed_fault)
+    (outcome,) = run_problems(small_spec(runs=4))
+    assert isinstance(outcome, ExperimentError)
+    assert (outcome.problem, outcome.run_index) == ("problem-01", 2)
+    assert outcome.__cause__.reason == "seed-keyed fault"

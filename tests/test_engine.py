@@ -18,6 +18,7 @@ from freaco import (
 )
 from freaco.engine import (
     Archive,
+    PheromoneMatrix,
     candidate_table,
     cell_points,
     construct_paths,
@@ -45,18 +46,46 @@ def ex_sets(problem):
     return inst, compute_max_solution(inst), compute_candidate_sets(inst)
 
 
+def one_run(tau):
+    """``tau`` as a stack of one run that shares its values."""
+    return PheromoneMatrix(tau.values[None], tau.support)
+
+
 def deposit_one(tau, e, f, big_q=1.0):
     """A single member's deposit: update_pheromone without evaporation."""
-    update_pheromone(tau, np.array([f]), np.array([e]), big_q=big_q, rho=0.0)
+    update_pheromone(one_run(tau), np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
+
+
+def draw_paths(tau, table, k, rng):
+    """``k`` paths (k x m) drawn with ``rng`` as the engine draws them."""
+    return construct_paths(tau.values, tau.values.sum(axis=1), table, rng.random((k, len(table))))
 
 
 def uniform_archive(problem, k, rng):
-    """``k`` fresh paths, one uniform point per cell, ranked."""
+    """One run's archive (leading axis of length 1): ``k`` fresh paths,
+    one uniform point per cell, ranked."""
     inst, xbar, sets = ex_sets(problem)
     tau = init_pheromone(sets, inst.n)
-    E = construct_paths(tau, candidate_table(sets), k, rng)
-    X, LB = cell_points(E, inst.b, xbar, rng)
-    return ranked(Archive(X, evaluate_many(problem.objective, X), LB, E), k)
+    E = draw_paths(tau, candidate_table(sets), k, rng)
+    X, LB = cell_points(E, inst.b, xbar, rng.random((k, inst.n)))
+    rows = (X, evaluate_many(problem.objective, X), LB, E)
+    return ranked(Archive(*(a[None] for a in rows)), k)
+
+
+def sample(archive, cw, k, xi, xbar, rng):
+    """``k`` Gaussian samples (k x n) around a one-run archive and their
+    ranks, with the engine's draws: a uniform, then n normals, per sample."""
+    u, z = np.empty((1, k)), np.empty((1, k, archive.X.shape[-1]))
+    for s in range(k):
+        u[0, s] = rng.random()
+        z[0, s] = rng.standard_normal(z.shape[-1])
+    ranks = select_rank(cw, u)
+    return gaussian_samples(archive, ranks, z, xi, xbar)[0], ranks[0]
+
+
+def sigma(X, rank, xi):
+    """Spread around ``X[rank]`` within one archive ``X``."""
+    return sigma_vector(X[None], X[None, [rank]], xi)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +139,7 @@ def test_single_candidate_rows_give_unique_path():
     sets = [np.array([1]), np.array([0]), np.array([2])]
     tau = init_pheromone(sets, 3)
     rng = np.random.default_rng(0)
-    paths = construct_paths(tau, candidate_table(sets), 5, rng)
+    paths = draw_paths(tau, candidate_table(sets), 5, rng)
     assert paths.shape == (5, 3)
     for e in paths:
         assert np.array_equal(e, [1, 0, 2])
@@ -121,7 +150,7 @@ def test_path_frequencies_match_uniform_probabilities(ex_problem):
     tau = init_pheromone(sets, inst.n)
     rng = np.random.default_rng(57)
     draws = 100_000
-    paths = construct_paths(tau, candidate_table(sets), draws, rng)
+    paths = draw_paths(tau, candidate_table(sets), draws, rng)
     for i, cols in enumerate(sets):
         prob = 1.0 / len(cols)
         sd = math.sqrt(prob * (1 - prob) / draws)
@@ -133,8 +162,8 @@ def test_path_frequencies_match_uniform_probabilities(ex_problem):
 def test_paths_reproducible_for_fixed_seed(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau, table = init_pheromone(sets, inst.n), candidate_table(sets)
-    a = construct_paths(tau, table, 20, np.random.default_rng(9))
-    b = construct_paths(tau, table, 20, np.random.default_rng(9))
+    a = draw_paths(tau, table, 20, np.random.default_rng(9))
+    b = draw_paths(tau, table, 20, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -147,7 +176,7 @@ def test_degenerate_cell_yields_its_unique_point():
     inst = problem.instance
     xbar = compute_max_solution(inst)
     rng = np.random.default_rng(0)
-    X, LB = cell_points(np.array([[0]]), inst.b, xbar, rng)
+    X, LB = cell_points(np.array([[0]]), inst.b, xbar, rng.random((1, 1)))
     assert X[0, 0] == 1.0 and evaluate_many(problem.objective, X)[0] == 1.0
 
 
@@ -160,21 +189,21 @@ def test_init_archive_samples_live_in_their_cells(ex_problem):
 
 
 def test_keep_best_ties_keep_older_rows_first():
-    def rows(fs, tag):
-        k = len(fs)
-        return Archive(np.full((k, 1), tag), np.array(fs), np.zeros((k, 1)), np.zeros((k, 1), int))
+    def rows(fs, tag):  # one run's rows
+        shape = (1, len(fs), 1)
+        return Archive(np.full(shape, tag), np.array([fs]), np.zeros(shape), np.zeros(shape, int))
 
     old = rows([0.1, 0.5, 0.9], tag=0.0)
     merged = keep_best(old, rows([0.5, 0.2], tag=1.0), 3)
-    assert merged.f.tolist() == [0.1, 0.2, 0.5]
-    assert merged.X[:, 0].tolist() == [0.0, 1.0, 0.0]  # the older 0.5 wins the tie
+    assert merged.f.tolist() == [[0.1, 0.2, 0.5]]
+    assert merged.X[0, :, 0].tolist() == [0.0, 1.0, 0.0]  # the older 0.5 wins the tie
     assert keep_best(old, rows([0.9, 1.0], tag=1.0), 3) is old  # nothing beats the worst
 
 
 def test_init_archive_points_all_feasible(ex_problem):
     inst = ex_problem.instance
     archive = uniform_archive(ex_problem, 1000, np.random.default_rng(5))
-    assert np.abs(compose_many(inst, archive.X) - inst.b).max() <= EPS_EQ
+    assert np.abs(compose_many(inst, archive.X[0]) - inst.b).max() <= EPS_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +238,7 @@ def test_weights_strictly_decreasing():
 
 def test_select_rank_singleton():
     rng = np.random.default_rng(1)
-    assert all(select_rank(np.array([0.7]), rng) == 0 for _ in range(10))
+    assert np.all(select_rank(np.array([0.7]), rng.random(10)) == 0)
 
 
 def test_select_rank_frequency_matches_weights():
@@ -217,7 +246,7 @@ def test_select_rank_frequency_matches_weights():
     prob = w / w.sum()
     rng = np.random.default_rng(61)
     draws = 100_000
-    picks = np.array([select_rank(np.cumsum(w), rng) for _ in range(draws)])
+    picks = select_rank(np.cumsum(w), rng.random(draws))
     sd = math.sqrt(prob[0] * (1 - prob[0]) / draws)
     assert abs(np.mean(picks == 0) - prob[0]) <= 3 * sd
 
@@ -227,7 +256,7 @@ def test_large_q_selection_near_uniform():
     prob = w / w.sum()
     rng = np.random.default_rng(63)
     draws = 100_000
-    picks = np.array([select_rank(np.cumsum(w), rng) for _ in range(draws)])
+    picks = select_rank(np.cumsum(w), rng.random(draws))
     for rank in range(5):
         sd = math.sqrt(prob[rank] * (1 - prob[rank]) / draws)
         assert abs(np.mean(picks == rank) - prob[rank]) <= 3 * sd
@@ -240,18 +269,18 @@ def test_large_q_selection_near_uniform():
 
 def test_sigma_zero_when_coordinates_agree():
     X = np.array([[0.3, 0.1], [0.3, 0.9], [0.3, 0.4]])
-    assert sigma_vector(X, 0, xi=1.0)[0] == 0.0
+    assert sigma(X, 0, xi=1.0)[0] == 0.0
 
 
 def test_sigma_two_points():
     X = np.array([[0.1], [0.5]])
-    assert sigma_vector(X, 0, xi=1.0)[0] == pytest.approx(0.4, abs=1e-15)
+    assert sigma(X, 0, xi=1.0)[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_sigma_linear_in_xi():
     X = np.array([[0.1, 0.2], [0.5, 0.9], [0.2, 0.3]])
-    base = sigma_vector(X, 1, xi=1.0)
-    assert np.allclose(sigma_vector(X, 1, xi=2.0), 2 * base, atol=1e-15)
+    base = sigma(X, 1, xi=1.0)
+    assert np.allclose(sigma(X, 1, xi=2.0), 2 * base, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +292,11 @@ def test_sample_with_zero_spread_returns_mean(ex_problem):
     point = np.array([0.8, 0.3, 0.2, 0.0, 0.7, 1.0])
     lb = np.array([0.6, 0.0, 0.0, 0.0, 0.7, 0.3])
     archive = Archive(
-        np.tile(point, (4, 1)), np.full(4, 0.958), np.tile(lb, (4, 1)),
-        np.tile([4, 0, 5, 4, 0], (4, 1)),
+        np.tile(point, (1, 4, 1)), np.full((1, 4), 0.958), np.tile(lb, (1, 4, 1)),
+        np.tile([4, 0, 5, 4, 0], (1, 4, 1)),
     )
     rng = np.random.default_rng(11)
-    Xs, _ = gaussian_samples(archive, np.cumsum(weights(4, 0.5)), 1, 1.0, xbar, rng)
+    Xs, _ = sample(archive, np.cumsum(weights(4, 0.5)), 1, 1.0, xbar, rng)
     assert np.array_equal(Xs[0], point)
     assert evaluate_many(ex_problem.objective, Xs)[0] == pytest.approx(0.958, abs=1e-12)
 
@@ -277,8 +306,8 @@ def test_samples_stay_in_inherited_cell(ex_problem):
     rng = np.random.default_rng(13)
     archive = uniform_archive(ex_problem, 50, rng)
     cw = np.cumsum(weights(50, 0.5))
-    Xs, ranks = gaussian_samples(archive, cw, 10_000, 1.0, xbar, rng)
-    assert np.all(archive.LB[ranks] <= Xs) and np.all(Xs <= xbar)
+    Xs, ranks = sample(archive, cw, 10_000, 1.0, xbar, rng)
+    assert np.all(archive.LB[0, ranks] <= Xs) and np.all(Xs <= xbar)
     gaps = np.abs(compose_many(inst, Xs) - inst.b)
     assert gaps.max() <= EPS_EQ
 
@@ -289,7 +318,7 @@ def test_sampling_reproducible(ex_problem):
     def draw(seed):
         rng = np.random.default_rng(seed)
         archive = uniform_archive(ex_problem, 10, rng)
-        return gaussian_samples(archive, np.cumsum(weights(10, 0.5)), 1, 1.0, xbar, rng)
+        return sample(archive, np.cumsum(weights(10, 0.5)), 1, 1.0, xbar, rng)
 
     (xa, ra), (xb, rb) = draw(99), draw(99)
     assert np.array_equal(xa, xb) and np.array_equal(ra, rb)
@@ -338,10 +367,10 @@ def test_evaporate():
     sets = [np.array([0, 1])]
     tau = init_pheromone(sets, 2)
     tau.values[0, 0] = 2.0
-    nobody = (np.empty(0), np.empty((0, 1), dtype=np.int64))  # evaporation alone
-    update_pheromone(tau, *nobody, big_q=1.0, rho=0.5)
+    nobody = (np.empty((1, 0)), np.empty((1, 0, 1), dtype=np.int64))  # evaporation alone
+    update_pheromone(one_run(tau), *nobody, big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
-    update_pheromone(tau, *nobody, big_q=1.0, rho=0.0)
+    update_pheromone(one_run(tau), *nobody, big_q=1.0, rho=0.0)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
 
 
@@ -350,7 +379,7 @@ def test_update_touches_only_archive_paths(ex_problem):
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
     before = tau.values.copy()
-    update_pheromone(tau, np.full(8, 0.5), np.tile(e, (8, 1)), big_q=1.0, rho=0.0)
+    update_pheromone(one_run(tau), np.full((1, 8), 0.5), np.tile(e, (1, 8, 1)), big_q=1.0, rho=0.0)
     grew = tau.values > before
     expected = np.zeros_like(grew)
     expected[np.arange(inst.m), e] = True
@@ -362,7 +391,7 @@ def test_update_keeps_probability_rows_normalized(ex_problem):
     tau = init_pheromone(sets, inst.n)
     archive = uniform_archive(ex_problem, 30, np.random.default_rng(20))
     for _ in range(5):
-        update_pheromone(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
+        update_pheromone(one_run(tau), archive.f, archive.E, big_q=1.0, rho=0.5)
         rows = probability_matrix(tau).sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-12)
         assert np.all(tau.values[~tau.support] == 0.0)
@@ -372,8 +401,16 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     tau.values[:] = np.where(tau.support, 1e-300, 0.0)
-    update_pheromone(tau, np.array([1e9]), np.array([[0, 0, 2, 1, 0]]), big_q=1.0, rho=0.5)
+    update_pheromone(one_run(tau), np.array([[1e9]]), np.array([[[0, 0, 2, 1, 0]]]), big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values, tau.support.astype(float))
+
+
+def test_update_rejects_non_contiguous_pheromone():
+    # the deposit goes through a flat view, which a strided array cannot give
+    support = np.ones((2, 2), dtype=bool)
+    strided = PheromoneMatrix(np.asfortranarray(np.ones((1, 2, 2))), support)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        update_pheromone(strided, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), big_q=1.0, rho=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -25,21 +25,15 @@ from freaco.engine import (
 
 # Uniforms at and just below 1.  In round-to-nearest, u * total stays
 # below total for every u < 1, so only u = 1.0 (which Generator.random
-# never returns, but a stand-in can) makes u * total equal total and
+# never returns, but a caller can pass) makes u * total equal total and
 # reaches the clamp to the last candidate.
 NEAR_ONE = st.sampled_from([1.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 1.0 - 2.0**-50])
 UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), NEAR_ONE)
 
 
-class FixedUniforms:
-    """Stands in for a Generator whose next ``random(shape)`` is known."""
-
-    def __init__(self, u: np.ndarray):
-        self.u = u
-
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+def draw(tau, sets, u: np.ndarray) -> np.ndarray:
+    """The engine's vectorized path draw for uniforms ``u`` (k x m)."""
+    return construct_paths(tau.values, tau.values.sum(axis=1), candidate_table(sets), u)
 
 
 def reference_paths(tau, sets, u: np.ndarray) -> np.ndarray:
@@ -73,7 +67,7 @@ def test_path_draw_matches_searchsorted_reference(inst, data):
     k = data.draw(st.integers(1, 4))
     u = np.array(data.draw(st.lists(UNIFORMS, min_size=k * inst.m, max_size=k * inst.m)))
     u = u.reshape(k, inst.m)
-    drawn = construct_paths(tau, candidate_table(sets), k, FixedUniforms(u))
+    drawn = draw(tau, sets, u)
     assert np.array_equal(drawn, reference_paths(tau, sets, u))
 
 
@@ -87,7 +81,7 @@ def test_uniform_at_total_picks_the_last_candidate():
     total = np.cumsum(probability_matrix(tau)[0, sets[0]])[-1]
     u = np.array([[1.0, 1.0]])
     assert u[0, 0] * total == total
-    drawn = construct_paths(tau, candidate_table(sets), 1, FixedUniforms(u))
+    drawn = draw(tau, sets, u)
     assert drawn.tolist() == [[3, 1]] == reference_paths(tau, sets, u).tolist()
 
 

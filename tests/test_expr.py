@@ -346,6 +346,39 @@ def test_single_and_batch_agree_bit_for_bit(data):
         assert np.array_equal(evaluate_many(expr, X), singles)
 
 
+@pytest.mark.parametrize("src,n", [(p.objective_src, p.n) for p in builtin_problems()])
+def test_one_row_batch_equals_evaluate(src, n):
+    expr = parse(src, n)
+    for x in np.random.default_rng(47).random((20, n)):
+        assert np.array_equal(evaluate_many(expr, x[None]), [evaluate(expr, x)])
+
+
+@pytest.mark.parametrize(
+    "src,x",
+    [
+        ("ln(x1 - 1)", [0.5]),  # domain fault
+        ("exp(1000*x1)", [1.0]),  # overflow
+        ("x1 + 1", [math.nan]),  # NaN result without a floating-point flag
+    ],
+)
+def test_one_row_batch_faults_like_evaluate(src, x):
+    expr = parse(src, len(x))
+    with pytest.raises(EvalDomainError) as single:
+        evaluate(expr, x)
+    with pytest.raises(EvalDomainError) as batch:
+        evaluate_many(expr, [x])
+    assert batch.value.reason == single.value.reason
+    assert np.array_equal(batch.value.point, single.value.point, equal_nan=True)
+
+
+def test_one_row_batch_keeps_shape_errors():
+    expr = parse("x1 + x3", 3)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_many(expr, np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="2-D"):
+        evaluate_many(expr, np.full(3, 0.5))
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_point_length_must_match_dimension(length):
     expr = parse("x1 + x3", 3)

@@ -40,6 +40,23 @@ def test_enumerate_worked_example():
     assert paths[-1].tolist() == [5, 1, 5, 4, 5]
 
 
+def meshgrid_paths(sets):
+    """Reference enumeration: every combination, last row fastest."""
+    grids = np.meshgrid(*sets, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
+def test_enumerate_equals_meshgrid_reference():
+    rng = np.random.default_rng(73)
+    cases = [compute_candidate_sets(Instance(EX_A, EX_B))]
+    cases += [compute_candidate_sets(random_feasible_instance(6, 7, 0.6, rng=rng)) for _ in range(5)]
+    for sets in cases:
+        paths = enumerate_paths(sets)
+        assert paths.dtype == np.int64 and paths.flags.c_contiguous
+        assert np.array_equal(paths, meshgrid_paths(sets))
+        assert np.array_equal(paths, paths[np.lexsort(paths.T[::-1])])
+
+
 def test_enumerate_single_path():
     sets = [np.array([1]), np.array([0])]
     paths = enumerate_paths(sets)

@@ -1,0 +1,93 @@
+"""Lockstep runs: every run of a ``run_many`` block is bit-identical to its solo run."""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freaco import (
+    SolverConfig,
+    builtin_problem,
+    builtin_problems,
+    make_problem,
+    random_feasible_instance,
+    run,
+    run_many,
+)
+
+from test_golden_runs import GOLDEN, key, planted_problem
+
+
+def final_pheromone(config, runs):
+    """An observer for ``runs`` runs and the list that receives each run's
+    pheromone bytes after the last iteration."""
+    final = [None] * runs
+
+    def observer(t, r, archive, tau):
+        if t == config.t_max:
+            final[r] = tau.values.tobytes()
+
+    return observer, final
+
+
+def block_fingerprints(problem, config, seeds):
+    """The stored fingerprint (see test_golden_runs) of each run of one block."""
+    observer, final = final_pheromone(config, len(seeds))
+    prints = []
+    for result, tau in zip(run_many(problem, config, seeds, observer), final):
+        digest = hashlib.sha256()
+        for arr in (result.trace, result.best.x, result.best.lb, result.best.e):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        prints.append({
+            "f": float.hex(float(result.best.f)),
+            "eval_count": result.eval_count,
+            "sha256": digest.hexdigest(),
+            "tau_sha256": hashlib.sha256(tau).hexdigest(),
+        })
+    return prints
+
+
+def test_blocks_match_golden_runs():
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    blocks = [(p, range(5)) for p in builtin_problems()] + [(planted_problem(), range(2))]
+    for problem, seeds in blocks:
+        for seed, got in zip(seeds, block_fingerprints(problem, SolverConfig(), seeds)):
+            assert got == stored[key(problem, seed)], key(problem, seed)
+
+
+def test_no_seeds_no_runs():
+    assert run_many(builtin_problem(1), SolverConfig(), []) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True),
+    s_pop=st.integers(2, 8),
+    samples=st.integers(0, 3),
+    t_max=st.integers(1, 8),
+)
+def test_every_run_of_a_block_equals_its_solo_run(m, n, instance_seed, seeds, s_pop, samples, t_max):
+    inst = random_feasible_instance(m, n, rng=np.random.default_rng(instance_seed))
+    objective = f"sum(k, 1, {n}, (x(k) - 0.3)^2) + x1*x{n}"
+    problem = make_problem("planted", inst.A, inst.b, objective)
+    config = SolverConfig(s_pop=s_pop, t_max=t_max, samples_per_iter=samples, q=0.3)
+    observer, block_tau = final_pheromone(config, len(seeds))
+    block = run_many(problem, config, seeds, observer)
+    assert len(block) == len(seeds)
+    for r, seed in enumerate(seeds):
+        solo_observer, solo_tau = final_pheromone(config, 1)
+        solo = run(problem, replace(config, seed=seed), lambda t, a, tau: solo_observer(t, 0, a, tau))
+        got = block[r]
+        assert got.seed == solo.seed == seed and got.config == solo.config
+        assert np.array_equal(got.trace, solo.trace)
+        for name in ("x", "lb", "e"):
+            assert np.array_equal(getattr(got.best, name), getattr(solo.best, name))
+        assert float.hex(got.best.f) == float.hex(solo.best.f)
+        assert got.eval_count == solo.eval_count
+        assert block_tau[r] == solo_tau[0]
