@@ -13,7 +13,6 @@ from .bench import (
     ExperimentSummary,
     ProblemSummary,
     export,
-    load_summary_json,
     run_experiment,
 )
 from .engine import (
@@ -35,7 +34,7 @@ from .errors import (
     InvalidPathError,
     PathSpaceTooLargeError,
 )
-from .expr import Expr, evaluate, evaluate_many, parse, render
+from .expr import Expr, evaluate, evaluate_many, parse
 from .fre import (
     EPS_EQ,
     Instance,
@@ -47,7 +46,6 @@ from .fre import (
     path_space_size,
     path_to_candidate,
     residual,
-    violated_rows,
 )
 from .oracle import (
     OracleReport,
@@ -99,7 +97,6 @@ __all__ = [
     "export",
     "is_feasible",
     "load_problem_file",
-    "load_summary_json",
     "make_problem",
     "max_min_compose",
     "parse",
@@ -108,10 +105,8 @@ __all__ = [
     "problem_from_dict",
     "random_feasible_instance",
     "reference_optimum",
-    "render",
     "residual",
     "run",
     "run_experiment",
     "run_many",
-    "violated_rows",
 ]

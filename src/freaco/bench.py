@@ -265,29 +265,3 @@ def export(summary: ExperimentSummary, format: str, path):
                         writer.writerow((p.name, r, t, repr(float(value))))
     else:
         raise ValueError(f"unknown export format {format!r}")
-
-
-def load_summary_json(path) -> ExperimentSummary:
-    """Inverse of ``export(..., 'json', ...)``."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    problems = tuple(
-        ProblemSummary(
-            name=p["name"],
-            known_optimum=p["known_optimum"],
-            avg_best=p["avg_best"],
-            median_best=p["median_best"],
-            sd_best=p["sd_best"],
-            f_best=p["f_best"],
-            mean_eval_count=p["mean_eval_count"],
-            mean_error=p["mean_error"],
-            trace=np.asarray(p["trace"], dtype=float),
-        )
-        for p in data["problems"]
-    )
-    return ExperimentSummary(
-        problems=problems,
-        runs=data["runs"],
-        base_seed=data["base_seed"],
-        config=SolverConfig(**data["config"]),
-    )

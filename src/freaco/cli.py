@@ -139,10 +139,13 @@ def _cmd_solve(args) -> int:
     }
     print(json.dumps(payload))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(bench_mod.TRACE_COLUMNS) + "\n")
-            for t, value in enumerate(result.trace, start=1):
-                fh.write(f"{problem.name},0,{t},{float(value)!r}\n")
+        summary = bench_mod.ExperimentSummary(
+            problems=(bench_mod.summarize_runs(problem, [result]),),
+            runs=1,
+            base_seed=config.seed,
+            config=config,
+        )
+        bench_mod.export(summary, "trace-csv", args.trace)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

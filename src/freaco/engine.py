@@ -77,14 +77,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.s_pop < 2:
             raise ValueError("s_pop must be >= 2")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        for name, value in (("q", self.q), ("xi", self.xi), ("big_q", self.big_q)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        if self.big_q <= 0:
-            raise ValueError("big_q must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.samples_per_iter < 0:

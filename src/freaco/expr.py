@@ -522,21 +522,3 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
     if not finite.all():
         raise EvalDomainError("non-finite result", X[finite.argmin()].copy())
     return values
-
-
-def render(expr: Expr) -> str:
-    """Text form that re-parses to an equivalent expression.
-
-    It is written from the compiled code, so sums appear expanded.
-    """
-    names = {fn: name for name, fn in (*_BINARY.items(), *FUNCTIONS.items())}
-    text = [f"x{j}" for j in range(1, expr.n + 1)]
-    text += [None if v is None else repr(float(v)) if v >= 0 else f"({float(v)!r})" for v in expr.tail]
-    for fn, dst, a, b in expr.code:
-        if b >= 0:
-            text[dst] = f"({text[a]} {names[fn]} {text[b]})"
-        elif fn is operator.neg:
-            text[dst] = f"(-{text[a]})"
-        else:
-            text[dst] = f"{names[fn]}({text[a]})"
-    return text[expr.out]

@@ -52,8 +52,11 @@ class Instance:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        try:
+            A = np.asarray(self.A, dtype=float)
+            b = np.asarray(self.b, dtype=float)
+        except (TypeError, ValueError) as exc:  # a non-numeric entry or a ragged row
+            raise InvalidInstanceError(f"A and b must be arrays of numbers ({exc})") from None
         if A.ndim != 2 or A.size == 0:
             raise InvalidInstanceError("A must be a non-empty 2-D matrix")
         if b.ndim != 1 or b.size == 0:
@@ -113,28 +116,24 @@ def compute_max_solution(inst: Instance) -> np.ndarray:
     return np.minimum(capped.min(axis=0), 1.0)
 
 
-def violated_rows(inst: Instance, x, eps: float = EPS_EQ) -> np.ndarray:
-    """0-based rows where ``A phi x`` misses ``b`` by more than ``eps``."""
-    gap = np.abs(max_min_compose(inst, x) - inst.b)
-    return np.flatnonzero(gap > eps)
-
-
 def is_feasible(inst: Instance, eps: float = EPS_EQ) -> bool:
     """True iff the system is solvable: ``xbar`` must solve it."""
     return residual(inst, compute_max_solution(inst)) <= eps
 
 
-def compute_candidate_sets(
-    inst: Instance, xbar: np.ndarray | None = None, eps: float = EPS_EQ
-) -> list[np.ndarray]:
-    """Per-row candidate columns: ``{j : min(a_ij, xbar_j) = b_i}``.
+def compute_candidate_sets(inst: Instance, xbar: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per-row candidate columns: ``{j : min(a_ij, xbar_j) = b_i}`` within ``EPS_EQ``.
 
     Raises :class:`InfeasibleInstanceError` when some row has no
-    candidate, which happens exactly when the system is unsolvable.
+    candidate, which happens exactly when the system is unsolvable.  A
+    row has no candidate exactly when ``A phi xbar`` misses its ``b_i``
+    by more than ``EPS_EQ``, so the error names the rows ``xbar`` violates.
     """
     if xbar is None:
         xbar = compute_max_solution(inst)
-    hits = np.abs(np.minimum(inst.A, xbar) - inst.b[:, None]) <= eps
+    gap = np.minimum(inst.A, xbar)
+    gap -= inst.b[:, None]  # in place: one m x n temporary, not two
+    hits = np.abs(gap, out=gap) <= EPS_EQ
     sets = [np.flatnonzero(hits[i]) for i in range(inst.m)]
     empty = [i for i, s in enumerate(sets) if s.size == 0]
     if empty:

@@ -25,7 +25,9 @@ from .problems import Problem
 
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_SAMPLES_PER_CELL = 200
-DEFAULT_REFINE_STEPS = 20
+
+#: Step halvings of the per-cell pattern search.
+REFINE_STEPS = 20
 
 #: Pattern-search passes allowed per step size before forcing a halving.
 MAX_PASSES_PER_LEVEL = 200
@@ -70,15 +72,14 @@ def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.n
 
 
 def _pattern_search(
-    problem: Problem, lows: np.ndarray, upper: np.ndarray, start: np.ndarray,
-    values: np.ndarray, refine_steps: int
+    problem: Problem, lows: np.ndarray, upper: np.ndarray, start: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate pattern search inside each cell, run on all cells at once.
 
     Starts from ``start`` (one point per cell, objective ``values``),
     with an initial step of half the largest cell edge.  At each step
     size, coordinate passes repeat until none improves, then the step
-    halves; ``refine_steps`` halvings total.  Iterates never leave their
+    halves; ``REFINE_STEPS`` halvings total.  Iterates never leave their
     cell, so every visited point stays feasible.
     """
     n = lows.shape[1]
@@ -86,7 +87,7 @@ def _pattern_search(
     fx = values.copy()
     step = 0.5 * (upper - lows).max(axis=1)
     step = np.maximum(step, 1e-16)  # degenerate cells: harmless no-op moves
-    for _ in range(refine_steps):
+    for _ in range(REFINE_STEPS):
         for _ in range(MAX_PASSES_PER_LEVEL):
             improved = False
             for j in range(n):
@@ -112,7 +113,6 @@ def _pattern_search(
 def reference_optimum(
     problem: Problem,
     samples_per_cell: int = DEFAULT_SAMPLES_PER_CELL,
-    refine_steps: int = DEFAULT_REFINE_STEPS,
     rng: np.random.Generator | None = None,
     cap: int = DEFAULT_PATH_CAP,
 ) -> OracleReport:
@@ -121,9 +121,9 @@ def reference_optimum(
     Enumerates every path (within ``cap``), deduplicates the cells they
     span, draws ``samples_per_cell`` uniform points per cell (plus both
     corners) and refines each cell's best sample by clamped coordinate
-    pattern search.  The returned best is the minimum over cells; on
-    exact ties the cell with the lexicographically smallest lower corner
-    wins.
+    pattern search over ``REFINE_STEPS`` step halvings.  The returned
+    best is the minimum over cells; on exact ties the cell with the
+    lexicographically smallest lower corner wins.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -145,7 +145,7 @@ def reference_optimum(
         best_x[k] = X[i]
         best_f[k] = vals[i]
 
-    best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f, refine_steps)
+    best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
     winner = int(np.argmin(best_f))  # first minimum = lexicographically least cell
     return OracleReport(
         problem=problem.name,

@@ -8,19 +8,24 @@ format consumed by the command line::
       "A": [[...], ...],          # m x n, entries in [0, 1]
       "b": [...],                 # length m, entries in [0, 1]
       "objective": "x1*x4 - x2*x3*x5 + x6^2",
-      "known_optimum": -0.0096019  # optional
+      "known_optimum": -0.0096019  # optional: a finite number or null
     }
+
+Malformed data (a non-numeric entry in ``A`` or ``b``, a ragged row, a
+``known_optimum`` that is not a finite number) raises
+:class:`InvalidInstanceError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InfeasibleInstanceError, InvalidInstanceError
-from .expr import Expr, evaluate, parse
-from .fre import EPS_EQ, Instance, compute_max_solution, violated_rows
+from .errors import InvalidInstanceError
+from .expr import Expr, parse
+from .fre import Instance, compute_candidate_sets
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,6 @@ class Problem:
     def n(self) -> int:
         return self.instance.n
 
-    def evaluate(self, x) -> float:
-        return evaluate(self.objective, x)
-
 
 def make_problem(
     name: str, A, b, objective_src: str, known_optimum: float | None = None
@@ -47,10 +49,7 @@ def make_problem(
     """Validate data, parse the objective and check feasibility."""
     instance = Instance(A, b)
     expr = parse(objective_src, instance.n)
-    xbar = compute_max_solution(instance)
-    bad = violated_rows(instance, xbar, EPS_EQ)
-    if bad.size:
-        raise InfeasibleInstanceError(xbar, bad)
+    compute_candidate_sets(instance)  # raises InfeasibleInstanceError
     return Problem(name, instance, expr, objective_src, known_optimum)
 
 
@@ -65,10 +64,25 @@ def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:
         raise InvalidInstanceError("'name' must be a string")
     if not isinstance(data["objective"], str):
         raise InvalidInstanceError("'objective' must be a string expression")
-    optimum = data.get("known_optimum")
-    if optimum is not None:
-        optimum = float(optimum)
-    return make_problem(name, data["A"], data["b"], data["objective"], optimum)
+    return make_problem(
+        name, data["A"], data["b"], data["objective"], _known_optimum(data.get("known_optimum"))
+    )
+
+
+def _known_optimum(value) -> float | None:
+    """An instance file's ``known_optimum``: a finite JSON number, or null."""
+    if value is None:
+        return None
+    # bool is a subclass of int, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInstanceError("'known_optimum' must be a number or null")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidInstanceError("'known_optimum' must be finite")
+    return value
 
 
 def load_problem_file(path) -> Problem:

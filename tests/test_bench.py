@@ -11,7 +11,6 @@ from freaco import (
     SolverConfig,
     builtin_problem,
     export,
-    load_summary_json,
     make_problem,
     run,
     run_experiment,
@@ -156,19 +155,21 @@ def test_json_round_trip(tmp_path):
     summary = run_experiment(small_spec(runs=3))
     path = tmp_path / "summary.json"
     export(summary, "json", path)
-    loaded = load_summary_json(path)
-    assert loaded.runs == summary.runs
-    assert loaded.base_seed == summary.base_seed
-    assert loaded.config == summary.config
-    a, b = summary.problems[0], loaded.problems[0]
-    assert a.name == b.name
-    assert a.avg_best == b.avg_best
-    assert a.median_best == b.median_best
-    assert a.sd_best == b.sd_best
-    assert a.f_best == b.f_best
-    assert a.mean_eval_count == b.mean_eval_count
-    assert a.mean_error == b.mean_error
-    assert np.array_equal(a.trace, b.trace)
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    assert loaded["runs"] == summary.runs
+    assert loaded["base_seed"] == summary.base_seed
+    assert SolverConfig(**loaded["config"]) == summary.config
+    a, b = summary.problems[0], loaded["problems"][0]
+    assert a.name == b["name"]
+    assert a.known_optimum == b["known_optimum"]
+    assert a.avg_best == b["avg_best"]
+    assert a.median_best == b["median_best"]
+    assert a.sd_best == b["sd_best"]
+    assert a.f_best == b["f_best"]
+    assert a.mean_eval_count == b["mean_eval_count"]
+    assert a.mean_error == b["mean_error"]
+    assert np.array_equal(a.trace, np.asarray(b["trace"], dtype=float))
 
 
 def test_trace_csv_rows(tmp_path):

@@ -94,6 +94,45 @@ def test_solve_writes_trace_and_out(capsys, tmp_path):
     assert all(a >= b for a, b in zip(best, best[1:]))
 
 
+def test_solve_trace_quotes_problem_name(capsys, tmp_path):
+    source = tmp_path / "instance.json"
+    payload = {"name": "a,b", "A": EX_A, "b": EX_B, "objective": EX_OBJECTIVE}
+    source.write_text(json.dumps(payload), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    code, out, err = call(
+        capsys, ["solve", "--file", str(source), "--iters", "3", "--trace", str(trace)]
+    )
+    assert code == 0
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["problem"], r["run"], r["iter"]) for r in rows] == [
+        ("a,b", "0", "1"),
+        ("a,b", "0", "2"),
+        ("a,b", "0", "3"),
+    ]
+    assert float(rows[-1]["best_so_far"]) == json.loads(out)["best_f"]
+
+
+@pytest.mark.parametrize("key,value", [("known_optimum", [1]), ("A", {"a": 1})])
+def test_solve_malformed_instance_data_exits_one(capsys, tmp_path, key, value):
+    path = tmp_path / "malformed.json"
+    payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": EX_OBJECTIVE}
+    payload[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = call(capsys, ["solve", "--file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_solve_non_finite_deposit_exits_one(capsys):
+    code, out, err = call(capsys, ["solve", "--builtin", "1", "--deposit", "nan"])
+    assert code == 1
+    assert out == ""
+    assert "error: big_q must be positive and finite" in err
+
+
 def _ex1_with_objective(tmp_path, objective):
     path = tmp_path / "objective.json"
     payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": objective}

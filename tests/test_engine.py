@@ -514,6 +514,13 @@ def test_best_never_beats_certified_reference():
         assert result.best.f >= ref.best_value - 1e-6
 
 
+@pytest.mark.parametrize("field", ["q", "xi", "big_q"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolverConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(s_pop=1)

@@ -14,7 +14,6 @@ from freaco import (
     evaluate,
     evaluate_many,
     parse,
-    render,
 )
 from freaco import expr as expr_module
 
@@ -288,16 +287,6 @@ ROUND_TRIP_SOURCES = [
     ("2^-x1 + abs(x2 - 0.5)/((x3 + 1)^2)", 3),
     ("sum(i, 1, 3, sum(j, 1, 2, x(i + j)*i - j))", 5),
 ]
-
-
-@pytest.mark.parametrize("src,n", ROUND_TRIP_SOURCES)
-def test_render_round_trip(src, n):
-    expr = parse(src, n)
-    again = parse(render(expr), n)
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        x = rng.random(n)
-        assert abs(evaluate(expr, x) - evaluate(again, x)) <= 1e-12
 
 
 # the ten built-in objectives, less the two already listed above

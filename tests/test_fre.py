@@ -183,6 +183,27 @@ def test_candidate_sets_infeasible_raises():
     assert info.value.rows.tolist() == [0, 1]
 
 
+def test_candidate_sets_fail_exactly_on_rows_xbar_misses():
+    # a row has no candidate exactly when A phi xbar misses its b_i by more
+    # than EPS_EQ, so the error names the rows a residual check would name
+    rng = np.random.default_rng(19)
+    infeasible = 0
+    for _ in range(2000):
+        m, n = rng.integers(1, 6, size=2)
+        inst = Instance(rng.integers(0, 6, (m, n)) / 5, rng.integers(0, 6, m) / 5)
+        xbar = compute_max_solution(inst)
+        missed = np.flatnonzero(np.abs(max_min_compose(inst, xbar) - inst.b) > EPS_EQ)
+        try:
+            compute_candidate_sets(inst, xbar)
+        except InfeasibleInstanceError as exc:
+            infeasible += 1
+            assert exc.rows.tolist() == missed.tolist()
+            assert np.array_equal(exc.xbar, xbar)
+        else:
+            assert missed.size == 0
+    assert 0 < infeasible < 2000
+
+
 # ---------------------------------------------------------------------------
 # path space
 

@@ -10,6 +10,7 @@ from freaco import (
     InvalidInstanceError,
     builtin_problem,
     builtin_problems,
+    evaluate,
     is_feasible,
     load_problem_file,
     problem_from_dict,
@@ -167,13 +168,13 @@ def test_builtin_objective_matches_hand_coded(index):
     rng = np.random.default_rng(index)
     for _ in range(50):
         x = rng.random(problem.n)
-        assert problem.evaluate(x) == pytest.approx(reference(x), abs=1e-12)
+        assert evaluate(problem.objective, x) == pytest.approx(reference(x), abs=1e-12)
 
 
 def test_sum_form_agrees_with_expanded_terms():
     # problems whose registry text uses the bounded-sum form, re-parsed
     # here as explicit expansions
-    from freaco import parse, evaluate
+    from freaco import parse
 
     p7 = builtin_problem(7)
     expanded7 = " + ".join(
@@ -188,9 +189,9 @@ def test_sum_form_agrees_with_expanded_terms():
     rng = np.random.default_rng(77)
     for _ in range(100):
         x7 = rng.random(p7.n)
-        assert p7.evaluate(x7) == pytest.approx(evaluate(e7, x7), abs=1e-12)
+        assert evaluate(p7.objective, x7) == pytest.approx(evaluate(e7, x7), abs=1e-12)
         x10 = rng.random(p10.n)
-        assert p10.evaluate(x10) == pytest.approx(evaluate(e10, x10), abs=1e-12)
+        assert evaluate(p10.objective, x10) == pytest.approx(evaluate(e10, x10), abs=1e-12)
 
 
 def test_problem_five_keeps_printed_shape():
@@ -233,6 +234,44 @@ def test_problem_from_dict_optional_optimum():
     payload = ex1_dict()
     payload["known_optimum"] = 0.25
     assert problem_from_dict(payload).known_optimum == 0.25
+
+
+@pytest.mark.parametrize(
+    "optimum",
+    [[1], "0.5", "nan", True, False, {"f": 1}, float("nan"), float("inf"), 10**400],
+    ids=["list", "string", "nan-string", "true", "false", "object", "NaN", "Infinity", "huge-int"],
+)
+def test_known_optimum_must_be_finite_number_or_null(optimum):
+    payload = ex1_dict()
+    payload["known_optimum"] = optimum
+    with pytest.raises(InvalidInstanceError) as info:
+        problem_from_dict(payload)
+    assert "known_optimum" in str(info.value)
+
+
+def test_integer_known_optimum_reads_as_float():
+    payload = ex1_dict()
+    payload["known_optimum"] = -2
+    optimum = problem_from_dict(payload).known_optimum
+    assert optimum == -2.0 and isinstance(optimum, float)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("A", {"a": 1}),
+        ("A", [[0.5, 0.5], [0.5]]),
+        ("A", [[0.5, "high"]] * 5),
+        ("A", [[{"a": 1}] * 6] * 5),
+        ("b", {"b": 1}),
+        ("b", [0.7, [0.5], 0.3, 0.1, 0.6]),
+    ],
+)
+def test_non_numeric_matrix_data_rejected(key, value):
+    payload = ex1_dict()
+    payload[key] = value
+    with pytest.raises(InvalidInstanceError):
+        problem_from_dict(payload)
 
 
 def test_missing_keys_rejected():
