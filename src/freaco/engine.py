@@ -46,6 +46,7 @@ seed runs in and equal to those of a row-by-row loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -75,6 +76,11 @@ class SolverConfig:
     samples_per_iter: int = 2  # Gaussian samples per iteration after the first
 
     def __post_init__(self):
+        for name in ("s_pop", "t_max", "samples_per_iter", "seed"):
+            try:  # numpy integers pass, stored as int so summaries stay JSON
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.s_pop < 2:
             raise ValueError("s_pop must be >= 2")
         for name, value in (("q", self.q), ("xi", self.xi), ("big_q", self.big_q)):
@@ -86,6 +92,8 @@ class SolverConfig:
             raise ValueError("t_max must be >= 1")
         if self.samples_per_iter < 0:
             raise ValueError("samples_per_iter must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

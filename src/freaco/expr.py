@@ -8,28 +8,32 @@ Grammar (see docs/expression-grammar.ebnf for the shipped EBNF)::
     power   = atom [ "^" factor ]          # right-associative
     atom    = NUMBER
             | "x" DIGITS                   # variable x1 .. xn
-            | "x" "(" expr ")"             # computed index, e.g. x(k+1)
+            | "x" "(" index ")"            # computed index, e.g. x(k+1)
             | FUNC "(" expr ")"            # sin cos exp ln abs
-            | "sum" "(" NAME "," INT "," INT "," expr ")"
+            | "sum" "(" NAME "," ["-"] INT "," ["-"] INT "," expr ")"
             | NAME                         # loop variable in scope
             | "(" expr ")"
+    index   = iterm { ("+"|"-") iterm }
+    iterm   = ifactor { "*" ifactor }
+    ifactor = "-" ifactor | INT | NAME | "(" index ")"
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 * and /, which bind tighter than + and -.  Power is right-associative.
 Angles are radians; ln is the natural logarithm.  Nesting (parentheses,
 calls, sums, unary minus, power) may go ``MAX_NESTING`` levels deep.
+Sum bounds and index literals (INT) are integer-valued numbers, such as
+``3``, ``3.0`` or ``3e0``; an index NAME is a loop variable in scope.
 
-Computed indices may only use loop variables, integer literals, +, -, *
-and unary minus.
-
-:func:`parse` compiles each objective once.  Every ``sum`` is expanded
-term by term (its bounds are integer literals, so parse cost grows with
-the sum's range, up to ``MAX_OPERATIONS`` operations in all), and every
-loop variable and computed index becomes a constant; each computed index
-is range-checked against the dimension as it is resolved.  The result is
-a flat tuple of instructions over registers.  One executor runs it on
-``np.float64`` scalars for :func:`evaluate` and on columns for
-:func:`evaluate_many`, so both give bit-identical values for a point.
+:func:`parse` compiles each objective in one pass: the recursive-descent
+compiler emits flat register code as it reads, with no syntax tree.  It
+reads a ``sum`` body once per term, with the loop variable bound, so
+parse cost grows with the sum's range (up to ``MAX_OPERATIONS``
+operations in all), and every loop variable and computed index becomes a
+constant, range-checked against the dimension as it is read.  Of several
+errors in one source, the first in reading order is reported.  One
+executor runs the code on ``np.float64`` scalars for :func:`evaluate`
+and on columns for :func:`evaluate_many`, so both give bit-identical
+values for a point.
 
 Domain policy: overflow, division by zero or an invalid operation (ln of
 a non-positive value, a fractional power of a negative base, inf - inf,
@@ -46,6 +50,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,64 +72,6 @@ MAX_NESTING = 100
 MAX_OPERATIONS = 1_000_000
 
 
-# ---------------------------------------------------------------------------
-# Syntax tree: the parser's output, which the compiler consumes.
-
-
-class Node:
-    """Base syntax-tree node."""
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class IndexedVar(Node):
-    index: Node
-    pos: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Name(Node):
-    """Reference to an enclosing sum's loop variable."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    arg: Node
-
-
-@dataclass(frozen=True)
-class BinOp(Node):
-    op: str  # one of + - * / ^
-    lhs: Node
-    rhs: Node
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    fn: str
-    arg: Node
-
-
-@dataclass(frozen=True)
-class Sum(Node):
-    var: str
-    lo: int
-    hi: int
-    body: Node
-    pos: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Expr:
     """A compiled objective over x1..xn.
@@ -143,17 +90,17 @@ class Expr:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Tokenizer
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[()+\-*/^,])"
+    r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<bad>.)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     line: int
@@ -162,41 +109,50 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ExprParseError(f"unexpected character {c!r}", line, col)
+    line, start = 1, 0  # start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        tokens.append(_Token(kind, text, line, col))
-        col += len(text)
-        i = m.end()
-    tokens.append(_Token("end", "", line, col))
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExprParseError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
+        elif kind != "space":
+            tokens.append(_Token(kind, m.group(), line, m.start() - start + 1))
+    tokens.append(_Token("end", "", line, len(src) - start + 1))
     return tokens
 
 
+# ---------------------------------------------------------------------------
+# Compiler
+
 _VAR_RE = re.compile(r"^x(\d+)$")
+_NOT_INDEX = "variable index must use integer arithmetic over loop variables"
 
 
-class _Parser:
+def _reserved(name: str) -> bool:
+    return name in ("x", "sum") or name in FUNCTIONS or _VAR_RE.match(name) is not None
+
+
+class _Compiler:
+    """Recursive descent that emits register code as it reads.
+
+    Each ``expr``/``term``/``factor``/``atom`` call returns the register
+    holding its value.  A value that needs an instruction at slot depth
+    ``d`` lands in scratch slot ``d``; a right operand is read at
+    ``d + 1``.  So a run holds at most nesting-depth temporaries, and
+    chains such as ``x1 + x1 + ...`` reuse two slots in a loop.
+    """
+
     def __init__(self, tokens: list[_Token], n: int):
         self.tokens = tokens
         self.pos = 0
         self.n = n
-        self.scopes: list[str] = []
-        self.depth = 0
+        self.depth = 0  # nesting, capped at MAX_NESTING
+        self.env: dict[str, int] = {}  # loop variable -> value of this term
+        self.code: list = []
+        self.tail: list = []  # registers n, n+1, ... in order of first use
+        self.consts: dict[float, int] = {}
+        self.slots: list[int] = []  # register of each scratch slot
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -216,108 +172,126 @@ class _Parser:
             self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Node:
-        # Every recursive path of the grammar passes through here.
+    def enter(self):
+        # Every recursive path of both grammars passes through here.
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels")
+
+    def emit(self, fn, d: int, a: int, b: int = -1) -> int:
+        while len(self.slots) <= d:
+            self.slots.append(self.n + len(self.tail))
+            self.tail.append(None)
+        self.code.append((fn, self.slots[d], a, b))
+        return self.slots[d]
+
+    def const(self, value: float) -> int:
+        if value not in self.consts:
+            self.consts[value] = self.n + len(self.tail)
+            self.tail.append(np.float64(value))
+        return self.consts[value]
+
+    def number(self, tok: _Token) -> float:
+        value = float(tok.text)
+        if math.isinf(value):
+            self.fail(f"number {tok.text} is out of range", tok)
+        return value
+
+    def expr(self, d: int) -> int:
+        a = self.term(d)
+        while self.peek().text in ("+", "-"):
+            fn = _BINARY[self.advance().text]
+            a = self.emit(fn, d, a, self.term(d + 1))
+        return a
+
+    def term(self, d: int) -> int:
+        a = self.factor(d)
+        while self.peek().text in ("*", "/"):
+            fn = _BINARY[self.advance().text]
+            a = self.emit(fn, d, a, self.factor(d + 1))
+        return a
+
+    def factor(self, d: int) -> int:
+        self.enter()
         if self.peek().text == "-":
             self.advance()
-            node = Neg(self.parse_factor())
+            a = self.emit(operator.neg, d, self.factor(d))
         else:
-            node = self.parse_power()
+            a = self.atom(d)
+            if self.peek().text == "^":
+                self.advance()
+                a = self.emit(np.power, d, a, self.factor(d + 1))
         self.depth -= 1
-        return node
+        return a
 
-    def parse_power(self) -> Node:
-        node = self.parse_atom()
-        if self.peek().text == "^":
-            self.advance()
-            node = BinOp("^", node, self.parse_factor())
-        return node
-
-    def parse_atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = float(tok.text)
-            if math.isinf(value):
-                self.fail(f"number {tok.text} is out of range", tok)
-            return Num(value)
-        if tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if tok.kind == "name":
-            return self.parse_name()
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
-
-    def parse_name(self) -> Node:
+    def atom(self, d: int) -> int:
         tok = self.advance()
+        if tok.kind == "num":
+            return self.const(self.number(tok))
+        if tok.text == "(":
+            a = self.expr(d)
+            self.expect(")")
+            return a
+        if tok.kind != "name":
+            self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
         name = tok.text
         var = _VAR_RE.match(name)
         if var:
             index = int(var.group(1))
             if not 1 <= index <= self.n:
-                self.fail(
-                    f"variable x{index} is out of range for dimension {self.n}", tok
-                )
-            return Var(index)
+                self.fail(f"variable x{index} is out of range for dimension {self.n}", tok)
+            return index - 1
         if name == "x":
             self.expect("(")
-            index = self.parse_expr()
+            index = self.index_expr(tok)
             self.expect(")")
-            return IndexedVar(index, (tok.line, tok.col))
+            if not 1 <= index <= self.n:
+                self.fail(f"computed index evaluates to {index}, outside 1..{self.n}", tok)
+            return index - 1
         if name in FUNCTIONS:
             self.expect("(")
-            arg = self.parse_expr()
+            a = self.expr(d)
             self.expect(")")
-            return Call(name, arg)
+            return self.emit(FUNCTIONS[name], d, a)
         if name == "sum":
-            return self.parse_sum(tok)
-        if name in self.scopes:
-            return Name(name)
+            return self.sum(tok, d)
+        if name in self.env:
+            return self.const(float(self.env[name]))
         self.fail(f"unknown identifier {name!r}", tok)
 
-    def parse_sum(self, tok: _Token) -> Node:
+    def sum(self, tok: _Token, d: int) -> int:
+        """Read the body once per term, with the loop variable bound."""
         self.expect("(")
         var_tok = self.advance()
         if var_tok.kind != "name":
             self.fail("sum needs a loop variable name", var_tok)
         var = var_tok.text
-        if var == "x" or var in FUNCTIONS or var == "sum" or _VAR_RE.match(var):
+        if _reserved(var):
             self.fail(f"loop variable {var!r} shadows a reserved name", var_tok)
-        if var in self.scopes:
+        if var in self.env:
             self.fail(f"loop variable {var!r} is already in scope", var_tok)
         self.expect(",")
-        lo = self.parse_int_literal()
+        lo = self.bound()
         self.expect(",")
-        hi = self.parse_int_literal()
+        hi = self.bound()
         if lo > hi:
             self.fail(f"sum bounds must satisfy lo <= hi, got {lo} > {hi}", tok)
         self.expect(",")
-        self.scopes.append(var)
-        body = self.parse_expr()
-        self.scopes.pop()
+        body = self.pos
+        for k in range(lo, hi + 1):
+            if len(self.code) > MAX_OPERATIONS:
+                self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
+            self.pos = body
+            self.env[var] = k
+            if k == lo:
+                total = self.expr(d)
+            else:
+                total = self.emit(operator.add, d, total, self.expr(d + 1))
+        del self.env[var]
         self.expect(")")
-        return Sum(var, lo, hi, body, (tok.line, tok.col))
+        return total
 
-    def parse_int_literal(self) -> int:
+    def bound(self) -> int:
         negate = False
         if self.peek().text == "-":
             self.advance()
@@ -329,113 +303,54 @@ class _Parser:
         value = int(float(tok.text))
         return -value if negate else value
 
+    # The index grammar: integer + - * and unary minus over integer-valued
+    # literals and loop variables.  ``at`` is the ``x`` token, where a
+    # misuse is reported.
 
-# ---------------------------------------------------------------------------
-# Compiler
+    def index_expr(self, at: _Token) -> int:
+        value = self.index_term(at)
+        while self.peek().text in ("+", "-"):
+            value = _BINARY[self.advance().text](value, self.index_term(at))
+        return value
 
+    def index_term(self, at: _Token) -> int:
+        value = self.index_factor(at)
+        while self.peek().text in ("*", "/"):
+            if self.advance().text == "/":
+                self.fail(_NOT_INDEX, at)
+            value *= self.index_factor(at)
+        return value
 
-@dataclass(frozen=True)
-class _Apply:
-    """Pending instruction: apply ``fn`` to the last one or two operands."""
-
-    fn: object
-    unary: bool
-
-
-@dataclass(frozen=True)
-class _Terms:
-    """Pending terms ``k..hi`` of a sum, each added to the running total."""
-
-    sum: Sum
-    k: int
-
-
-_APPLY = {
-    **{sym: _Apply(fn, False) for sym, fn in _BINARY.items()},
-    **{name: _Apply(fn, True) for name, fn in FUNCTIONS.items()},
-    "neg": _Apply(operator.neg, True),
-}
-_INDEX_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _resolve_index(node: IndexedVar, env: dict[str, int], n: int) -> int:
-    """The 1-based coordinate a computed index names under ``env``."""
-    line, col = node.pos
-    values: list[int] = []
-    todo: list = [node.index]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):  # an operator, its operands done
-            b = values.pop()
-            values.append(-b if item == "neg" else _INDEX_OPS[item](values.pop(), b))
-        elif isinstance(item, Name):
-            values.append(env[item.name])
-        elif isinstance(item, Num):
-            if not item.value.is_integer():
-                raise ExprParseError("variable index must be an integer", line, col)
-            values.append(int(item.value))
-        elif isinstance(item, Neg):
-            todo += ["neg", item.arg]
-        elif isinstance(item, BinOp) and item.op in _INDEX_OPS:
-            todo += [item.op, item.rhs, item.lhs]
+    def index_factor(self, at: _Token) -> int:
+        self.enter()
+        if self.peek().text == "-":
+            self.advance()
+            value = -self.index_factor(at)
         else:
-            raise ExprParseError(
-                "variable index must use integer arithmetic over loop variables", line, col
-            )
-    (idx,) = values
-    if not 1 <= idx <= n:
-        raise ExprParseError(f"computed index evaluates to {idx}, outside 1..{n}", line, col)
-    return idx
+            value = self.index_atom(at)
+            if self.peek().text == "^":
+                self.fail(_NOT_INDEX, at)
+        self.depth -= 1
+        return value
 
-
-def _compile(root: Node, n: int) -> Expr:
-    """Lower a tree to flat code, iteratively, since trees can be thousands deep.
-
-    A subtree compiled at stack depth d leaves its value in scratch slot
-    d, so a run holds at most tree-depth temporaries.
-    """
-    tail: list = []  # registers n, n+1, ... in order of first use
-    consts: dict[float, int] = {}
-    slots: list[int] = []  # register of each scratch slot
-    code = []
-    operands = []  # register of each finished subtree
-    todo: list = [(root, {}, 0)]
-    while todo:
-        node, env, d = todo.pop()
-        kind = type(node)
-        if kind is _Apply:
-            b = -1 if node.unary else operands.pop()
-            while len(slots) <= d:
-                slots.append(n + len(tail))
-                tail.append(None)
-            code.append((node.fn, slots[d], operands.pop(), b))
-            operands.append(slots[d])
-        elif kind is Var:
-            operands.append(node.index - 1)
-        elif kind is IndexedVar:
-            operands.append(_resolve_index(node, env, n) - 1)
-        elif kind is Num or kind is Name:
-            value = node.value if kind is Num else float(env[node.name])
-            if value not in consts:
-                consts[value] = n + len(tail)
-                tail.append(np.float64(value))
-            operands.append(consts[value])
-        elif kind is BinOp:
-            todo += [(_APPLY[node.op], env, d), (node.rhs, env, d + 1), (node.lhs, env, d)]
-        elif kind is Neg or kind is Call:
-            todo += [(_APPLY[node.fn if kind is Call else "neg"], env, d), (node.arg, env, d)]
-        elif kind is Sum:
-            todo.append((_Terms(node, node.lo), env, d))
-        else:  # _Terms: compile term k, add it to the total so far, go on
-            s, k = node.sum, node.k
-            if len(code) > MAX_OPERATIONS:
-                raise ExprParseError(f"sum expands to more than {MAX_OPERATIONS} operations", *s.pos)
-            if k < s.hi:
-                todo.append((_Terms(s, k + 1), env, d))
-            if k > s.lo:
-                todo.append((_APPLY["+"], env, d))
-            todo.append((s.body, {**env, s.var: k}, d + (k > s.lo)))
-    return Expr(n, tuple(code), tuple(tail), operands.pop())
+    def index_atom(self, at: _Token) -> int:
+        tok = self.advance()
+        if tok.kind == "num":
+            value = self.number(tok)
+            if not value.is_integer():
+                self.fail("variable index must be an integer", at)
+            return int(value)
+        if tok.text == "(":
+            value = self.index_expr(at)
+            self.expect(")")
+            return value
+        if tok.kind == "name":
+            if tok.text in self.env:
+                return self.env[tok.text]
+            if _reserved(tok.text):
+                self.fail(_NOT_INDEX, at)
+            self.fail(f"unknown identifier {tok.text!r}", tok)
+        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
 
 def parse(src: str, n: int) -> Expr:
@@ -443,16 +358,16 @@ def parse(src: str, n: int) -> Expr:
 
     Raises :class:`ExprParseError` (with line/column) on syntax errors,
     unknown identifiers, out-of-range variable indices, too deep nesting
-    and too large expansions.
+    and too large expansions; with more than one, the first read wins.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    parser = _Parser(_tokenize(src), n)
-    node = parser.parse_expr()
-    tok = parser.peek()
+    compiler = _Compiler(_tokenize(src), n)
+    out = compiler.expr(0)
+    tok = compiler.peek()
     if tok.kind != "end":
-        parser.fail(f"unexpected trailing {tok.text!r}", tok)
-    return _compile(node, n)
+        compiler.fail(f"unexpected trailing {tok.text!r}", tok)
+    return Expr(n, tuple(compiler.code), tuple(compiler.tail), out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ format consumed by the command line::
       "known_optimum": -0.0096019  # optional: a finite number or null
     }
 
-Malformed data (a non-numeric entry in ``A`` or ``b``, a ragged row, a
-``known_optimum`` that is not a finite number) raises
-:class:`InvalidInstanceError`.
+Malformed data (an entry of ``A`` or ``b`` that is not a JSON number,
+such as ``"0.5"`` or ``true``, a ragged row, a ``known_optimum`` that is
+not a finite number) raises :class:`InvalidInstanceError`.
 """
 
 from __future__ import annotations
@@ -64,9 +64,21 @@ def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:
         raise InvalidInstanceError("'name' must be a string")
     if not isinstance(data["objective"], str):
         raise InvalidInstanceError("'objective' must be a string expression")
+    for key in ("A", "b"):
+        _check_numbers(key, data[key])
     return make_problem(
         name, data["A"], data["b"], data["objective"], _known_optimum(data.get("known_optimum"))
     )
+
+
+def _check_numbers(key: str, value) -> None:
+    """Refuse JSON strings and booleans in ``A`` or ``b``, which numpy
+    would read as numbers ("0.5" as 0.5, true as 1.0)."""
+    for row in value if isinstance(value, list) else [value]:
+        if not {str, bool}.isdisjoint(map(type, row if isinstance(row, list) else [row])):
+            raise InvalidInstanceError(
+                f"entries of {key!r} must be numbers, not strings or booleans"
+            )
 
 
 def _known_optimum(value) -> float | None:

@@ -113,7 +113,10 @@ def test_solve_trace_quotes_problem_name(capsys, tmp_path):
     assert float(rows[-1]["best_so_far"]) == json.loads(out)["best_f"]
 
 
-@pytest.mark.parametrize("key,value", [("known_optimum", [1]), ("A", {"a": 1})])
+@pytest.mark.parametrize(
+    "key,value",
+    [("known_optimum", [1]), ("A", {"a": 1}), ("b", ["0.7", *EX_B[1:]])],
+)
 def test_solve_malformed_instance_data_exits_one(capsys, tmp_path, key, value):
     path = tmp_path / "malformed.json"
     payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": EX_OBJECTIVE}

@@ -521,6 +521,22 @@ def test_config_rejects_non_finite(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("s_pop", 50.0), ("t_max", 2.5), ("samples_per_iter", 1.5), ("seed", 1.5), ("seed", "3")],
+)
+def test_config_rejects_non_integral_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = SolverConfig(s_pop=np.int64(10), t_max=np.int32(3), seed=np.int64(7))
+    plain = SolverConfig(s_pop=10, t_max=3, seed=7)
+    assert config == plain and type(config.seed) is int
+    assert run(builtin_problem(1), config).best.f == run(builtin_problem(1), plain).best.f
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(s_pop=1)
@@ -530,3 +546,5 @@ def test_config_validation():
         SolverConfig(rho=1.0)
     with pytest.raises(ValueError):
         SolverConfig(t_max=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SolverConfig(seed=-1)

@@ -83,6 +83,9 @@ def test_syntax_error_reports_position():
         parse("x1 + * x2", 2)
     assert info.value.line == 1
     assert info.value.col == 6
+    with pytest.raises(ExprParseError) as info:
+        parse("x1 +\r\n\t x2 $", 2)  # a line starts after each newline
+    assert (info.value.line, info.value.col) == (2, 6)
 
 
 def test_unknown_identifier():
@@ -166,8 +169,9 @@ def test_thousands_of_terms_parse_and_evaluate(x1):
         "-" * 2000 + "x1",
         "2^" * 300 + "x1",
         "sin(" * 300 + "x1" + ")" * 300,
+        "x(" + "(" * 300 + "1" + ")" * 300 + ")",
     ],
-    ids=["parentheses", "unary-minus", "power", "calls"],
+    ids=["parentheses", "unary-minus", "power", "calls", "index-parentheses"],
 )
 def test_nesting_beyond_limit_is_a_parse_error(src):
     with pytest.raises(ExprParseError):
@@ -185,6 +189,19 @@ def test_computed_index_must_be_integer_arithmetic():
         parse("sum(k, 1, 3, x(k/2))", 3)
     with pytest.raises(ExprParseError):
         parse("x(1.5)", 3)
+    for src in ["x(x1)", "x(sin(1))", "x(2^1)", "x(sum(k, 1, 2, k))"]:
+        with pytest.raises(ExprParseError, match="integer arithmetic") as info:
+            parse(src, 3)
+        assert (info.value.line, info.value.col) == (1, 1), src
+    # unary minus and parentheses are integer arithmetic too
+    assert parse("x(--1) + x((1 + 1)*1)", 2) == parse("x1 + x2", 2)
+
+
+def test_first_error_in_reading_order_is_reported():
+    # the index (column 14) is read before the stray ")" (column 26)
+    with pytest.raises(ExprParseError, match="computed index evaluates to 6") as info:
+        parse("sum(k, 1, 3, x(k + 5)) + )", 3)
+    assert (info.value.line, info.value.col) == (1, 14)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,11 @@ def test_integer_known_optimum_reads_as_float():
         ("A", [[{"a": 1}] * 6] * 5),
         ("b", {"b": 1}),
         ("b", [0.7, [0.5], 0.3, 0.1, 0.6]),
+        # JSON strings and booleans, which numpy would read as numbers
+        ("A", [["0.7", *EX_A[0][1:]], *EX_A[1:]]),
+        ("A", [*EX_A[:3], [False, *EX_A[3][1:]], EX_A[4]]),
+        ("b", ["0.7", *EX_B[1:]]),
+        ("b", [True, *EX_B[1:]]),
     ],
 )
 def test_non_numeric_matrix_data_rejected(key, value):
