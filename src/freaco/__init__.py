@@ -42,7 +42,6 @@ from .fre import (
     compute_candidate_sets,
     compute_max_solution,
     is_feasible,
-    max_min_compose,
     path_space_size,
     path_to_candidate,
     residual,
@@ -98,7 +97,6 @@ __all__ = [
     "is_feasible",
     "load_problem_file",
     "make_problem",
-    "max_min_compose",
     "parse",
     "path_space_size",
     "path_to_candidate",

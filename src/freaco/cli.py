@@ -26,12 +26,7 @@ from .errors import (
     InvalidInstanceError,
     PathSpaceTooLargeError,
 )
-from .fre import (
-    compute_candidate_sets,
-    compute_max_solution,
-    path_space_size,
-    path_to_candidate,
-)
+from .fre import path_space_size, path_to_candidate
 from .oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL, reference_optimum
 from .problems import Problem, builtin_problem, builtin_problems, load_problem_file
 
@@ -199,12 +194,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     problem = _load(args)
-    inst = problem.instance
-    xbar = compute_max_solution(inst)
-    sets = compute_candidate_sets(inst, xbar)
+    inst, sets = problem.instance, problem.sets
     header = {
         "problem": problem.name,
-        "xbar": [float(v) for v in xbar],
+        "xbar": [float(v) for v in problem.xbar],
         "jbar": [[int(j) + 1 for j in cols] for cols in sets],
         "path_count": path_space_size(sets),
     }

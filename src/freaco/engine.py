@@ -47,16 +47,18 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .expr import evaluate_many
-from .fre import compute_candidate_sets, compute_max_solution, path_to_candidate
+from .fre import path_to_candidate
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
+#: :func:`run_many` lowers the upper clamp where the configuration needs it.
 DEPOSIT_EXP_LIMIT = 700.0
 
 #: Row sums of pheromone below this are reset to the initial uniform row.
@@ -244,25 +246,30 @@ def gaussian_samples(
 
 
 def update_pheromone(
-    tau: PheromoneMatrix, f: np.ndarray, E: np.ndarray, big_q: float, rho: float
+    tau: PheromoneMatrix,
+    f: np.ndarray,
+    E: np.ndarray,
+    big_q: float,
+    rho: float,
+    limit: float = DEPOSIT_EXP_LIMIT,
 ) -> np.ndarray:
     """Deposit ``big_q * exp(-f[r, s])`` on every entry of path ``E[r, s]``,
     then evaporate; return the row sums (R x m) that the next path draw uses.
 
     ``tau.values`` is stacked over runs (R x m x n) and C-contiguous, so
     one flat index reaches every entry.  Each run's deposits are added
-    member by member in the order given.  The exponent is clamped to +-700
-    so extreme objective values degrade to zero (or the double ceiling)
-    instead of overflowing.  Rows whose sum underflows below
-    ROW_SUM_FLOOR (possible when every deposit is ~exp(-700) and
-    evaporation keeps halving) are reset to the initial uniform row so the
-    selection probabilities stay well defined.
+    member by member in the order given.  The exponent ``-f`` is clamped
+    to ``[-DEPOSIT_EXP_LIMIT, limit]`` so extreme objective values degrade
+    to a zero (or a bounded) deposit instead of overflowing.  Rows whose
+    sum underflows below ROW_SUM_FLOOR (possible when every deposit is
+    ~exp(-700) and evaporation keeps halving) are reset to the initial
+    uniform row so the selection probabilities stay well defined.
     """
     values = tau.values
     if not values.flags.c_contiguous:  # a flat reshape would be a copy
         raise ValueError("pheromone values must be C-contiguous")
     runs, m, n = values.shape
-    exponents = (-f.clip(-DEPOSIT_EXP_LIMIT, DEPOSIT_EXP_LIMIT)).ravel().tolist()
+    exponents = (-f).clip(-DEPOSIT_EXP_LIMIT, limit).ravel().tolist()
     amounts = big_q * np.fromiter(map(math.exp, exponents), float, len(exponents))
     entries = E + np.arange(0, runs * m * n, n).reshape(runs, 1, m)  # (r, i, E[r, s, i])
     np.add.at(values.reshape(-1), entries.ravel(), amounts.repeat(m))
@@ -317,22 +324,34 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     of read-only :class:`ArchiveSolution` views, best first, and its
     pheromone (m x n).
 
-    Raises :class:`InfeasibleInstanceError` (carrying the maximum point
-    and the violated rows) when the constraint system has no solution.
+    The cells come from the structure the problem carries
+    (``problem.xbar`` and ``problem.sets``).  The deposit exponent's upper
+    clamp is the lesser of ``DEPOSIT_EXP_LIMIT`` and the largest value
+    for which ``4 * s_pop * H * big_q * exp(clamp)`` fits in a double,
+    where ``H`` is ``t_max``, or ``min(t_max, 1 / rho)`` with evaporation:
+    a row gains at most ``s_pop`` deposits per iteration and keeps at most
+    ``H`` iterations' worth, so every pheromone entry and row sum stays at
+    or below a quarter of the double ceiling plus its start value, and
+    every probability is finite.  The default configuration keeps 700.
     """
     seeds = list(seeds)
     inst, objective = problem.instance, problem.objective
     m, n, s_pop, k = inst.m, inst.n, config.s_pop, config.samples_per_iter
     gens = [np.random.default_rng(seed) for seed in seeds]
     runs = len(gens)
-    xbar = compute_max_solution(inst)
-    sets = compute_candidate_sets(inst, xbar)  # raises when infeasible
+    xbar, sets = problem.xbar, problem.sets
     table = candidate_table(sets)
     support = init_pheromone(sets, n).support
     tau = PheromoneMatrix(np.repeat(support[None].astype(float), runs, axis=0), support)
     per_run = [PheromoneMatrix(values, support) for values in tau.values]
     sums = tau.values.sum(axis=2)
     cw = np.cumsum(weights(s_pop, config.q))
+    horizon = config.t_max if config.rho == 0 else min(config.t_max, 1 / config.rho)
+    # in log space: the bound itself overflows near big_q = DBL_MAX
+    limit = min(
+        DEPOSIT_EXP_LIMIT,
+        math.log(sys.float_info.max) - math.log(4 * s_pop * horizon) - math.log(config.big_q),
+    )
     trace = np.empty((runs, config.t_max))
 
     first = np.empty((runs, s_pop * (m + n)))
@@ -360,7 +379,7 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
             f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, k)
             samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks])
             archive = keep_best(archive, samples, s_pop)
-        sums = update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho)
+        sums = update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho, limit)
         trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:
             for r in range(runs):

@@ -74,6 +74,9 @@ class Instance:
         object.__setattr__(self, "A", _readonly(A.copy()))
         object.__setattr__(self, "b", _readonly(b.copy()))
 
+    def __setstate__(self, state):  # numpy unpickles arrays writeable
+        self.__dict__.update({key: _readonly(a) for key, a in state.items()})
+
     @property
     def m(self) -> int:
         return self.A.shape[0]
@@ -83,16 +86,9 @@ class Instance:
         return self.A.shape[1]
 
 
-def max_min_compose(inst: Instance, x) -> np.ndarray:
-    """Row-wise ``max_j min(a_ij, x_j)``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise DimensionMismatchError("x", inst.n, x.shape[0] if x.ndim == 1 else -1)
-    return np.minimum(inst.A, x).max(axis=1)
-
-
 def compose_many(inst: Instance, X) -> np.ndarray:
-    """Vectorized :func:`max_min_compose` over rows of ``X`` (N x n -> N x m)."""
+    """Row-wise ``max_j min(a_ij, x_j)`` for every point ``x`` in the rows
+    of ``X`` (N x n -> N x m)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != inst.n:
         raise DimensionMismatchError("X columns", inst.n, X.shape[-1])
@@ -101,8 +97,11 @@ def compose_many(inst: Instance, X) -> np.ndarray:
 
 
 def residual(inst: Instance, x) -> float:
-    """Sup-norm distance between ``A phi x`` and ``b``."""
-    return float(np.abs(max_min_compose(inst, x) - inst.b).max())
+    """Sup-norm distance between ``A phi x`` and ``b`` for one point ``x``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (inst.n,):
+        raise DimensionMismatchError("x", inst.n, x.shape[0] if x.ndim == 1 else -1)
+    return float(np.abs(compose_many(inst, x[None])[0] - inst.b).max())
 
 
 def compute_max_solution(inst: Instance) -> np.ndarray:

@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import PathSpaceTooLargeError
 from .expr import evaluate_many
-from .fre import (
-    Instance,
-    compute_candidate_sets,
-    compute_max_solution,
-    path_space_size,
-    path_to_candidate,
-)
+from .fre import Instance, path_space_size, path_to_candidate
 from .problems import Problem
 
 DEFAULT_PATH_CAP = 10**6
@@ -118,19 +112,25 @@ def reference_optimum(
 ) -> OracleReport:
     """Dense search of the whole feasible region, cell by cell.
 
-    Enumerates every path (within ``cap``), deduplicates the cells they
-    span, draws ``samples_per_cell`` uniform points per cell (plus both
-    corners) and refines each cell's best sample by clamped coordinate
-    pattern search over ``REFINE_STEPS`` step halvings.  The returned
-    best is the minimum over cells; on exact ties the cell with the
-    lexicographically smallest lower corner wins.
+    Enumerates every path of the problem's candidate sets
+    (``problem.sets``, within ``cap``), deduplicates the cells they span,
+    draws ``samples_per_cell`` uniform points per cell (plus both corners)
+    and refines each cell's best sample by clamped coordinate pattern
+    search over ``REFINE_STEPS`` step halvings.  The returned best is the
+    minimum over cells; on exact ties the cell with the lexicographically
+    smallest lower corner wins.
+
+    Raises :class:`ValueError` when ``samples_per_cell < 0`` or
+    ``cap < 1``, before enumerating anything.
     """
+    if samples_per_cell < 0:
+        raise ValueError(f"samples_per_cell must be >= 0, got {samples_per_cell}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     if rng is None:
         rng = np.random.default_rng(0)
-    inst = problem.instance
-    xbar = compute_max_solution(inst)
-    sets = compute_candidate_sets(inst, xbar)
-    paths = enumerate_paths(sets, cap)
+    inst, xbar = problem.instance, problem.xbar
+    paths = enumerate_paths(problem.sets, cap)
     lows = np.unique(path_to_candidate(paths, inst.b, inst.n), axis=0)
     K, n = lows.shape
 

@@ -14,29 +14,58 @@ format consumed by the command line::
 Malformed data (an entry of ``A`` or ``b`` that is not a JSON number,
 such as ``"0.5"`` or ``true``, a ragged row, a ``known_optimum`` that is
 not a finite number) raises :class:`InvalidInstanceError`.
+
+A :class:`Problem` is feasible by construction: building one computes the
+system's greatest solution ``xbar`` and its per-row candidate sets once,
+raising :class:`InfeasibleInstanceError` when some row has no candidate.
+The solver, the oracle and the command line read that structure from the
+problem instead of deriving it again.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidInstanceError
 from .expr import Expr, parse
-from .fre import Instance, compute_candidate_sets
+from .fre import Instance, compute_candidate_sets, compute_max_solution
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A named, feasible minimization problem over a constraint instance."""
+    """A named minimization problem over a constraint instance, feasible by type.
+
+    ``xbar`` (the greatest solution, length n) and ``sets`` (one array of
+    candidate columns per row) are computed once, when the problem is
+    built, and are read-only.  Building a problem over an unsolvable
+    system raises :class:`InfeasibleInstanceError`, carrying ``xbar`` and
+    the rows it violates.
+    """
 
     name: str
     instance: Instance
     objective: Expr
     objective_src: str
     known_optimum: float | None = None
+    xbar: np.ndarray = field(init=False, repr=False, compare=False)
+    sets: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        xbar = compute_max_solution(self.instance)
+        sets = compute_candidate_sets(self.instance, xbar)  # raises when infeasible
+        self.__setstate__({"xbar": xbar, "sets": tuple(sets)})
+
+    def __setstate__(self, state):
+        """Store ``state`` with its arrays read-only.  Unpickling calls this
+        too, because numpy unpickles arrays writeable."""
+        for a in (state["xbar"], *state["sets"]):
+            a.setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def n(self) -> int:
@@ -46,11 +75,9 @@ class Problem:
 def make_problem(
     name: str, A, b, objective_src: str, known_optimum: float | None = None
 ) -> Problem:
-    """Validate data, parse the objective and check feasibility."""
+    """Validate data, parse the objective and build the (feasible) problem."""
     instance = Instance(A, b)
-    expr = parse(objective_src, instance.n)
-    compute_candidate_sets(instance)  # raises InfeasibleInstanceError
-    return Problem(name, instance, expr, objective_src, known_optimum)
+    return Problem(name, instance, parse(objective_src, instance.n), objective_src, known_optimum)
 
 
 def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:

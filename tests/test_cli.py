@@ -1,10 +1,9 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from freaco import EPS_EQ, Instance, SolverConfig, max_min_compose
+from freaco import EPS_EQ, Instance, SolverConfig, residual
 from freaco import cli
 from freaco.cli import build_parser, main
 from freaco.oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL
@@ -258,6 +257,17 @@ def test_verify_cap_exceeded_exits_three(capsys):
     assert payload["waived"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--samples", "-1"], "samples_per_cell"), (["--cap", "-5"], "cap"), (["--cap", "0"], "cap")],
+)
+def test_verify_nonsense_sizes_exit_one(capsys, flags, message):
+    code, out, err = call(capsys, ["verify", "--builtin", "3", *flags])
+    assert code == 1
+    assert out == ""
+    assert f"error: {message} must be >= " in err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -276,8 +286,7 @@ def test_enumerate_worked_example(capsys, ex1_file, monkeypatch):
     inst = Instance(EX_A, EX_B)
     for line in paths:
         assert all(line["path"][i] in header["jbar"][i] for i in range(5))
-        gap = np.abs(max_min_compose(inst, np.array(line["candidate"])) - inst.b)
-        assert gap.max() <= EPS_EQ
+        assert residual(inst, line["candidate"]) <= EPS_EQ
 
 
 def test_enumerate_max_zero_prints_header_only(capsys, ex1_file):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -492,14 +493,14 @@ def test_every_archive_point_feasible_throughout(ex_problem):
 
 
 def test_infeasible_problem_raises_with_rows():
-    # A phi xbar caps row 1 at 0.2 < 0.5, so the system is unsolvable;
-    # built directly as a Problem to bypass the loader's own check
+    # A phi xbar caps row 1 at 0.2 < 0.5, so the system is unsolvable; a
+    # Problem is feasible by construction, so building it directly raises
+    # before any run can start
     from freaco import Problem, parse
 
     inst = Instance([[0.2, 0.1], [0.9, 0.8]], [0.5, 0.3])
-    problem = Problem("bad", inst, parse("x1", 2), "x1", None)
     with pytest.raises(InfeasibleInstanceError) as info:
-        run(problem, SolverConfig(seed=0))
+        Problem("bad", inst, parse("x1", 2), "x1", None)
     assert info.value.rows.tolist() == [0]
     assert np.array_equal(info.value.xbar, [0.3, 0.3])
 
@@ -548,3 +549,26 @@ def test_config_validation():
         SolverConfig(t_max=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "objective, big_q, rho",
+    [(EX_OBJECTIVE, 1e308, 0.5), (EX_OBJECTIVE, 1e308, 0.0), ("-1000 - x1", 1e5, 0.01)],
+    ids=["big-deposit", "big-deposit-no-evaporation", "negative-objective"],
+)
+def test_huge_deposits_keep_pheromone_finite(objective, big_q, rho):
+    # deposits that would overflow to inf (and turn every probability into
+    # NaN) are clamped by an exponent cap derived from the config
+    problem = make_problem("deposit", EX_A, EX_B, objective)
+    final = []
+
+    def observer(t, archive, tau):
+        final[:] = [tau.values.copy(), probability_matrix(tau)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(problem, SolverConfig(seed=4, t_max=20, big_q=big_q, rho=rho), observer)
+    values, p = final
+    assert np.isfinite(values).all() and np.isfinite(p).all()
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert np.isfinite(result.best.f)

@@ -12,7 +12,6 @@ from freaco import (
     compute_candidate_sets,
     compute_max_solution,
     is_feasible,
-    max_min_compose,
     path_space_size,
     path_to_candidate,
     residual,
@@ -52,12 +51,13 @@ def test_instance_validation():
 
 
 def test_compose_worked_example(ex_instance):
-    assert np.array_equal(max_min_compose(ex_instance, EX_XBAR), ex_instance.b)
+    assert np.array_equal(compose_many(ex_instance, [EX_XBAR])[0], ex_instance.b)
+    assert residual(ex_instance, EX_XBAR) == 0.0
 
 
 def test_compose_all_zero_matrix():
     inst = Instance(np.zeros((3, 4)), np.zeros(3))
-    assert np.array_equal(max_min_compose(inst, np.full(4, 0.9)), np.zeros(3))
+    assert np.array_equal(compose_many(inst, np.full((1, 4), 0.9)), np.zeros((1, 3)))
 
 
 def test_compose_matches_naive_loop():
@@ -65,12 +65,16 @@ def test_compose_matches_naive_loop():
     for _ in range(25):
         inst = Instance(rng.random((3, 3)), rng.random(3))
         x = rng.random(3)
-        assert np.allclose(max_min_compose(inst, x), naive_compose(inst.A, x), atol=0)
+        assert np.array_equal(compose_many(inst, x[None])[0], naive_compose(inst.A, x))
 
 
 def test_compose_dimension_mismatch(ex_instance):
-    with pytest.raises(DimensionMismatchError):
-        max_min_compose(ex_instance, np.zeros(5))
+    with pytest.raises(DimensionMismatchError, match="^X columns: expected length 6, got 5"):
+        compose_many(ex_instance, np.zeros((1, 5)))
+    # one point: a vector of length n, not a batch
+    for x, got in ((np.zeros(5), 5), (np.zeros((1, 6)), -1)):
+        with pytest.raises(DimensionMismatchError, match=f"^x: expected length 6, got {got}$"):
+            residual(ex_instance, x)
 
 
 def test_compose_many_matches_single(ex_instance):
@@ -78,7 +82,8 @@ def test_compose_many_matches_single(ex_instance):
     X = rng.random((40, ex_instance.n))
     stacked = compose_many(ex_instance, X)
     for k in range(X.shape[0]):
-        assert np.array_equal(stacked[k], max_min_compose(ex_instance, X[k]))
+        assert np.array_equal(stacked[k], naive_compose(ex_instance.A, X[k]))
+        assert residual(ex_instance, X[k]) == np.abs(stacked[k] - ex_instance.b).max()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +197,7 @@ def test_candidate_sets_fail_exactly_on_rows_xbar_misses():
         m, n = rng.integers(1, 6, size=2)
         inst = Instance(rng.integers(0, 6, (m, n)) / 5, rng.integers(0, 6, m) / 5)
         xbar = compute_max_solution(inst)
-        missed = np.flatnonzero(np.abs(max_min_compose(inst, xbar) - inst.b) > EPS_EQ)
+        missed = np.flatnonzero(np.abs(compose_many(inst, [xbar])[0] - inst.b) > EPS_EQ)
         try:
             compute_candidate_sets(inst, xbar)
         except InfeasibleInstanceError as exc:

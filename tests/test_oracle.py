@@ -12,7 +12,6 @@ from freaco import (
     enumerate_paths,
     is_feasible,
     make_problem,
-    max_min_compose,
     path_space_size,
     path_to_candidate,
     random_feasible_instance,
@@ -173,7 +172,7 @@ def test_candidates_of_generated_instances_solve_them():
         sets = compute_candidate_sets(inst)
         for e in enumerate_paths(sets):
             lower = path_to_candidate(e, inst.b, inst.n)
-            assert np.abs(max_min_compose(inst, lower) - inst.b).max() <= EPS_EQ
+            assert residual(inst, lower) <= EPS_EQ
 
 
 def test_generator_argument_validation():
@@ -181,3 +180,14 @@ def test_generator_argument_validation():
         random_feasible_instance(0, 3)
     with pytest.raises(ValueError):
         random_feasible_instance(2, 2, density=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"samples_per_cell": -1}, "samples_per_cell"), ({"cap": 0}, "cap"), ({"cap": -5}, "cap")],
+)
+def test_reference_optimum_rejects_nonsense_sizes(kwargs, name):
+    # checked before enumerating: cap=1 alone would raise PathSpaceTooLargeError
+    problem = builtin_problem(5)
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        reference_optimum(problem, **{"cap": 1, **kwargs})

@@ -1,22 +1,35 @@
 import json
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freaco import (
     EPS_EQ,
     InfeasibleInstanceError,
     InvalidInstanceError,
+    Problem,
+    SolverConfig,
     builtin_problem,
     builtin_problems,
+    compute_candidate_sets,
     evaluate,
     is_feasible,
     load_problem_file,
+    parse,
     problem_from_dict,
+    random_feasible_instance,
+    reference_optimum,
     residual,
     compute_max_solution,
+    run,
+    run_many,
 )
+from freaco import cli
 
 from conftest import EX_A, EX_B, EX_OBJECTIVE
 
@@ -314,3 +327,64 @@ def test_invalid_json_rejected(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidInstanceError):
         load_problem_file(path)
+
+
+# ---------------------------------------------------------------------------
+# the structure a Problem carries
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    density=st.sampled_from([1.0, 0.7, 0.4, 0.15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_problem_structure_matches_fre_and_survives_pickling(m, n, density, seed):
+    inst = random_feasible_instance(m, n, density, rng=np.random.default_rng(seed))
+    problem = Problem("planted", inst, parse("x1", n), "x1")
+    xbar = compute_max_solution(inst)
+    sets = compute_candidate_sets(inst, xbar)
+    copy = pickle.loads(pickle.dumps(problem))
+    for p in (problem, copy):
+        assert np.array_equal(p.xbar, xbar)
+        assert isinstance(p.sets, tuple) and len(p.sets) == m
+        assert all(np.array_equal(a, b) for a, b in zip(p.sets, sets))
+        for a in (p.xbar, *p.sets, p.instance.A, p.instance.b):
+            assert not a.flags.writeable
+
+
+def test_structure_fields_stay_out_of_init_and_repr():
+    problem = builtin_problem(1)
+    assert "xbar" not in repr(problem) and "sets" not in repr(problem)
+    with pytest.raises(TypeError):
+        Problem("p", problem.instance, problem.objective, problem.objective_src, None, problem.xbar)
+
+
+def test_structure_is_computed_once_per_problem(monkeypatch, capsys):
+    # Wrap the two structure functions wherever a freaco module binds
+    # them; a problem that is already built must not need them again.
+    problem = builtin_problem(5)
+    calls = []
+    for fn in (compute_max_solution, compute_candidate_sets):
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "freaco" or name.startswith("freaco."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+
+    Problem("again", problem.instance, problem.objective, problem.objective_src)
+    assert sorted(calls) == ["compute_candidate_sets", "compute_max_solution"]
+    calls.clear()
+    config = SolverConfig(t_max=3)
+    run(problem, config)
+    run_many(problem, config, [1, 2])
+    reference_optimum(problem, samples_per_cell=2)
+    assert cli.main(["enumerate", "--builtin", "5", "--max", "3"]) == 0
+    capsys.readouterr()
+    assert calls == []
