@@ -26,6 +26,7 @@ import numpy as np
 
 from .engine import RunResult, SolverConfig, run_many
 from .errors import ExperimentError
+from .fre import Record
 from .problems import Problem
 
 
@@ -42,8 +43,8 @@ class ExperimentSpec:
             raise ValueError("runs must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProblemSummary:
+@dataclass(frozen=True, eq=False)
+class ProblemSummary(Record):
     name: str
     known_optimum: float | None
     avg_best: float
@@ -53,11 +54,6 @@ class ProblemSummary:
     mean_eval_count: float
     mean_error: float | None  # None when no optimum is recorded
     trace: np.ndarray  # runs x t_max, row r = run with seed base_seed + r
-
-    def __post_init__(self):
-        trace = np.asarray(self.trace, dtype=float)
-        trace.setflags(write=False)
-        object.__setattr__(self, "trace", trace)
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,9 @@ def _cmd_bench(args) -> int:
             summaries.append(outcome)
     summary = bench_mod.ExperimentSummary(
         problems=tuple(summaries),
-        runs=args.runs,
-        base_seed=args.seed,
-        config=SolverConfig(),
+        runs=spec.runs,
+        base_seed=spec.base_seed,
+        config=spec.config,
     )
     bench_mod.export(summary, "csv", os.path.join(args.out, "summary.csv"))
     bench_mod.export(summary, "json", os.path.join(args.out, "summary.json"))

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import evaluate_many
-from .fre import path_to_candidate
+from .fre import Record, path_to_candidate
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
@@ -88,6 +88,8 @@ class SolverConfig:
         for name, value in (("q", self.q), ("xi", self.xi), ("big_q", self.big_q)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        if self.q * self.s_pop < sys.float_info.min:  # the rank weights' scale
+            raise ValueError(f"q * s_pop must be >= {sys.float_info.min:g}")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
         if self.t_max < 1:
@@ -98,21 +100,14 @@ class SolverConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class ArchiveSolution:
+@dataclass(frozen=True, eq=False)
+class ArchiveSolution(Record):
     """A feasible point plus the cell (lower bound and path) it came from."""
 
     x: np.ndarray
     lb: np.ndarray
     e: np.ndarray
     f: float
-
-    def __post_init__(self):
-        for name in ("x", "lb", "e"):
-            arr = getattr(self, name)
-            arr = np.asarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass
@@ -128,18 +123,13 @@ class PheromoneMatrix:
     support: np.ndarray
 
 
-@dataclass(frozen=True)
-class RunResult:
+@dataclass(frozen=True, eq=False)
+class RunResult(Record):
     best: ArchiveSolution
     trace: np.ndarray  # best-so-far objective value after each iteration
     eval_count: int
     seed: int
     config: SolverConfig
-
-    def __post_init__(self):
-        trace = np.asarray(self.trace, dtype=float)
-        trace.setflags(write=False)
-        object.__setattr__(self, "trace", trace)
 
 
 class Archive(NamedTuple):
@@ -210,7 +200,9 @@ def weights(s_pop: int, q: float) -> np.ndarray:
     """Rank weights: Gaussian in the rank with mean 1 and spread q*s_pop."""
     ranks = np.arange(1, s_pop + 1, dtype=float)
     scale = q * s_pop
-    return np.exp(-0.5 * ((ranks - 1.0) / scale) ** 2) / (math.sqrt(2 * math.pi) * scale)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact weight
+        exponent = -0.5 * ((ranks - 1.0) / scale) ** 2
+    return np.exp(exponent) / (math.sqrt(2 * math.pi) * scale)
 
 
 def select_rank(cw: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -39,13 +39,31 @@ from .errors import (
 EPS_EQ = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _readonly_view(value):
+    """``value`` with each ndarray, itself or an item of a tuple, as a read-only view."""
+    if type(value) is tuple:
+        return tuple(map(_readonly_view, value))
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.setflags(write=False)
+    return value
 
 
-@dataclass(frozen=True)
-class Instance:
+class Record:
+    """Base of the package's immutable results: ``@dataclass(frozen=True, eq=False)``
+    subclasses, which compare and hash by identity.  Every ndarray field, also in a
+    tuple field, is held as a read-only view, so the caller's array stays writeable
+    and an unpickled record is read-only too."""
+
+    def __post_init__(self):
+        self.__setstate__(self.__dict__)
+
+    def __setstate__(self, state):  # numpy unpickles arrays writeable
+        self.__dict__.update({key: _readonly_view(value) for key, value in state.items()})
+
+
+@dataclass(frozen=True, eq=False)
+class Instance(Record):
     """A max-min relational constraint system ``A phi x = b``."""
 
     A: np.ndarray
@@ -71,11 +89,7 @@ class Instance:
             raise InvalidInstanceError("entries of A must lie in [0, 1]")
         if b.min() < 0.0 or b.max() > 1.0:
             raise InvalidInstanceError("entries of b must lie in [0, 1]")
-        object.__setattr__(self, "A", _readonly(A.copy()))
-        object.__setattr__(self, "b", _readonly(b.copy()))
-
-    def __setstate__(self, state):  # numpy unpickles arrays writeable
-        self.__dict__.update({key: _readonly(a) for key, a in state.items()})
+        self.__setstate__({"A": A.copy(), "b": b.copy()})
 
     @property
     def m(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PathSpaceTooLargeError
 from .expr import evaluate_many
-from .fre import Instance, path_space_size, path_to_candidate
+from .fre import Instance, Record, path_space_size, path_to_candidate
 from .problems import Problem
 
 DEFAULT_PATH_CAP = 10**6
@@ -27,8 +27,8 @@ REFINE_STEPS = 20
 MAX_PASSES_PER_LEVEL = 200
 
 
-@dataclass(frozen=True)
-class OracleReport:
+@dataclass(frozen=True, eq=False)
+class OracleReport(Record):
     problem: str
     path_count: int
     best_value: float

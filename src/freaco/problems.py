@@ -33,11 +33,11 @@ import numpy as np
 
 from .errors import InvalidInstanceError
 from .expr import Expr, parse
-from .fre import Instance, compute_candidate_sets, compute_max_solution
+from .fre import Instance, Record, compute_candidate_sets, compute_max_solution
 
 
-@dataclass(frozen=True)
-class Problem:
+@dataclass(frozen=True, eq=False)
+class Problem(Record):
     """A named minimization problem over a constraint instance, feasible by type.
 
     ``xbar`` (the greatest solution, length n) and ``sets`` (one array of
@@ -52,20 +52,13 @@ class Problem:
     objective: Expr
     objective_src: str
     known_optimum: float | None = None
-    xbar: np.ndarray = field(init=False, repr=False, compare=False)
-    sets: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    xbar: np.ndarray = field(init=False, repr=False)
+    sets: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         xbar = compute_max_solution(self.instance)
         sets = compute_candidate_sets(self.instance, xbar)  # raises when infeasible
         self.__setstate__({"xbar": xbar, "sets": tuple(sets)})
-
-    def __setstate__(self, state):
-        """Store ``state`` with its arrays read-only.  Unpickling calls this
-        too, because numpy unpickles arrays writeable."""
-        for a in (state["xbar"], *state["sets"]):
-            a.setflags(write=False)
-        self.__dict__.update(state)
 
     @property
     def n(self) -> int:

@@ -237,6 +237,21 @@ def test_weights_strictly_decreasing():
     assert np.all(np.diff(w) <= 0)
 
 
+def test_config_rejects_q_too_small_for_the_weight_scale():
+    with pytest.raises(ValueError, match=r"q \* s_pop must be >="):
+        SolverConfig(q=5e-324)
+
+
+def test_tiny_q_draws_only_the_best_rank_without_warning():
+    q = 1e-200
+    SolverConfig(q=q)  # accepted: q * s_pop is a normal double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cw = np.cumsum(weights(50, q))
+    picks = select_rank(cw, np.random.default_rng(67).random(1000))
+    assert np.all(picks == 0)
+
+
 def test_select_rank_singleton():
     rng = np.random.default_rng(1)
     assert np.all(select_rank(np.array([0.7]), rng.random(10)) == 0)

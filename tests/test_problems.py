@@ -346,6 +346,7 @@ def test_problem_structure_matches_fre_and_survives_pickling(m, n, density, seed
     xbar = compute_max_solution(inst)
     sets = compute_candidate_sets(inst, xbar)
     copy = pickle.loads(pickle.dumps(problem))
+    assert problem == problem and copy != problem  # by identity, not by array data
     for p in (problem, copy):
         assert np.array_equal(p.xbar, xbar)
         assert isinstance(p.sets, tuple) and len(p.sets) == m
