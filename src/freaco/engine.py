@@ -90,6 +90,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.q * self.s_pop < sys.float_info.min:  # the rank weights' scale
             raise ValueError(f"q * s_pop must be >= {sys.float_info.min:g}")
+        if 1 / (math.sqrt(2 * math.pi) * (self.q * self.s_pop)) < sys.float_info.min:  # weights()[0]
+            raise ValueError("q * s_pop is too large: the largest rank weight is not a normal double")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
         if self.t_max < 1:

@@ -24,16 +24,16 @@ calls, sums, unary minus, power) may go ``MAX_NESTING`` levels deep.
 Sum bounds and index literals (INT) are integer-valued numbers, such as
 ``3``, ``3.0`` or ``3e0``; an index NAME is a loop variable in scope.
 
-:func:`parse` compiles each objective in one pass: the recursive-descent
-compiler emits flat register code as it reads, with no syntax tree.  It
-reads a ``sum`` body once per term, with the loop variable bound, so
-parse cost grows with the sum's range (up to ``MAX_OPERATIONS``
-operations in all), and every loop variable and computed index becomes a
-constant, range-checked against the dimension as it is read.  Of several
-errors in one source, the first in reading order is reported.  One
-executor runs the code on ``np.float64`` scalars for :func:`evaluate`
-and on columns for :func:`evaluate_many`, so both give bit-identical
-values for a point.
+:func:`parse` compiles each objective in one pass, reading each token
+once into flat register code.  A ``sum`` body is compiled once: its loop
+variable is the vector ``lo..hi`` on a new leading axis, ``x(index)`` a
+gather, and one fold adds the terms left to right like an unrolled ``+``
+chain.  Indices are exact integers, range-checked as read; the first
+error read wins, so an index out of range in any term beats a later
+syntax error.  A sum that unrolls past ``MAX_OPERATIONS`` operations is
+refused.  One executor runs the code on ``np.float64`` scalars for
+:func:`evaluate` and on columns for :func:`evaluate_many`, so both give
+bit-identical values.
 
 Domain policy: overflow, division by zero or an invalid operation (ln of
 a non-positive value, a fractional power of a negative base, inf - inf,
@@ -41,13 +41,15 @@ a non-positive value, a fractional power of a negative base, inf - inf,
 the point.  So does a NaN or infinite result, which a finite point cannot
 give without one of those faults, but a point with a NaN or infinite
 coordinate can (quiet NaNs raise no floating-point flag).  Underflow to 0
-is allowed.
+is allowed.  Of several faults, the first instruction to fault, for all
+terms of a sum at once, names the reason.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import pickle
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,37 +58,38 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EvalDomainError, ExprParseError
 
-# + - * / and negation use Python's operators; ^ and the named functions
-# use numpy ufuncs.  np.float64 scalars and arrays then run the same
-# routines, so single points and batches agree bit for bit.
+# + - * / and negation use Python's operators; ^ (see _power) and the
+# named functions use numpy ufuncs.  np.float64 scalars and arrays then
+# run the same routines, so single points and batches agree bit for bit.
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": np.abs}
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": np.power,
-}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 MAX_NESTING = 100
 MAX_OPERATIONS = 1_000_000
+BLOCK = 1 << 16  # rows x terms that evaluate_many runs at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
     """A compiled objective over x1..xn.
 
-    Registers 0..n-1 hold the coordinates; the rest start as ``tail``,
-    where constants are ``np.float64`` and scratch slots None.
-    Instruction ``(fn, dst, a, b)`` stores ``fn(r[a], r[b])`` in
-    ``r[dst]``, or ``fn(r[a])`` when ``b`` is -1.  The value is left in
-    ``r[out]``.  Immutable, so safe to share across threads.
+    Registers 0..n-1 hold the coordinates, n all of them (n by points),
+    the rest start as ``tail``: constants, gather indices and loop
+    variables, None for scratch slots.  Instruction ``(fn, dst, a, b)``
+    stores ``fn(r[a], r[b])`` in ``r[dst]``, or ``fn(r[a])`` when ``b``
+    is -1, and the value is left in ``r[out]``.  Inside sums a value has
+    an axis per sum, innermost first, then the points; ``terms`` is the
+    largest product of those lengths.  Immutable: threads may share it.
     """
 
     n: int
     code: tuple
     tail: tuple
     out: int
+    terms: int
+
+    def __eq__(self, other):  # by content: == of the tail's arrays is no bool
+        return isinstance(other, Expr) and pickle.dumps(self) == pickle.dumps(other)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +151,11 @@ class _Compiler:
         self.pos = 0
         self.n = n
         self.depth = 0  # nesting, capped at MAX_NESTING
-        self.env: dict[str, int] = {}  # loop variable -> value of this term
+        self.env: dict[str, tuple] = {}  # loop variable -> (index vector, value register)
+        self.terms = 1
+        self.ops = self.peak = 0  # operations with sums unrolled: so far, and at the latest check
         self.code: list = []
-        self.tail: list = []  # registers n, n+1, ... in order of first use
-        self.consts: dict[float, int] = {}
+        self.tail: list = []  # registers n+1, n+2, ... in order of first use
         self.slots: list[int] = []  # register of each scratch slot
 
     def peek(self) -> _Token:
@@ -178,18 +182,16 @@ class _Compiler:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels")
 
-    def emit(self, fn, d: int, a: int, b: int = -1) -> int:
+    def emit(self, fn, d: int, a: int, b: int = -1, ops: int = 1) -> int:
         while len(self.slots) <= d:
-            self.slots.append(self.n + len(self.tail))
-            self.tail.append(None)
+            self.slots.append(self.register(None))
         self.code.append((fn, self.slots[d], a, b))
+        self.ops += ops
         return self.slots[d]
 
-    def const(self, value: float) -> int:
-        if value not in self.consts:
-            self.consts[value] = self.n + len(self.tail)
-            self.tail.append(np.float64(value))
-        return self.consts[value]
+    def register(self, value) -> int:
+        self.tail.append(value)
+        return self.n + len(self.tail)
 
     def number(self, tok: _Token) -> float:
         value = float(tok.text)
@@ -220,14 +222,15 @@ class _Compiler:
             a = self.atom(d)
             if self.peek().text == "^":
                 self.advance()
-                a = self.emit(np.power, d, a, self.factor(d + 1))
+                b = self.factor(d + 1)  # a constant or coordinate: one scalar for all terms
+                a = self.emit(np.power if b < self.n or isinstance(self.tail[b - self.n - 1], float) else _power, d, a, b)
         self.depth -= 1
         return a
 
     def atom(self, d: int) -> int:
         tok = self.advance()
         if tok.kind == "num":
-            return self.const(self.number(tok))
+            return self.register(np.float64(self.number(tok)))
         if tok.text == "(":
             a = self.expr(d)
             self.expect(")")
@@ -245,9 +248,12 @@ class _Compiler:
             self.expect("(")
             index = self.index_expr(tok)
             self.expect(")")
-            if not 1 <= index <= self.n:
-                self.fail(f"computed index evaluates to {index}, outside 1..{self.n}", tok)
-            return index - 1
+            for i in index.T.flat if isinstance(index, np.ndarray) else [index]:  # reading order
+                if not 1 <= i <= self.n:
+                    self.fail(f"computed index evaluates to {i}, outside 1..{self.n}", tok)
+            if isinstance(index, int):
+                return index - 1
+            return self.emit(operator.getitem, d, self.n, self.register((index - 1).astype(np.intp)), ops=0)
         if name in FUNCTIONS:
             self.expect("(")
             a = self.expr(d)
@@ -256,11 +262,11 @@ class _Compiler:
         if name == "sum":
             return self.sum(tok, d)
         if name in self.env:
-            return self.const(float(self.env[name]))
+            return self.env[name][1]
         self.fail(f"unknown identifier {name!r}", tok)
 
     def sum(self, tok: _Token, d: int) -> int:
-        """Read the body once per term, with the loop variable bound."""
+        """Read the body once, the loop variable the vector lo..hi on a new first axis."""
         self.expect("(")
         var_tok = self.advance()
         if var_tok.kind != "name":
@@ -277,17 +283,20 @@ class _Compiler:
         if lo > hi:
             self.fail(f"sum bounds must satisfy lo <= hi, got {lo} > {hi}", tok)
         self.expect(",")
-        body = self.pos
-        for k in range(lo, hi + 1):
-            if len(self.code) > MAX_OPERATIONS:
-                self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
-            self.pos = body
-            self.env[var] = k
-            if k == lo:
-                total = self.expr(d)
-            else:
-                total = self.emit(operator.add, d, total, self.expr(d + 1))
-        del self.env[var]
+        size = (hi - lo + 1) * math.prod(len(k) for k, _ in self.env.values())  # terms of the nest
+        # the check before the first term; a nest of over 2x the limit fails a later one
+        if self.ops > MAX_OPERATIONS or size > 2 * MAX_OPERATIONS + 4:
+            self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
+        self.terms = max(self.terms, size)
+        k = np.array(range(lo, hi + 1), dtype=object).reshape(-1, *(1 for _ in self.env))
+        self.env[var] = (k, self.register(k[..., None].astype(float)))
+        start = self.peak = self.ops
+        total = self.emit(_fold, d, self.expr(d), self.env.pop(var)[1], ops=0)
+        more = (len(k) - 1) * (self.ops - start + 1)  # the other bodies and the adds
+        self.ops += more
+        self.peak += max(more - 1, 0)  # the last check: one body's peak past the last term's start
+        if self.peak > MAX_OPERATIONS:
+            self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
         self.expect(")")
         return total
 
@@ -318,7 +327,7 @@ class _Compiler:
         while self.peek().text in ("*", "/"):
             if self.advance().text == "/":
                 self.fail(_NOT_INDEX, at)
-            value *= self.index_factor(at)
+            value = value * self.index_factor(at)  # never in place: value may be a loop variable
         return value
 
     def index_factor(self, at: _Token) -> int:
@@ -346,7 +355,7 @@ class _Compiler:
             return value
         if tok.kind == "name":
             if tok.text in self.env:
-                return self.env[tok.text]
+                return self.env[tok.text][0]
             if _reserved(tok.text):
                 self.fail(_NOT_INDEX, at)
             self.fail(f"unknown identifier {tok.text!r}", tok)
@@ -367,17 +376,33 @@ def parse(src: str, n: int) -> Expr:
     tok = compiler.peek()
     if tok.kind != "end":
         compiler.fail(f"unexpected trailing {tok.text!r}", tok)
-    return Expr(n, tuple(compiler.code), tuple(compiler.tail), out)
+    return Expr(n, tuple(compiler.code), tuple(compiler.tail), out, compiler.terms)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
+def _fold(terms, k):
+    """Add ``terms`` left to right along the leading axis of loop variable ``k``."""
+    return np.add.accumulate(np.broadcast_to(terms, np.broadcast(terms, k).shape), axis=0)[-1]
+
+
+def _power(base, exponent):
+    """``np.power``, with an exponent that all points share given term by term as
+    a scalar, as an unrolled sum did: numpy computes ``x^2`` as ``x*x`` then."""
+    if exponent.ndim == 0 or exponent.shape[-1] > 1:
+        return np.power(base, exponent)
+    base, exponent = np.broadcast_arrays(base, exponent)
+    out = np.empty(base.shape)
+    for i in np.ndindex(exponent.shape[:-1]):
+        out[i] = np.power(base[i], exponent[i][0])
+    return out
+
+
 def _run(expr: Expr, columns):
-    """Execute ``expr`` on one value per coordinate, all np.float64
-    scalars or all arrays of one length."""
-    r = [*columns, *expr.tail]
+    """Execute ``expr`` on a point of n values or on n columns."""
+    r = [*columns, columns.reshape(expr.n, -1), *expr.tail]
     with np.errstate(all="raise", under="ignore"):
         for fn, dst, a, b in expr.code:
             r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])
@@ -385,9 +410,9 @@ def _run(expr: Expr, columns):
 
 
 def _reason(exc: FloatingPointError) -> str:
-    # numpy names scalar operations "scalar divide" and so on; drop that
-    # so a fault reads the same from evaluate and evaluate_many.
-    return str(exc).replace("scalar ", "")
+    # numpy names scalar operations "scalar divide" and a fold's add
+    # "accumulate"; name them as the unrolled operations, on columns.
+    return str(exc).replace("scalar ", "").replace("accumulate", "add")
 
 
 def evaluate(expr: Expr, x) -> float:
@@ -399,7 +424,8 @@ def evaluate(expr: Expr, x) -> float:
     if x.shape != (expr.n,):
         raise DimensionMismatchError("point", expr.n, x.size)
     try:
-        value = float(_run(expr, x))
+        value = _run(expr, x)
+        value = value.item() if value.ndim else float(value)  # a sum leaves shape (1,)
     except FloatingPointError as exc:
         raise EvalDomainError(_reason(exc), x.copy()) from None
     if not math.isfinite(value):
@@ -414,7 +440,8 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
     :class:`EvalDomainError` as :func:`evaluate` at the first faulting
     row.  A batch of zero rows gives an empty array; a batch of one row
     goes through :func:`evaluate`, whose scalar operations cost less than
-    array operations on one element.
+    array operations on one element.  Rows run in blocks of ``BLOCK``
+    values (rows x terms), which bounds a long sum's temporaries.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -423,17 +450,18 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
     if len(X) < 2:
         return np.array([evaluate(expr, x) for x in X])
-    try:
-        values = np.empty(len(X))
-        values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar
-    except FloatingPointError as exc:
-        # Rows are independent and evaluate() gives each row's value or
-        # fault: run them alone to find the first that faults; when no
-        # earlier row does, the last must.
-        for row in X[:-1]:
-            evaluate(expr, row)
-        raise EvalDomainError(_reason(exc), X[-1].copy()) from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise EvalDomainError("non-finite result", X[finite.argmin()].copy())
+    values = np.empty(len(X))
+    for start in range(0, len(X), step := max(1, BLOCK // expr.terms)):
+        rows, out = X[start : start + step], values[start : start + step]
+        try:
+            out[:] = _run(expr, rows.T.copy())  # a constant objective gives a scalar
+        except FloatingPointError as exc:
+            # Rows are independent and evaluate() gives each row's value or
+            # fault: run them alone to find the first that faults, with the
+            # reason it gives alone.
+            for row in rows:
+                evaluate(expr, row)
+            raise EvalDomainError(_reason(exc), rows[-1].copy()) from None
+        if not np.isfinite(out).all():
+            raise EvalDomainError("non-finite result", rows[np.isfinite(out).argmin()].copy())
     return values

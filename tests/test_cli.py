@@ -135,6 +135,13 @@ def test_solve_non_finite_deposit_exits_one(capsys):
     assert "error: big_q must be positive and finite" in err
 
 
+def test_solve_q_too_large_for_the_rank_weights_exits_one(capsys):
+    code, out, err = call(capsys, ["solve", "--builtin", "1", "--iters", "5", "--q", "1e307"])
+    assert code == 1
+    assert out == ""
+    assert "error: q * s_pop is too large" in err
+
+
 def _ex1_with_objective(tmp_path, objective):
     path = tmp_path / "objective.json"
     payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": objective}

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -240,6 +241,15 @@ def test_weights_strictly_decreasing():
 def test_config_rejects_q_too_small_for_the_weight_scale():
     with pytest.raises(ValueError, match=r"q \* s_pop must be >="):
         SolverConfig(q=5e-324)
+
+
+@pytest.mark.parametrize("q", [1e306, 1e307])  # subnormal weights; q * s_pop overflows
+def test_config_rejects_q_whose_largest_weight_is_not_normal(q):
+    assert not weights(50, q)[0] >= sys.float_info.min
+    with pytest.raises(ValueError, match="largest rank weight is not a normal double"):
+        SolverConfig(q=q)
+    assert weights(50, 1e305)[0] >= sys.float_info.min
+    SolverConfig(q=1e305)
 
 
 def test_tiny_q_draws_only_the_best_rank_without_warning():

@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +153,80 @@ def test_sum_expansion_is_capped(monkeypatch):
     with pytest.raises(ExprParseError) as info:
         parse("1 + sum(k, 1, 2000, x1)", 1)
     assert (info.value.line, info.value.col) == (1, 5)
+
+
+# The unrolled program checked its size before each term, refusing once
+# it held more than MAX_OPERATIONS instructions: sum(k, 1, T, x1) checks
+# T - 2 last, and 1 + sum(i, 1, A, sum(j, 1, B, x1)) checks A*B - 3.
+@pytest.mark.parametrize(
+    "src,col",
+    [
+        ("sum(k, 1, 1002, x1)", None),
+        ("sum(k, 1, 1003, x1)", 1),
+        ("1 + sum(i, 1, 17, sum(j, 1, 59, x1))", None),
+        # the unrolled compiler named the inner sum (column 18), in the
+        # outer sum's fourth term; the body is read once, so the outer
+        # sum is named
+        ("1 + sum(i, 1, 4, sum(j, 1, 251, x1))", 5),
+        ("sum(i, 1, 2, sum(j, 1, 2, sum(l, 1, 250, x1)) + x1)", None),
+        ("sum(i, 1, 2, sum(j, 1, 2, sum(l, 1, 251, x1)) + x1)", 1),  # unrolled: column 27
+    ],
+)
+def test_sum_expansion_cap_at_the_limit(monkeypatch, src, col):
+    monkeypatch.setattr(expr_module, "MAX_OPERATIONS", 1000)
+    if col is None:
+        parse(src, 1)  # accepted
+        return
+    with pytest.raises(ExprParseError, match="sum expands to more than 1000 operations") as info:
+        parse(src, 1)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_huge_nest_is_refused_before_it_is_allocated():
+    # 10^12 terms: refused from the ranges alone, without building them
+    with pytest.raises(ExprParseError, match="sum expands") as info:
+        parse("sum(i, 1, 1000000, sum(j, 1, 1000000, x(i + j - 1)))", 2)
+    assert info.value.col == 20
+
+
+def test_code_size_does_not_grow_with_the_range():
+    body = "(x(k) - 0.5)^2 + x(k)*x(k+1)"
+    short = parse(f"sum(k, 1, 10, {body})", 1001)
+    long = parse(f"sum(k, 1, 1000, {body})", 1001)
+    assert len(short.code) == len(long.code) == 8
+    assert (short.terms, long.terms) == (10, 1000)
+
+
+def test_long_sum_with_redundant_parentheses_parses():
+    expr = parse("sum(k, 1, 400000, (((((x1))))))", 1)
+    assert len(expr.code) == 1
+    assert evaluate(expr, [0.5]) == 200000.0  # every partial sum is exact
+    with pytest.raises(ExprParseError, match=r"expected '\)'") as info:  # one ")" short
+        parse("sum(k, 1, 400000, (((((x1)))))", 1)
+    assert info.value.col == 31
+
+
+def test_index_arithmetic_is_exact():
+    # 2^64 + 1 wraps to 1 in 64-bit integers
+    with pytest.raises(ExprParseError) as info:
+        parse("sum(k, 1, 2, x(k*4611686018427387904*4 + 1))", 3)
+    assert str(info.value) == (
+        "computed index evaluates to 18446744073709551617, outside 1..3 (line 1, column 14)"
+    )
+
+
+def test_index_error_names_the_first_out_of_range_term():
+    # the unrolled terms run i = 1, j = 1..3, then i = 2: (1, 3) reads 3
+    # before (2, 1) reads 6
+    with pytest.raises(ExprParseError, match="evaluates to 3,"):
+        parse("sum(i, 1, 2, sum(j, 1, 3, x(j + i*5 - 5)))", 2)
+
+
+def test_index_out_of_range_in_a_later_term_comes_before_a_later_syntax_error():
+    # x(k + 2) reads 4 at k = 2; the body is read once, for all terms
+    with pytest.raises(ExprParseError, match="evaluates to 4") as info:
+        parse("sum(k, 1, 2, x(k + 2) + * x1)", 3)  # unrolled: the "*", in term 1
+    assert info.value.col == 14
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +382,10 @@ ROUND_TRIP_SOURCES = [
     ("-0.5*(x1*x4 - x2*x3 + x2*x6 - x5*x6)", 6),
     ("2^-x1 + abs(x2 - 0.5)/((x3 + 1)^2)", 3),
     ("sum(i, 1, 3, sum(j, 1, 2, x(i + j)*i - j))", 5),
+    ("sum(i, 1, 2, sum(j, 1, 3, sum(l, 1, 2, x(i + j + l - 2)*j - l*x(i))))", 6),
+    ("sum(k, 1, 3, x1)", 1),  # the body does not use k
+    ("sum(k, -2, 1, x(k + 3)*(k - 0.5)) + sum(k, -3, -1, x(-k))", 4),
+    ("sum(k, 1, 4, k*x(k) + x1^k + (x(k) + 1)^(k/2) - 2^-k)", 4),  # k as a value
 ]
 
 
@@ -322,6 +405,66 @@ def test_vectorized_matches_scalar(src, n):
     batched = evaluate_many(expr, X)
     singles = np.array([evaluate(expr, x) for x in X])
     assert np.array_equal(batched, singles)
+
+
+def _unroll(src: str) -> str:
+    """``src`` with each sum written out term by term, left to right."""
+    start = src.find("sum(")
+    if start < 0:
+        return src
+    depth, args, arg = 0, [], start + 4
+    for end in range(start + 3, len(src)):
+        depth += {"(": 1, ")": -1}.get(src[end], 0)
+        if depth == 1 and src[end] == ",":
+            args, arg = args + [src[arg:end]], end + 1
+        if depth == 0:
+            break
+    var, lo, hi, body = (a.strip() for a in args + [src[arg:end]])
+    terms = [re.sub(rf"\b{var}\b", f"({k})", body) for k in range(int(lo), int(hi) + 1)]
+    return src[:start] + "(" + _unroll(" + ".join(f"({t})" for t in terms)) + ")" + _unroll(src[end + 1 :])
+
+
+@pytest.mark.parametrize(
+    "src,n", [(src, n) for src, n in ROUND_TRIP_SOURCES + BUILTIN_SOURCES if "sum(" in src]
+)
+def test_sum_equals_its_unrolled_terms(src, n):
+    # the written-out terms run on np.float64 scalars, one term at a time
+    expr, unrolled = parse(src, n), parse(_unroll(src), n)
+    assert len(expr.code) < len(unrolled.code)
+    X = np.random.default_rng(59).random((64, n))
+    assert np.array_equal([evaluate(expr, x) for x in X], [evaluate(unrolled, x) for x in X])
+    assert np.array_equal(evaluate_many(expr, X), evaluate_many(unrolled, X))
+
+
+NEST_BODIES = [
+    "x(i + 3)*j - x(j + 3)",
+    "(x(i + 3) - 0.5)^j + x(j + 3)^i",
+    "x(i + j + 5)^2 + i*j",
+    "sum(k, 1, 2, x(k + i + 3)*j) / (x1 + 1)",
+    "exp(x(j + 3) - i) - ln(x(i + 3) + j)",
+    "(j - 0.5)^2*x1 - i/3",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nested_sum_equals_its_unrolled_terms(data):
+    i, j = (data.draw(st.integers(-2, 2)) for _ in range(2))
+    src = (
+        f"sum(i, {i}, {i + data.draw(st.integers(0, 3))}, "
+        f"sum(j, {j}, {j + data.draw(st.integers(0, 3))}, {data.draw(st.sampled_from(NEST_BODIES))}))"
+    )
+    X = data.draw(arrays(float, (data.draw(st.integers(1, 6)), 16), elements=st.floats(0.0, 1.0)))
+    expr, unrolled = parse(src, 16), parse(_unroll(src), 16)
+    for run in (lambda e: [evaluate(e, x) for x in X], lambda e: evaluate_many(e, X)):
+        try:
+            expected = run(unrolled)
+        except EvalDomainError as fault:  # the same point; the reason may differ
+            with pytest.raises(EvalDomainError) as info:
+                run(expr)
+            assert np.array_equal(info.value.point, fault.point)
+        else:
+            assert np.array_equal(run(expr), expected)
 
 
 FAULTING_SOURCES = [
@@ -350,6 +493,47 @@ def test_single_and_batch_agree_bit_for_bit(data):
         assert info.value.reason == fault.reason
     else:
         assert np.array_equal(evaluate_many(expr, X), singles)
+
+
+def test_batch_of_several_row_blocks():
+    expr = parse("sum(k, 1, 1000, ln(x1 + k - 1)*x2)", 2)
+    assert expr_module.BLOCK // expr.terms == 65  # rows per block
+    X = np.random.default_rng(53).random((300, 2)) + 0.25
+    assert np.array_equal(evaluate_many(expr, X), [evaluate(expr, x) for x in X])
+    X[[200, 250], 0] = 0.0  # ln(0) at k = 1, in the fourth block only
+    with pytest.raises(EvalDomainError, match="divide by zero") as info:
+        evaluate_many(expr, X)
+    assert np.array_equal(info.value.point, X[200])
+    X[100, 1] = math.nan  # a silent NaN in the second block comes first
+    with pytest.raises(EvalDomainError, match="non-finite result") as info:
+        evaluate_many(expr, X)
+    assert np.array_equal(info.value.point, X[100], equal_nan=True)
+
+
+def test_batch_memory_stays_bounded_for_a_long_sum(tmp_path):
+    # Unblocked, this batch holds 20000 x 1500 temporaries (about 460 MB)
+    script = tmp_path / "peak.py"
+    script.write_text(
+        "import resource, numpy as np\n"
+        "from freaco import evaluate_many, parse\n"
+        "expr = parse('sum(k, 1, 20000, x1*k)', 1)\n"
+        "X = np.random.default_rng(0).random((1500, 1))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "evaluate_many(expr, X)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 50 * 1024  # KiB
+
+
+def test_expr_compares_and_pickles_by_content():
+    src = "sum(k, 1, 3, x(k)^k)"
+    expr = parse(src, 3)
+    assert expr == parse(src, 3)
+    assert expr != parse("sum(k, 1, 3, x(k)^2)", 3)
+    copy = pickle.loads(pickle.dumps(expr))
+    assert copy == expr and evaluate(copy, [0.3, 0.6, 0.9]) == evaluate(expr, [0.3, 0.6, 0.9])
 
 
 @pytest.mark.parametrize("src,n", [(p.objective_src, p.n) for p in builtin_problems()])
