@@ -30,8 +30,11 @@ variable is the vector ``lo..hi`` on a new leading axis, ``x(index)`` a
 gather, and one fold adds the terms left to right like an unrolled ``+``
 chain.  Indices are exact integers, range-checked as read; the first
 error read wins, so an index out of range in any term beats a later
-syntax error.  A sum that unrolls past ``MAX_OPERATIONS`` operations is
-refused.  One executor runs the code on ``np.float64`` scalars for
+syntax error.  A product in an index whose integers for all terms would
+pass ``MAX_INDEX_BITS`` bits is refused.  A sum that unrolls past ``MAX_OPERATIONS`` operations is
+refused as soon as that shows: on entry, at an ``x(...)`` whose indices
+settle it, else at its end; so also before a later error in its body.
+One executor runs the code on ``np.float64`` scalars for
 :func:`evaluate` and on columns for :func:`evaluate_many`, so both give
 bit-identical values.
 
@@ -41,8 +44,8 @@ a non-positive value, a fractional power of a negative base, inf - inf,
 the point.  So does a NaN or infinite result, which a finite point cannot
 give without one of those faults, but a point with a NaN or infinite
 coordinate can (quiet NaNs raise no floating-point flag).  Underflow to 0
-is allowed.  Of several faults, the first instruction to fault, for all
-terms of a sum at once, names the reason.
+is allowed.  Of several faults, the first one met with the sums written
+out term by term names the reason: a faulting point is run again so.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 MAX_NESTING = 100
 MAX_OPERATIONS = 1_000_000
+MAX_INDEX_BITS = 1 << 28  # exact integers of an index product, all terms together
 BLOCK = 1 << 16  # rows x terms that evaluate_many runs at once
 
 
@@ -73,7 +77,7 @@ BLOCK = 1 << 16  # rows x terms that evaluate_many runs at once
 class Expr:
     """A compiled objective over x1..xn.
 
-    Registers 0..n-1 hold the coordinates, n all of them (n by points),
+    Registers 0..n-1 hold the coordinates, n all of them together,
     the rest start as ``tail``: constants, gather indices and loop
     variables, None for scratch slots.  Instruction ``(fn, dst, a, b)``
     stores ``fn(r[a], r[b])`` in ``r[dst]``, or ``fn(r[a])`` when ``b``
@@ -132,6 +136,10 @@ _VAR_RE = re.compile(r"^x(\d+)$")
 _NOT_INDEX = "variable index must use integer arithmetic over loop variables"
 
 
+def _bits(value) -> int:
+    return int(np.max(np.abs(value))).bit_length()
+
+
 def _reserved(name: str) -> bool:
     return name in ("x", "sum") or name in FUNCTIONS or _VAR_RE.match(name) is not None
 
@@ -151,8 +159,9 @@ class _Compiler:
         self.pos = 0
         self.n = n
         self.depth = 0  # nesting, capped at MAX_NESTING
-        self.env: dict[str, tuple] = {}  # loop variable -> (index vector, value register)
+        self.env: dict[str, tuple] = {}  # loop variable -> (index vector, value register, sum token)
         self.terms = 1
+        self.gathered = 0  # x(...) operands of the unrolled program so far
         self.ops = self.peak = 0  # operations with sums unrolled: so far, and at the latest check
         self.code: list = []
         self.tail: list = []  # registers n+1, n+2, ... in order of first use
@@ -222,8 +231,7 @@ class _Compiler:
             a = self.atom(d)
             if self.peek().text == "^":
                 self.advance()
-                b = self.factor(d + 1)  # a constant or coordinate: one scalar for all terms
-                a = self.emit(np.power if b < self.n or isinstance(self.tail[b - self.n - 1], float) else _power, d, a, b)
+                a = self.emit(_power, d, a, self.factor(d + 1))
         self.depth -= 1
         return a
 
@@ -245,6 +253,13 @@ class _Compiler:
                 self.fail(f"variable x{index} is out of range for dimension {self.n}", tok)
             return index - 1
         if name == "x":
+            # x(...) in a sum is an operand in each term of its nest when
+            # unrolled, where there is an operation per operand, less at most
+            # one per token read after the last size check: past this bound,
+            # refuse before computing an index per term.
+            self.gathered += math.prod(len(k) for k, _, _ in self.env.values()) if self.env else 0
+            if self.gathered > MAX_OPERATIONS + len(self.tokens):
+                self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", [*self.env.values()][-1][2])
             self.expect("(")
             index = self.index_expr(tok)
             self.expect(")")
@@ -253,7 +268,7 @@ class _Compiler:
                     self.fail(f"computed index evaluates to {i}, outside 1..{self.n}", tok)
             if isinstance(index, int):
                 return index - 1
-            return self.emit(operator.getitem, d, self.n, self.register((index - 1).astype(np.intp)), ops=0)
+            return self.emit(_gather, d, self.n, self.register((index - 1).astype(np.intp)), ops=0)
         if name in FUNCTIONS:
             self.expect("(")
             a = self.expr(d)
@@ -283,13 +298,13 @@ class _Compiler:
         if lo > hi:
             self.fail(f"sum bounds must satisfy lo <= hi, got {lo} > {hi}", tok)
         self.expect(",")
-        size = (hi - lo + 1) * math.prod(len(k) for k, _ in self.env.values())  # terms of the nest
+        size = (hi - lo + 1) * math.prod(len(k) for k, _, _ in self.env.values())  # terms of the nest
         # the check before the first term; a nest of over 2x the limit fails a later one
         if self.ops > MAX_OPERATIONS or size > 2 * MAX_OPERATIONS + 4:
             self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
         self.terms = max(self.terms, size)
         k = np.array(range(lo, hi + 1), dtype=object).reshape(-1, *(1 for _ in self.env))
-        self.env[var] = (k, self.register(k[..., None].astype(float)))
+        self.env[var] = (k, self.register(k[..., None].astype(float)), tok)
         start = self.peak = self.ops
         total = self.emit(_fold, d, self.expr(d), self.env.pop(var)[1], ops=0)
         more = (len(k) - 1) * (self.ops - start + 1)  # the other bodies and the adds
@@ -327,7 +342,11 @@ class _Compiler:
         while self.peek().text in ("*", "/"):
             if self.advance().text == "/":
                 self.fail(_NOT_INDEX, at)
-            value = value * self.index_factor(at)  # never in place: value may be a loop variable
+            factor = self.index_factor(at)
+            size = np.broadcast(value, factor).size
+            if size > 1 and size * (_bits(value) + _bits(factor)) > MAX_INDEX_BITS:
+                self.fail(f"computed index needs more than {MAX_INDEX_BITS} bits over its terms", at)
+            value = value * factor  # never in place: value may be a loop variable
         return value
 
     def index_factor(self, at: _Token) -> int:
@@ -388,6 +407,11 @@ def _fold(terms, k):
     return np.add.accumulate(np.broadcast_to(terms, np.broadcast(terms, k).shape), axis=0)[-1]
 
 
+def _gather(columns, index):
+    """``x(index)`` in every term: rows of the coordinate table."""
+    return columns.reshape(len(columns), -1)[index]
+
+
 def _power(base, exponent):
     """``np.power``, with an exponent that all points share given term by term as
     a scalar, as an unrolled sum did: numpy computes ``x^2`` as ``x*x`` then."""
@@ -402,17 +426,59 @@ def _power(base, exponent):
 
 def _run(expr: Expr, columns):
     """Execute ``expr`` on a point of n values or on n columns."""
-    r = [*columns, columns.reshape(expr.n, -1), *expr.tail]
+    r = [*columns, columns, *expr.tail]
     with np.errstate(all="raise", under="ignore"):
         for fn, dst, a, b in expr.code:
             r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])
     return r[expr.out]
 
 
+def _unrolled(expr: Expr, x) -> float:
+    """:func:`evaluate` with each sum written out, term after term, so that
+    of several faults the one met first is raised, where one instruction
+    for all terms can meet another first: in ``sum(i, -3, 1, ln(i))``,
+    ln(-3) is invalid before ln(0) divides by zero."""
+    code, r = expr.code, [*x, x, *expr.tail]
+    first, writer, folds = [], {}, {}  # code[first[p] : p + 1] computes code[p]'s value
+    for p, (fn, dst, a, b) in enumerate(code):
+        first.append(min([p] + [first[writer[i]] for i in (a, b) if i in writer]))
+        writer[dst] = p
+        if fn is _fold:  # its body is code[first[p] : p]; enclosing sums listed first
+            folds.setdefault(first[p], []).insert(0, p)
+
+    def term(i, at):  # register i in the terms ``at``, innermost sum first
+        v = r[i]
+        if i <= expr.n or not isinstance(v, np.ndarray):
+            return v
+        v = v[..., 0] if v.dtype.kind == "f" else v  # a loop variable has a points axis
+        return v[tuple(t % size for t, size in zip(at[len(at) - v.ndim :], v.shape))]
+
+    def run(p, end, at):
+        while p < end:
+            f = next((f for f in folds.get(p, ()) if f < end), None)
+            if f is None:
+                fn, dst, a, b = code[p]
+                r[dst] = fn(term(a, at)) if b < 0 else fn(term(a, at), term(b, at))
+                p += 1
+                continue
+            _, dst, a, k = code[f]
+            for t in range(len(r[k])):
+                run(p, f, (t, *at))
+                total = term(a, (t, *at)) if t == 0 else total + term(a, (t, *at))
+            r[dst], p = total, f + 1
+
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            run(0, len(code), ())
+    except FloatingPointError as exc:
+        raise EvalDomainError(_reason(exc), x.copy()) from None
+    return float(r[expr.out])
+
+
 def _reason(exc: FloatingPointError) -> str:
-    # numpy names scalar operations "scalar divide" and a fold's add
-    # "accumulate"; name them as the unrolled operations, on columns.
-    return str(exc).replace("scalar ", "").replace("accumulate", "add")
+    # numpy names scalar operations "scalar divide" and so on; drop that
+    # so a fault reads the same from evaluate and evaluate_many.
+    return str(exc).replace("scalar ", "")
 
 
 def evaluate(expr: Expr, x) -> float:
@@ -424,10 +490,9 @@ def evaluate(expr: Expr, x) -> float:
     if x.shape != (expr.n,):
         raise DimensionMismatchError("point", expr.n, x.size)
     try:
-        value = _run(expr, x)
-        value = value.item() if value.ndim else float(value)  # a sum leaves shape (1,)
-    except FloatingPointError as exc:
-        raise EvalDomainError(_reason(exc), x.copy()) from None
+        value = _run(expr, x).item()  # a sum leaves shape (1,)
+    except FloatingPointError:
+        value = _unrolled(expr, x)
     if not math.isfinite(value):
         raise EvalDomainError("non-finite result", x.copy())
     return value
@@ -450,18 +515,18 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
     if len(X) < 2:
         return np.array([evaluate(expr, x) for x in X])
-    values = np.empty(len(X))
-    for start in range(0, len(X), step := max(1, BLOCK // expr.terms)):
-        rows, out = X[start : start + step], values[start : start + step]
-        try:
-            out[:] = _run(expr, rows.T.copy())  # a constant objective gives a scalar
-        except FloatingPointError as exc:
-            # Rows are independent and evaluate() gives each row's value or
-            # fault: run them alone to find the first that faults, with the
-            # reason it gives alone.
-            for row in rows:
-                evaluate(expr, row)
-            raise EvalDomainError(_reason(exc), rows[-1].copy()) from None
-        if not np.isfinite(out).all():
-            raise EvalDomainError("non-finite result", rows[np.isfinite(out).argmin()].copy())
+    if len(X) > (step := max(1, BLOCK // expr.terms)):  # bound a long sum's temporaries
+        return np.concatenate([evaluate_many(expr, X[i : i + step]) for i in range(0, len(X), step)])
+    try:
+        values = np.empty(len(X))
+        values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar
+    except FloatingPointError as exc:
+        # Rows are independent and evaluate() gives each row's value or
+        # fault: run them alone to find the first that faults.
+        for row in X:
+            evaluate(expr, row)
+        raise EvalDomainError(_reason(exc), X[-1].copy()) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvalDomainError("non-finite result", X[finite.argmin()].copy())
     return values

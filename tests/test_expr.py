@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +171,11 @@ def test_sum_expansion_is_capped(monkeypatch):
         ("1 + sum(i, 1, 4, sum(j, 1, 251, x1))", 5),
         ("sum(i, 1, 2, sum(j, 1, 2, sum(l, 1, 250, x1)) + x1)", None),
         ("sum(i, 1, 2, sum(j, 1, 2, sum(l, 1, 251, x1)) + x1)", 1),  # unrolled: column 27
+        # gathers: one add per term in the body, one in the fold
+        ("sum(k, 1, 1002, x(k - k + 1))", None),
+        ("sum(k, 1, 1003, x(k - k + 1))", 1),
+        ("sum(k, 1, 501, x(k - k + 1) + x(k - k + 1))", None),
+        ("sum(k, 1, 502, x(k - k + 1) + x(k - k + 1))", 1),
     ],
 )
 def test_sum_expansion_cap_at_the_limit(monkeypatch, src, col):
@@ -187,6 +193,33 @@ def test_huge_nest_is_refused_before_it_is_allocated():
     with pytest.raises(ExprParseError, match="sum expands") as info:
         parse("sum(i, 1, 1000000, sum(j, 1, 1000000, x(i + j - 1)))", 2)
     assert info.value.col == 20
+
+
+def test_long_sum_of_many_gathers_is_refused_at_once():
+    # 1000 gathers of 2,000,000 indices would hold 16 GB; the first one
+    # already shows that the unrolled program passes the limit
+    src = "sum(k, 1, 2000000, " + " + ".join(["x(k - k + 1)"] * 1000) + ")"
+    start = time.perf_counter()
+    with pytest.raises(ExprParseError, match="sum expands to more than 1000000 operations") as info:
+        parse(src, 1)
+    assert time.perf_counter() - start < 30  # about 0.5 s on a 2-vCPU host
+    assert info.value.col == 1
+
+
+# The unrolled compiler read the first term's body whole before a size
+# check, so it named the "*"; a sum known to be too large is refused at once.
+@pytest.mark.parametrize(
+    "src",
+    [
+        "sum(k, 1, 600, x(k - k + 1) + x(k - k + 1) + * x1)",  # the indices pass 1000 + tokens
+        "sum(k, 1, 2005, x1 + * x1)",  # the range passes 2 * 1000 + 4
+    ],
+)
+def test_size_refusal_comes_before_a_later_error_in_the_body(monkeypatch, src):
+    monkeypatch.setattr(expr_module, "MAX_OPERATIONS", 1000)
+    with pytest.raises(ExprParseError, match="sum expands to more than 1000 operations") as info:
+        parse(src, 1)
+    assert info.value.col == 1
 
 
 def test_code_size_does_not_grow_with_the_range():
@@ -213,6 +246,16 @@ def test_index_arithmetic_is_exact():
     assert str(info.value) == (
         "computed index evaluates to 18446744073709551617, outside 1..3 (line 1, column 14)"
     )
+
+
+def test_index_product_too_large_for_all_terms_is_refused():
+    # 40 factors of 1e308 in each of 10^6 terms would hold 5 GB; the
+    # unrolled compiler computed one term at a time
+    with pytest.raises(ExprParseError, match="computed index needs more than 268435456 bits") as info:
+        parse("sum(k, 1, 1000000, x(k" + " * 1e308" * 40 + "))", 1)
+    assert info.value.col == 20
+    expr = parse("sum(k, 1, 3, x(k*1e308*1e308 - k*1e308*1e308 + 1))", 1)  # large terms cancel
+    assert evaluate(expr, [0.5]) == 1.5
 
 
 def test_index_error_names_the_first_out_of_range_term():
@@ -459,12 +502,34 @@ def test_nested_sum_equals_its_unrolled_terms(data):
     for run in (lambda e: [evaluate(e, x) for x in X], lambda e: evaluate_many(e, X)):
         try:
             expected = run(unrolled)
-        except EvalDomainError as fault:  # the same point; the reason may differ
+        except EvalDomainError as fault:
             with pytest.raises(EvalDomainError) as info:
                 run(expr)
             assert np.array_equal(info.value.point, fault.point)
+            assert info.value.reason == fault.reason
         else:
             assert np.array_equal(run(expr), expected)
+
+
+# A point with several faults: the reason is that of the first fault in
+# the written-out terms, though one instruction runs for all terms.
+@pytest.mark.parametrize(
+    "src,reason",
+    [
+        ("sum(i, -3, 1, ln(i))", "invalid value encountered in log"),  # ln(-3), then ln(0)
+        ("sum(i, 1, 2, sum(j, -1, 0, ln(j*i)))", "invalid value encountered in log"),
+        ("sum(k, 0, 1, 1/(1 - k) + ln(k - 1))", "invalid value encountered in log"),  # k = 0 first
+        ("sum(k, 1, 3, 1e308 + ln(3 - k))", "overflow encountered in add"),  # the first add, then ln(0)
+    ],
+)
+def test_fault_reason_is_the_first_met_term_by_term(src, reason):
+    expr, unrolled = parse(src, 1), parse(_unroll(src), 1)
+    X = np.array([[0.25], [0.5]])
+    for e in (expr, unrolled):
+        for run in (lambda: evaluate(e, X[1]), lambda: evaluate_many(e, X)):
+            with pytest.raises(EvalDomainError) as info:
+                run()
+            assert info.value.reason == reason
 
 
 FAULTING_SOURCES = [
