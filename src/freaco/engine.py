@@ -7,24 +7,40 @@ Each iteration couples a combinatorial phase with a continuous phase:
   (cell) of the solution set.  All rows of a path are drawn at once, by
   inverse CDF over the candidates' cumulative probabilities, padded with
   zeros to the longest candidate set.
-* Phase two keeps a ranked archive of feasible points as four arrays:
-  points ``X``, values ``f``, cell lower corners ``LB`` and paths ``E``,
-  ascending in ``f``.  It refreshes the archive with one fresh uniform
-  draw from the phase-one cell, then samples around archived points with
-  per-coordinate Gaussians whose spread is the mean coordinate distance
-  across the archive, clamping every draw back into the originating cell
-  so feasibility never needs re-checking.  After each insertion round a
-  stable argsort reorders the rows and truncates them to ``s_pop``.
+* Phase two keeps a ranked archive of feasible points as five arrays:
+  points ``X``, values ``f``, cell lower corners ``LB``, paths ``E`` and
+  deposit amounts ``d``, ascending in ``f``.  It refreshes the archive
+  with one fresh uniform draw from the phase-one cell, then samples
+  around archived points with per-coordinate Gaussians whose spread is
+  the mean coordinate distance across the archive, clamping every draw
+  back into the originating cell so feasibility never needs
+  re-checking.  After each insertion round a stable argsort reorders
+  the rows and truncates them to ``s_pop``.
 * The archive then reinforces the pheromone of the paths its members
-  came from (deposit ``Q * exp(-f)`` per member, followed by one
-  multiplicative evaporation).  One ``np.add.at`` makes every deposit,
-  adding member by member in rank order, as a loop over members would.
+  came from (deposit ``Q * exp(-f)`` per member, computed once when the
+  row is made, followed by one multiplicative evaporation).  One
+  ``np.add.at`` makes every deposit, adding member by member in rank
+  order, as a loop over members would.
+
+Layout: pheromone lives on the candidate entries only, the solution
+components of the model.  Row i's candidate columns, ascending, fill
+the slots of a ``candidate_table`` row (m x kmax, kmax the largest set),
+and a run's pheromone is an m x kmax array over those slots, zero in the
+padding.  Paths in the archive are slots; ``table[i, slot]`` gives the
+column where cells and results need one.  Row sums follow the order of
+numpy's pairwise ``sum`` over the dense m x n row, not the compact one:
+the two group their additions differently, and a last-bit change in a
+normalizer can flip a path draw at a CDF boundary.  :func:`sum_plan`
+lists the dense sum's additions that involve candidates (adding an exact
+zero changes nothing) once per :func:`run_many`, and :func:`row_sums`
+replays them, one gather-add per tree level, so the sums equal the dense
+ones bit for bit.  Observers alone see a dense m x n copy.
 
 Lockstep: :func:`run_many` advances R runs of one problem together.  Their
-state is stacked on a leading run axis: pheromone R x m x n, archive
-``X`` and ``LB`` R x s_pop x n, ``f`` R x s_pop and ``E`` R x s_pop x m.
-Every step of an iteration works on all R runs at once, except the
-random draws, which each run makes from its own Generator.
+state is stacked on a leading run axis: pheromone R x m x kmax, archive
+``X`` and ``LB`` R x s_pop x n, ``f`` and ``d`` R x s_pop and ``E`` R x
+s_pop x m.  Every step of an iteration works on all R runs at once,
+except the random draws, which each run makes from its own Generator.
 :func:`run` is :func:`run_many` with one seed.
 
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
@@ -45,6 +61,7 @@ seed runs in and equal to those of a row-by-row loop.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import sys
@@ -114,11 +131,12 @@ class ArchiveSolution(Record):
 
 @dataclass
 class PheromoneMatrix:
-    """Nonnegative weights on candidate-matrix entries.
+    """Dense pheromone of one run, as observers receive it.
 
-    ``values`` is m x n for one run, or R x m x n stacked over runs.
-    ``support`` (m x n) is the fixed candidate pattern; entries off the
-    support stay exactly zero forever.
+    ``values`` (m x n) holds each candidate entry's weight and zero
+    elsewhere; ``support`` (m x n) is the fixed candidate pattern.  The
+    engine itself keeps only the candidate entries (see :func:`run_many`)
+    and builds this view, a fresh copy, only for an observer.
     """
 
     values: np.ndarray
@@ -136,12 +154,33 @@ class RunResult(Record):
 
 class Archive(NamedTuple):
     """R runs' archive rows, each run's ascending in ``f``: points (R x s x n),
-    values (R x s), lower corners (R x s x n) and paths (R x s x m)."""
+    values (R x s), lower corners (R x s x n), paths as candidate slots
+    (R x s x m) and deposit amounts (R x s, see :func:`deposit`)."""
 
     X: np.ndarray
     f: np.ndarray
     LB: np.ndarray
     E: np.ndarray
+    d: np.ndarray
+
+
+class SumPlan(NamedTuple):
+    """numpy's pairwise row sum of the dense pheromone, replayed on its
+    candidate entries (see :func:`sum_plan`).
+
+    A run's scratch row holds the compact pheromone (``table.size``
+    values, row-major over ``table``) followed by one value per addition.
+    Each entry of ``levels`` is one gather-add: the first half of its
+    indices are left operands, the second half right ones, and their sums
+    fill the next slots of the scratch row.  ``roots`` indexes each
+    matrix row's total.  ``levels`` is None when every row adds its
+    candidates in slot order, as the compact rows' own ``sum`` does.
+    """
+
+    table: np.ndarray
+    levels: tuple[np.ndarray, ...] | None
+    roots: np.ndarray
+    size: int
 
 
 def init_pheromone(sets: list[np.ndarray], n: int) -> PheromoneMatrix:
@@ -165,29 +204,121 @@ def candidate_table(sets: list[np.ndarray]) -> np.ndarray:
     return table
 
 
+#: numpy's pairwise summation: runs shorter than LANES add in sequence,
+#: runs of up to BLOCK add in LANES interleaved lanes, longer runs split.
+LANES, BLOCK = 8, 128
+
+
+def sum_plan(table: np.ndarray, n: int) -> SumPlan:
+    """The additions numpy's ``sum`` makes over each dense pheromone row of
+    length ``n``, without those that add a non-candidate entry.
+
+    Such an entry is exactly zero, and adding zero leaves a nonnegative
+    value unchanged, so the additions that remain, grouped as numpy
+    groups them, give each row's dense sum bit for bit.  numpy's rule
+    (``pairwise_sum`` in its add loop) for a run of positions: shorter
+    than LANES, add in sequence; up to BLOCK, add position p into lane
+    ``p % LANES`` over the run's whole multiples of LANES, combine the
+    lanes as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
+    add the rest in sequence; longer, split after the half rounded down to
+    a multiple of LANES and add the two halves' sums.
+    """
+    kmax = table.shape[1]
+    made = []  # (left, right, level) per addition, in the order made
+
+    def add(a, b):  # (scratch index, level) of each operand; None is zero
+        if a is None or b is None:
+            return b if a is None else a
+        level = max(a[1], b[1]) + 1
+        made.append((a[0], b[0], level))
+        return table.size + len(made) - 1, level
+
+    def in_sequence(ids, total=None):
+        for i in ids:
+            total = add(total, (i, 0))
+        return total
+
+    def pairwise(cols, ids, start, length):  # the candidates in [start, start + length)
+        if len(cols) < 3 or length < LANES:  # two candidates make one addition however grouped
+            return in_sequence(ids)
+        if length > BLOCK:
+            half = length // 2 - length // 2 % LANES
+            k = bisect.bisect_left(cols, start + half)
+            return add(pairwise(cols[:k], ids[:k], start, half),
+                       pairwise(cols[k:], ids[k:], start + half, length - half))
+        rest = bisect.bisect_left(cols, start + length - length % LANES)
+        lanes = {}
+        for col, i in zip(cols[:rest], ids[:rest]):
+            lane = (col - start) % LANES
+            lanes[lane] = add(lanes[lane], (i, 0)) if lane in lanes else (i, 0)
+        for _ in range(3):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            pairs = {}
+            for lane in sorted(lanes):
+                pair = lane >> 1
+                pairs[pair] = add(pairs[pair], lanes[lane]) if pair in pairs else lanes[lane]
+            lanes = pairs
+        return in_sequence(ids[rest:], lanes.get(0))
+
+    counts = (table >= 0).sum(axis=1).tolist()
+    roots = list(range(0, table.size, kmax))  # a lone candidate is its row's sum
+    for i, count in enumerate(counts):
+        if count > 1:
+            cols = table[i, :count].tolist()
+            roots[i] = pairwise(cols, range(roots[i], roots[i] + count), 0, n)[0]
+    left, right, level = np.array(made, dtype=np.int64).reshape(-1, 3).T
+    # an addition continues a sequence when its right operand is the
+    # candidate after the one its left operand added last
+    last = np.where(left < table.size, left, right[np.maximum(left - table.size, 0)])
+    if kmax < LANES and np.all((right < table.size) & (right == last + 1)):
+        # numpy adds a compact row shorter than LANES in the same sequence
+        return SumPlan(table, None, np.array(roots), table.size)
+    order = np.argsort(level, kind="stable")
+    place = np.arange(table.size + len(order))
+    place[table.size + order] = table.size + np.arange(len(order))
+    bounds = np.cumsum(np.bincount(level, minlength=1)[1:])
+    levels = tuple(
+        place[np.concatenate([left[order[a:b]], right[order[a:b]]])]
+        for a, b in zip(np.append(0, bounds[:-1]), bounds)
+    )
+    return SumPlan(table, levels, place[roots], table.size + len(order))
+
+
+def row_sums(scratch: np.ndarray, plan: SumPlan) -> np.ndarray:
+    """Each run's pheromone row sums (R x m), from a scratch buffer
+    (R x ``plan.size``) whose head holds the compact pheromone."""
+    if plan.levels is None:  # the compact rows add in the dense order
+        return scratch[:, : plan.table.size].reshape(-1, *plan.table.shape).sum(axis=2)
+    at = plan.table.size
+    for operands in plan.levels:
+        k = len(operands) // 2
+        both = scratch.take(operands, axis=1)
+        np.add(both[:, :k], both[:, k:], out=scratch[:, at : at + k])
+        at += k
+    return scratch.take(plan.roots, axis=1)
+
+
 def construct_paths(
     values: np.ndarray, sums: np.ndarray, table: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Paths (... x k x m) from uniforms ``u`` (... x k x m), one categorical
-    column choice per row, under pheromone ``values`` (... x m x n) whose
-    row sums are ``sums`` (... x m).
+    """Paths as candidate slots (... x k x m) from uniforms ``u`` (... x k x m),
+    one categorical choice per row, under compact pheromone ``values``
+    (... x m x kmax, zero past each row's candidates) whose row sums are
+    ``sums`` (... x m); ``table[i, slot]`` is the column a slot stands for.
 
     Row i picks its ``c``-th candidate, where ``c`` counts the cumulative
     probabilities at or below ``u * total``, capped at the last candidate:
-    ``searchsorted(side="right")`` and a clamp.  The cumulative matrix is
-    padded with zeros, which leaves each row's partial sums exact and puts
-    its total in the last column.
+    ``searchsorted(side="right")`` and a clamp.  The zero padding leaves
+    each row's partial sums exact and puts its total in the last column.
     """
-    rows = np.arange(len(table))
-    p = values[..., rows[:, None], table] / sums[..., None]
-    cum = np.where(table >= 0, p, 0.0).cumsum(axis=-1)
-    # Never counting a row's last partial sum (or its padding) is the clamp.
-    inner = np.where(table[:, 1:] >= 0, cum[..., :-1], np.inf)
+    cum = (values / sums[..., None]).cumsum(axis=-1)
+    inner = cum[..., :-1]
     target = u * cum[..., None, :, -1]
     picks = np.empty(u.shape, dtype=np.int64)
     for s in range(u.shape[-2]):  # one path per run at a time keeps temporaries small
         picks[..., s, :] = (inner <= target[..., s, :, None]).sum(axis=-1)
-    return table[rows, picks]
+    # a partial sum in the padding is the total, counted only when the
+    # target reaches it: the clamp
+    return np.minimum(picks, (table[:, 1:] >= 0).sum(axis=1), out=picks)
 
 
 def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray):
@@ -239,39 +370,44 @@ def gaussian_samples(
     return np.minimum(np.maximum(Xs, archive.LB[ri, ranks]), xbar)
 
 
-def update_pheromone(
-    tau: PheromoneMatrix,
-    f: np.ndarray,
-    E: np.ndarray,
-    big_q: float,
-    rho: float,
-    limit: float = DEPOSIT_EXP_LIMIT,
-) -> np.ndarray:
-    """Deposit ``big_q * exp(-f[r, s])`` on every entry of path ``E[r, s]``,
-    then evaporate; return the row sums (R x m) that the next path draw uses.
+def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np.ndarray:
+    """Deposit amounts ``big_q * exp(-f)``, one per objective value.
 
-    ``tau.values`` is stacked over runs (R x m x n) and C-contiguous, so
-    one flat index reaches every entry.  Each run's deposits are added
-    member by member in the order given.  The exponent ``-f`` is clamped
-    to ``[-DEPOSIT_EXP_LIMIT, limit]`` so extreme objective values degrade
-    to a zero (or a bounded) deposit instead of overflowing.  Rows whose
-    sum underflows below ROW_SUM_FLOOR (possible when every deposit is
-    ~exp(-700) and evaporation keeps halving) are reset to the initial
-    uniform row so the selection probabilities stay well defined.
+    The exponent ``-f`` is clamped to ``[-DEPOSIT_EXP_LIMIT, limit]`` so
+    extreme objective values degrade to a zero (or a bounded) deposit
+    instead of overflowing.
     """
-    values = tau.values
-    if not values.flags.c_contiguous:  # a flat reshape would be a copy
-        raise ValueError("pheromone values must be C-contiguous")
-    runs, m, n = values.shape
-    exponents = (-f).clip(-DEPOSIT_EXP_LIMIT, limit).ravel().tolist()
-    amounts = big_q * np.fromiter(map(math.exp, exponents), float, len(exponents))
-    entries = E + np.arange(0, runs * m * n, n).reshape(runs, 1, m)  # (r, i, E[r, s, i])
-    np.add.at(values.reshape(-1), entries.ravel(), amounts.repeat(m))
+    low = -DEPOSIT_EXP_LIMIT
+    exponents = (-f).ravel().tolist()
+    amounts = [big_q * math.exp(low if x < low else limit if x > limit else x) for x in exponents]
+    return np.array(amounts).reshape(f.shape)
+
+
+def update_pheromone(
+    scratch: np.ndarray, plan: SumPlan, d: np.ndarray, E: np.ndarray, rho: float
+) -> np.ndarray:
+    """Deposit ``d[r, s]`` on every candidate slot of path ``E[r, s]``, then
+    evaporate; return the row sums (R x m) that the next path draw uses.
+
+    ``scratch`` (R x ``plan.size``) holds each run's compact pheromone at
+    its head and is C-contiguous, so one flat index reaches every entry.
+    Each run's deposits are added member by member in the order given.
+    Rows whose sum underflows below ROW_SUM_FLOOR (possible when every
+    deposit is ~exp(-700) and evaporation keeps halving) are reset to the
+    initial uniform row so the selection probabilities stay well defined.
+    """
+    if not scratch.flags.c_contiguous:  # a flat reshape would be a copy
+        raise ValueError("pheromone scratch must be C-contiguous")
+    runs, size = scratch.shape
+    m, kmax = plan.table.shape
+    entries = E + np.arange(0, runs * size, size)[:, None, None] + np.arange(0, m * kmax, kmax)
+    np.add.at(scratch.reshape(-1), entries.ravel(), d.repeat(m))
+    values = scratch[:, : m * kmax].reshape(runs, m, kmax)  # a view
     values *= 1.0 - rho
-    sums = values.sum(axis=2)
+    sums = row_sums(scratch, plan)
     dead = sums < ROW_SUM_FLOOR
     if dead.any():
-        values[dead] = np.broadcast_to(tau.support, values.shape)[dead]
+        values[dead] = np.broadcast_to(plan.table >= 0, values.shape)[dead]
         sums[dead] = values[dead].sum(axis=1)
     return sums
 
@@ -294,8 +430,9 @@ def keep_best(archive: Archive, new: Archive, s_pop: int) -> Archive:
     return ranked(Archive(*(np.concatenate(pair, axis=1) for pair in zip(archive, new))), s_pop)
 
 
-def _views(archive: Archive, r: int) -> tuple[ArchiveSolution, ...]:
-    rows = zip(archive.X[r], archive.f[r], archive.LB[r], archive.E[r])
+def _views(archive: Archive, r: int, table: np.ndarray) -> tuple[ArchiveSolution, ...]:
+    E = table[np.arange(table.shape[0]), archive.E[r]]
+    rows = zip(archive.X[r], archive.f[r], archive.LB[r], E)
     return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in rows)
 
 
@@ -315,8 +452,8 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
 
     ``observer(t, r, archive, tau)``, when given, is called after each
     iteration for each run r in order, with that run's archive as a tuple
-    of read-only :class:`ArchiveSolution` views, best first, and its
-    pheromone (m x n).
+    of read-only :class:`ArchiveSolution` views, best first, and a copy of
+    its pheromone as a dense :class:`PheromoneMatrix` (m x n).
 
     The cells come from the structure the problem carries
     (``problem.xbar`` and ``problem.sets``).  The deposit exponent's upper
@@ -335,10 +472,14 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     runs = len(gens)
     xbar, sets = problem.xbar, problem.sets
     table = candidate_table(sets)
-    support = init_pheromone(sets, n).support
-    tau = PheromoneMatrix(np.repeat(support[None].astype(float), runs, axis=0), support)
-    per_run = [PheromoneMatrix(values, support) for values in tau.values]
-    sums = tau.values.sum(axis=2)
+    live = table >= 0
+    plan = sum_plan(table, n)
+    scratch = np.zeros((runs, plan.size))
+    values = scratch[:, : table.size].reshape(runs, *table.shape)  # compact pheromone
+    values[:] = live
+    sums = row_sums(scratch, plan)
+    if observer is not None:
+        support = init_pheromone(sets, n).support
     cw = np.cumsum(weights(s_pop, config.q))
     horizon = config.t_max if config.rho == 0 else min(config.t_max, 1 / config.rho)
     # in log space: the bound itself overflows near big_q = DBL_MAX
@@ -351,10 +492,11 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     first = np.empty((runs, s_pop * (m + n)))
     for g, u in zip(gens, first):
         g.random(out=u)
-    E = construct_paths(tau.values, sums, table, first[:, : s_pop * m].reshape(runs, s_pop, m))
-    X, LB = cell_points(E, inst.b, xbar, first[:, s_pop * m :].reshape(runs, s_pop, n))
+    rows = np.arange(m)
+    E = construct_paths(values, sums, table, first[:, : s_pop * m].reshape(runs, s_pop, m))
+    X, LB = cell_points(table[rows, E], inst.b, xbar, first[:, s_pop * m :].reshape(runs, s_pop, n))
     f = evaluate_many(objective, X.reshape(-1, n)).reshape(runs, s_pop)
-    archive = ranked(Archive(X, f, LB, E), s_pop)
+    archive = ranked(Archive(X, f, LB, E, deposit(f, config.big_q, limit)), s_pop)
     fresh, pick, z = np.empty((runs, m + n)), np.empty((runs, k)), np.empty((runs, k, n))
     ri = np.arange(runs)[:, None]
     for t in range(1, config.t_max + 1):
@@ -364,26 +506,30 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
                 for s in range(k):
                     v[s] = g.random()
                     g.standard_normal(out=w[s])
-            e = construct_paths(tau.values, sums, table, fresh[:, None, :m])
-            x, lb = cell_points(e, inst.b, xbar, fresh[:, None, m:])
+            e = construct_paths(values, sums, table, fresh[:, None, :m])
+            x, lb = cell_points(table[rows, e], inst.b, xbar, fresh[:, None, m:])
             f = evaluate_many(objective, x.reshape(runs, n)).reshape(runs, 1)
-            archive = keep_best(archive, Archive(x, f, lb, e), s_pop)  # before sampling
+            new = Archive(x, f, lb, e, deposit(f, config.big_q, limit))
+            archive = keep_best(archive, new, s_pop)  # before sampling
             ranks = select_rank(cw, pick)
             Xs = gaussian_samples(archive, ranks, z, config.xi, xbar)
             f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, k)
-            samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks])
+            samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
+                              deposit(f, config.big_q, limit))
             archive = keep_best(archive, samples, s_pop)
-        sums = update_pheromone(tau, archive.f, archive.E, config.big_q, config.rho, limit)
+        sums = update_pheromone(scratch, plan, archive.d, archive.E, config.rho)
         trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:
+            dense = np.zeros((runs, m, n))
+            dense[:, support] = values[:, live]  # slots ascend with columns
             for r in range(runs):
-                observer(t, r, _views(archive, r), per_run[r])
+                observer(t, r, _views(archive, r, table), PheromoneMatrix(dense[r], support))
 
     evals = s_pop + (config.t_max - 1) * (1 + k)
-    X, f, LB, E = archive
+    X, f, LB, E, _ = archive
     return [
         RunResult(
-            best=ArchiveSolution(X[r, 0], LB[r, 0], E[r, 0], float(f[r, 0])),
+            best=ArchiveSolution(X[r, 0], LB[r, 0], table[rows, E[r, 0]], float(f[r, 0])),
             trace=trace[r],
             eval_count=evals,
             seed=seed,

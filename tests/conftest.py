@@ -20,6 +20,12 @@ EX_LOWER = np.array([0.6, 0.0, 0.0, 0.0, 0.7, 0.3])
 EX_OBJECTIVE = "x1*x4 - x2*x3*x5 + x6^2"
 
 
+def compact(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Dense pheromone ``values`` (m x n) on the candidate slots of ``table``
+    (m x kmax, -1 padded), zero in the padding: the engine's layout."""
+    return np.where(table >= 0, values[np.arange(len(table))[:, None], table], 0.0)
+
+
 @pytest.fixture
 def ex_instance() -> Instance:
     return Instance(EX_A, EX_B)

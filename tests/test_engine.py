@@ -20,22 +20,24 @@ from freaco import (
 )
 from freaco.engine import (
     Archive,
-    PheromoneMatrix,
     candidate_table,
     cell_points,
     construct_paths,
+    deposit,
     gaussian_samples,
     init_pheromone,
     keep_best,
     probability_matrix,
     ranked,
+    row_sums,
     select_rank,
     sigma_vector,
+    sum_plan,
     update_pheromone,
     weights,
 )
 
-from conftest import EX_A, EX_B, EX_JBAR, EX_OBJECTIVE
+from conftest import EX_A, EX_B, EX_JBAR, EX_OBJECTIVE, compact
 
 
 @pytest.fixture
@@ -48,29 +50,41 @@ def ex_sets(problem):
     return inst, compute_max_solution(inst), compute_candidate_sets(inst)
 
 
-def one_run(tau):
-    """``tau`` as a stack of one run that shares its values."""
-    return PheromoneMatrix(tau.values[None], tau.support)
+def update(tau, f, E, big_q, rho):
+    """update_pheromone on one run's dense ``tau``, in place: deposits
+    ``big_q * exp(-f)`` (f: 1 x s) on paths ``E`` (1 x s x m) of columns."""
+    table = candidate_table([np.flatnonzero(row) for row in tau.support])
+    plan = sum_plan(table, tau.values.shape[1])
+    scratch = np.zeros((1, plan.size))
+    live = (table >= 0).ravel()
+    scratch[0, : table.size][live] = tau.values[tau.support]
+    slots = ((table < E[..., None]) & (table >= 0)).sum(axis=-1)  # a column's rank in its row
+    sums = update_pheromone(scratch, plan, deposit(f, big_q), slots, rho)
+    tau.values[tau.support] = scratch[0, : table.size][live]
+    return sums
 
 
 def deposit_one(tau, e, f, big_q=1.0):
     """A single member's deposit: update_pheromone without evaporation."""
-    update_pheromone(one_run(tau), np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
+    update(tau, np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
 
 
 def draw_paths(tau, table, k, rng):
-    """``k`` paths (k x m) drawn with ``rng`` as the engine draws them."""
-    return construct_paths(tau.values, tau.values.sum(axis=1), table, rng.random((k, len(table))))
+    """``k`` paths (k x m) of columns drawn with ``rng`` as the engine draws them."""
+    u = rng.random((k, len(table)))
+    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), table, u)
+    return table[np.arange(len(table)), slots]
 
 
 def uniform_archive(problem, k, rng):
     """One run's archive (leading axis of length 1): ``k`` fresh paths,
-    one uniform point per cell, ranked."""
+    here as columns, one uniform point per cell, ranked."""
     inst, xbar, sets = ex_sets(problem)
     tau = init_pheromone(sets, inst.n)
     E = draw_paths(tau, candidate_table(sets), k, rng)
     X, LB = cell_points(E, inst.b, xbar, rng.random((k, inst.n)))
-    rows = (X, evaluate_many(problem.objective, X), LB, E)
+    f = evaluate_many(problem.objective, X)
+    rows = (X, f, LB, E, deposit(f, 1.0))
     return ranked(Archive(*(a[None] for a in rows)), k)
 
 
@@ -193,7 +207,8 @@ def test_init_archive_samples_live_in_their_cells(ex_problem):
 def test_keep_best_ties_keep_older_rows_first():
     def rows(fs, tag):  # one run's rows
         shape = (1, len(fs), 1)
-        return Archive(np.full(shape, tag), np.array([fs]), np.zeros(shape), np.zeros(shape, int))
+        f = np.array([fs])
+        return Archive(np.full(shape, tag), f, np.zeros(shape), np.zeros(shape, int), deposit(f, 1.0))
 
     old = rows([0.1, 0.5, 0.9], tag=0.0)
     merged = keep_best(old, rows([0.5, 0.2], tag=1.0), 3)
@@ -317,9 +332,10 @@ def test_sample_with_zero_spread_returns_mean(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     point = np.array([0.8, 0.3, 0.2, 0.0, 0.7, 1.0])
     lb = np.array([0.6, 0.0, 0.0, 0.0, 0.7, 0.3])
+    f = np.full((1, 4), 0.958)
     archive = Archive(
-        np.tile(point, (1, 4, 1)), np.full((1, 4), 0.958), np.tile(lb, (1, 4, 1)),
-        np.tile([4, 0, 5, 4, 0], (1, 4, 1)),
+        np.tile(point, (1, 4, 1)), f, np.tile(lb, (1, 4, 1)),
+        np.tile([4, 0, 5, 4, 0], (1, 4, 1)), deposit(f, 1.0),
     )
     rng = np.random.default_rng(11)
     Xs, _ = sample(archive, np.cumsum(weights(4, 0.5)), 1, 1.0, xbar, rng)
@@ -394,9 +410,9 @@ def test_evaporate():
     tau = init_pheromone(sets, 2)
     tau.values[0, 0] = 2.0
     nobody = (np.empty((1, 0)), np.empty((1, 0, 1), dtype=np.int64))  # evaporation alone
-    update_pheromone(one_run(tau), *nobody, big_q=1.0, rho=0.5)
+    update(tau, *nobody, big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
-    update_pheromone(one_run(tau), *nobody, big_q=1.0, rho=0.0)
+    update(tau, *nobody, big_q=1.0, rho=0.0)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
 
 
@@ -405,7 +421,7 @@ def test_update_touches_only_archive_paths(ex_problem):
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
     before = tau.values.copy()
-    update_pheromone(one_run(tau), np.full((1, 8), 0.5), np.tile(e, (1, 8, 1)), big_q=1.0, rho=0.0)
+    update(tau, np.full((1, 8), 0.5), np.tile(e, (1, 8, 1)), big_q=1.0, rho=0.0)
     grew = tau.values > before
     expected = np.zeros_like(grew)
     expected[np.arange(inst.m), e] = True
@@ -417,7 +433,7 @@ def test_update_keeps_probability_rows_normalized(ex_problem):
     tau = init_pheromone(sets, inst.n)
     archive = uniform_archive(ex_problem, 30, np.random.default_rng(20))
     for _ in range(5):
-        update_pheromone(one_run(tau), archive.f, archive.E, big_q=1.0, rho=0.5)
+        update(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
         rows = probability_matrix(tau).sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-12)
         assert np.all(tau.values[~tau.support] == 0.0)
@@ -427,16 +443,45 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     tau.values[:] = np.where(tau.support, 1e-300, 0.0)
-    update_pheromone(one_run(tau), np.array([[1e9]]), np.array([[[0, 0, 2, 1, 0]]]), big_q=1.0, rho=0.5)
+    update(tau, np.array([[1e9]]), np.array([[[0, 0, 2, 1, 0]]]), big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values, tau.support.astype(float))
+
+
+def test_row_sum_keeps_numpy_lane_grouping():
+    # numpy adds a dense row of 16 in 8 lanes, so position 8 joins lane 0
+    # before lane 1 (position 1) does: candidates {0, 1, 8} add as
+    # (a0 + a8) + a1, which rounds differently from their compact order
+    table = candidate_table([np.array([0, 1, 8])])
+    plan = sum_plan(table, 16)
+    scratch = np.zeros((1, plan.size))
+    scratch[0, :3] = [2.0**-53, 1.0, 2.0**-53]
+    dense = np.zeros(16)
+    dense[[0, 1, 8]] = scratch[0, :3]
+    assert row_sums(scratch, plan)[0, 0] == dense.sum() == 1 + 2.0**-52
+    assert scratch[0, :3].sum() == 1.0  # the compact row's own sum
+
+
+def test_rows_in_slot_order_use_the_compact_sum():
+    # below 8 positions numpy adds a dense row in sequence, so the plan
+    # keeps no addition of its own
+    plan = sum_plan(candidate_table([np.array([0, 2, 5]), np.array([4])]), 6)
+    assert plan.levels is None and plan.size == plan.table.size
+
+
+def test_archive_carries_each_rows_deposit():
+    f = np.array([[0.7, -0.2, 0.3]])
+    rows = Archive(f[..., None], f, f[..., None], np.zeros((1, 3, 1), dtype=int), deposit(f, 2.0))
+    merged = keep_best(ranked(rows, 3), rows._replace(f=f - 1.0, d=deposit(f - 1.0, 2.0)), 4)
+    assert np.array_equal(merged.d, deposit(merged.f, 2.0))
+    assert merged.d[0, 0] == 2.0 * math.exp(1.2)
 
 
 def test_update_rejects_non_contiguous_pheromone():
     # the deposit goes through a flat view, which a strided array cannot give
-    support = np.ones((2, 2), dtype=bool)
-    strided = PheromoneMatrix(np.asfortranarray(np.ones((1, 2, 2))), support)
+    plan = sum_plan(candidate_table([np.array([0, 1]), np.array([0, 1])]), 2)
+    strided = np.ones((1, 2 * plan.size))[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        update_pheromone(strided, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), big_q=1.0, rho=0.5)
+        update_pheromone(strided, plan, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), rho=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +548,18 @@ def test_archive_invariants_every_iteration(ex_problem):
 
     run(ex_problem, SolverConfig(seed=2, t_max=30), observer=observer)
     assert checked == list(range(1, 31))
+
+
+def test_observer_gets_a_dense_copy_of_each_iterations_pheromone(ex_problem):
+    seen = []
+
+    def observer(t, archive, tau):
+        seen.append(tau.values)
+
+    run(ex_problem, SolverConfig(seed=3, t_max=3), observer=observer)
+    assert [v.shape for v in seen] == [(5, 6)] * 3
+    assert not np.array_equal(seen[0], seen[2])  # a copy, not a view of the live pheromone
+    assert np.flatnonzero(seen[0][0]).tolist() == sorted(EX_JBAR[0])
 
 
 def test_every_archive_point_feasible_throughout(ex_problem):

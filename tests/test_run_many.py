@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -91,3 +94,22 @@ def test_every_run_of_a_block_equals_its_solo_run(m, n, instance_seed, seeds, s_
         assert float.hex(got.best.f) == float.hex(solo.best.f)
         assert got.eval_count == solo.eval_count
         assert block_tau[r] == solo_tau[0]
+
+
+def test_block_memory_stays_below_the_dense_pheromone(tmp_path):
+    # 8 runs of a 2000 x 1000 instance: a dense pheromone stack alone
+    # would be 8 * 2000 * 1000 doubles, 128 MB.  With numpy 2.4 on Linux
+    # the engine that kept it dense grew by 179 MB, the compact one by 60 MB
+    script = tmp_path / "peak.py"
+    script.write_text(
+        "import resource, numpy as np\n"
+        "from freaco import SolverConfig, make_problem, random_feasible_instance, run_many\n"
+        "inst = random_feasible_instance(2000, 1000, rng=np.random.default_rng(0))\n"
+        "problem = make_problem('tall', inst.A, inst.b, 'sum(k, 1, 1000, (x(k) - 0.5)^2)')\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "run_many(problem, SolverConfig(t_max=2), range(8))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 96 * 1024  # KiB
