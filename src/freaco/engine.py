@@ -173,12 +173,11 @@ class SumPlan(NamedTuple):
     Each entry of ``levels`` is one gather-add: the first half of its
     indices are left operands, the second half right ones, and their sums
     fill the next slots of the scratch row.  ``roots`` indexes each
-    matrix row's total.  ``levels`` is None when every row adds its
-    candidates in slot order, as the compact rows' own ``sum`` does.
+    matrix row's total.
     """
 
     table: np.ndarray
-    levels: tuple[np.ndarray, ...] | None
+    levels: tuple[np.ndarray, ...]
     roots: np.ndarray
     size: int
 
@@ -266,12 +265,6 @@ def sum_plan(table: np.ndarray, n: int) -> SumPlan:
             cols = table[i, :count].tolist()
             roots[i] = pairwise(cols, range(roots[i], roots[i] + count), 0, n)[0]
     left, right, level = np.array(made, dtype=np.int64).reshape(-1, 3).T
-    # an addition continues a sequence when its right operand is the
-    # candidate after the one its left operand added last
-    last = np.where(left < table.size, left, right[np.maximum(left - table.size, 0)])
-    if kmax < LANES and np.all((right < table.size) & (right == last + 1)):
-        # numpy adds a compact row shorter than LANES in the same sequence
-        return SumPlan(table, None, np.array(roots), table.size)
     order = np.argsort(level, kind="stable")
     place = np.arange(table.size + len(order))
     place[table.size + order] = table.size + np.arange(len(order))
@@ -286,8 +279,6 @@ def sum_plan(table: np.ndarray, n: int) -> SumPlan:
 def row_sums(scratch: np.ndarray, plan: SumPlan) -> np.ndarray:
     """Each run's pheromone row sums (R x m), from a scratch buffer
     (R x ``plan.size``) whose head holds the compact pheromone."""
-    if plan.levels is None:  # the compact rows add in the dense order
-        return scratch[:, : plan.table.size].reshape(-1, *plan.table.shape).sum(axis=2)
     at = plan.table.size
     for operands in plan.levels:
         k = len(operands) // 2

@@ -461,13 +461,6 @@ def test_row_sum_keeps_numpy_lane_grouping():
     assert scratch[0, :3].sum() == 1.0  # the compact row's own sum
 
 
-def test_rows_in_slot_order_use_the_compact_sum():
-    # below 8 positions numpy adds a dense row in sequence, so the plan
-    # keeps no addition of its own
-    plan = sum_plan(candidate_table([np.array([0, 2, 5]), np.array([4])]), 6)
-    assert plan.levels is None and plan.size == plan.table.size
-
-
 def test_archive_carries_each_rows_deposit():
     f = np.array([[0.7, -0.2, 0.3]])
     rows = Archive(f[..., None], f, f[..., None], np.zeros((1, 3, 1), dtype=int), deposit(f, 2.0))
