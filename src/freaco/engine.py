@@ -26,15 +26,9 @@ Layout: pheromone lives on the candidate entries only, the solution
 components of the model.  Row i's candidate columns, ascending, fill
 the slots of a ``candidate_table`` row (m x kmax, kmax the largest set),
 and a run's pheromone is an m x kmax array over those slots, zero in the
-padding.  Paths in the archive are slots; ``table[i, slot]`` gives the
-column where cells and results need one.  Row sums follow the order of
-numpy's pairwise ``sum`` over the dense m x n row, not the compact one:
-the two group their additions differently, and a last-bit change in a
-normalizer can flip a path draw at a CDF boundary.  :func:`sum_plan`
-lists the dense sum's additions that involve candidates (adding an exact
-zero changes nothing) once per :func:`run_many`, and :func:`row_sums`
-replays them, one gather-add per tree level, so the sums equal the dense
-ones bit for bit.  Observers alone see a dense m x n copy.
+padding, whose row sums are plain sums over the slots.  Paths in the
+archive are slots; ``table[i, slot]`` gives the column where cells and
+results need one.  Observers alone see a dense m x n copy.
 
 Lockstep: :func:`run_many` advances R runs of one problem together.  Their
 state is stacked on a leading run axis: pheromone R x m x kmax, archive
@@ -61,7 +55,6 @@ seed runs in and equal to those of a row-by-row loop.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import sys
@@ -164,24 +157,6 @@ class Archive(NamedTuple):
     d: np.ndarray
 
 
-class SumPlan(NamedTuple):
-    """numpy's pairwise row sum of the dense pheromone, replayed on its
-    candidate entries (see :func:`sum_plan`).
-
-    A run's scratch row holds the compact pheromone (``table.size``
-    values, row-major over ``table``) followed by one value per addition.
-    Each entry of ``levels`` is one gather-add: the first half of its
-    indices are left operands, the second half right ones, and their sums
-    fill the next slots of the scratch row.  ``roots`` indexes each
-    matrix row's total.
-    """
-
-    table: np.ndarray
-    levels: tuple[np.ndarray, ...]
-    roots: np.ndarray
-    size: int
-
-
 def init_pheromone(sets: list[np.ndarray], n: int) -> PheromoneMatrix:
     """Unit pheromone on every candidate entry, zero elsewhere."""
     support = np.zeros((len(sets), n), dtype=bool)
@@ -201,91 +176,6 @@ def candidate_table(sets: list[np.ndarray]) -> np.ndarray:
     for i, cols in enumerate(sets):
         table[i, : len(cols)] = cols
     return table
-
-
-#: numpy's pairwise summation: runs shorter than LANES add in sequence,
-#: runs of up to BLOCK add in LANES interleaved lanes, longer runs split.
-LANES, BLOCK = 8, 128
-
-
-def sum_plan(table: np.ndarray, n: int) -> SumPlan:
-    """The additions numpy's ``sum`` makes over each dense pheromone row of
-    length ``n``, without those that add a non-candidate entry.
-
-    Such an entry is exactly zero, and adding zero leaves a nonnegative
-    value unchanged, so the additions that remain, grouped as numpy
-    groups them, give each row's dense sum bit for bit.  numpy's rule
-    (``pairwise_sum`` in its add loop) for a run of positions: shorter
-    than LANES, add in sequence; up to BLOCK, add position p into lane
-    ``p % LANES`` over the run's whole multiples of LANES, combine the
-    lanes as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
-    add the rest in sequence; longer, split after the half rounded down to
-    a multiple of LANES and add the two halves' sums.
-    """
-    kmax = table.shape[1]
-    made = []  # (left, right, level) per addition, in the order made
-
-    def add(a, b):  # (scratch index, level) of each operand; None is zero
-        if a is None or b is None:
-            return b if a is None else a
-        level = max(a[1], b[1]) + 1
-        made.append((a[0], b[0], level))
-        return table.size + len(made) - 1, level
-
-    def in_sequence(ids, total=None):
-        for i in ids:
-            total = add(total, (i, 0))
-        return total
-
-    def pairwise(cols, ids, start, length):  # the candidates in [start, start + length)
-        if len(cols) < 3 or length < LANES:  # two candidates make one addition however grouped
-            return in_sequence(ids)
-        if length > BLOCK:
-            half = length // 2 - length // 2 % LANES
-            k = bisect.bisect_left(cols, start + half)
-            return add(pairwise(cols[:k], ids[:k], start, half),
-                       pairwise(cols[k:], ids[k:], start + half, length - half))
-        rest = bisect.bisect_left(cols, start + length - length % LANES)
-        lanes = {}
-        for col, i in zip(cols[:rest], ids[:rest]):
-            lane = (col - start) % LANES
-            lanes[lane] = add(lanes[lane], (i, 0)) if lane in lanes else (i, 0)
-        for _ in range(3):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-            pairs = {}
-            for lane in sorted(lanes):
-                pair = lane >> 1
-                pairs[pair] = add(pairs[pair], lanes[lane]) if pair in pairs else lanes[lane]
-            lanes = pairs
-        return in_sequence(ids[rest:], lanes.get(0))
-
-    counts = (table >= 0).sum(axis=1).tolist()
-    roots = list(range(0, table.size, kmax))  # a lone candidate is its row's sum
-    for i, count in enumerate(counts):
-        if count > 1:
-            cols = table[i, :count].tolist()
-            roots[i] = pairwise(cols, range(roots[i], roots[i] + count), 0, n)[0]
-    left, right, level = np.array(made, dtype=np.int64).reshape(-1, 3).T
-    order = np.argsort(level, kind="stable")
-    place = np.arange(table.size + len(order))
-    place[table.size + order] = table.size + np.arange(len(order))
-    bounds = np.cumsum(np.bincount(level, minlength=1)[1:])
-    levels = tuple(
-        place[np.concatenate([left[order[a:b]], right[order[a:b]]])]
-        for a, b in zip(np.append(0, bounds[:-1]), bounds)
-    )
-    return SumPlan(table, levels, place[roots], table.size + len(order))
-
-
-def row_sums(scratch: np.ndarray, plan: SumPlan) -> np.ndarray:
-    """Each run's pheromone row sums (R x m), from a scratch buffer
-    (R x ``plan.size``) whose head holds the compact pheromone."""
-    at = plan.table.size
-    for operands in plan.levels:
-        k = len(operands) // 2
-        both = scratch.take(operands, axis=1)
-        np.add(both[:, :k], both[:, k:], out=scratch[:, at : at + k])
-        at += k
-    return scratch.take(plan.roots, axis=1)
 
 
 def construct_paths(
@@ -375,30 +265,29 @@ def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np
 
 
 def update_pheromone(
-    scratch: np.ndarray, plan: SumPlan, d: np.ndarray, E: np.ndarray, rho: float
+    values: np.ndarray, table: np.ndarray, d: np.ndarray, E: np.ndarray, rho: float
 ) -> np.ndarray:
     """Deposit ``d[r, s]`` on every candidate slot of path ``E[r, s]``, then
     evaporate; return the row sums (R x m) that the next path draw uses.
 
-    ``scratch`` (R x ``plan.size``) holds each run's compact pheromone at
-    its head and is C-contiguous, so one flat index reaches every entry.
-    Each run's deposits are added member by member in the order given.
-    Rows whose sum underflows below ROW_SUM_FLOOR (possible when every
-    deposit is ~exp(-700) and evaporation keeps halving) are reset to the
-    initial uniform row so the selection probabilities stay well defined.
+    ``values`` (R x m x kmax, see ``table``) is each run's compact
+    pheromone, updated in place, and is C-contiguous, so one flat index
+    reaches every entry.  Each run's deposits are added member by member
+    in the order given.  Rows whose sum underflows below ROW_SUM_FLOOR
+    (possible when every deposit is ~exp(-700) and evaporation keeps
+    halving) are reset to the initial uniform row so the selection
+    probabilities stay well defined.
     """
-    if not scratch.flags.c_contiguous:  # a flat reshape would be a copy
-        raise ValueError("pheromone scratch must be C-contiguous")
-    runs, size = scratch.shape
-    m, kmax = plan.table.shape
-    entries = E + np.arange(0, runs * size, size)[:, None, None] + np.arange(0, m * kmax, kmax)
-    np.add.at(scratch.reshape(-1), entries.ravel(), d.repeat(m))
-    values = scratch[:, : m * kmax].reshape(runs, m, kmax)  # a view
+    if not values.flags.c_contiguous:  # a flat reshape would be a copy
+        raise ValueError("pheromone values must be C-contiguous")
+    _, m, kmax = values.shape
+    entries = E + np.arange(0, values.size, m * kmax)[:, None, None] + np.arange(0, m * kmax, kmax)
+    np.add.at(values.reshape(-1), entries.ravel(), d.repeat(m))
     values *= 1.0 - rho
-    sums = row_sums(scratch, plan)
+    sums = values.sum(axis=2)
     dead = sums < ROW_SUM_FLOOR
     if dead.any():
-        values[dead] = np.broadcast_to(plan.table >= 0, values.shape)[dead]
+        values[dead] = np.broadcast_to(table >= 0, values.shape)[dead]
         sums[dead] = values[dead].sum(axis=1)
     return sums
 
@@ -464,11 +353,8 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     xbar, sets = problem.xbar, problem.sets
     table = candidate_table(sets)
     live = table >= 0
-    plan = sum_plan(table, n)
-    scratch = np.zeros((runs, plan.size))
-    values = scratch[:, : table.size].reshape(runs, *table.shape)  # compact pheromone
-    values[:] = live
-    sums = row_sums(scratch, plan)
+    values = np.repeat(live[None].astype(float), runs, axis=0)  # compact pheromone
+    sums = values.sum(axis=2)
     if observer is not None:
         support = init_pheromone(sets, n).support
     cw = np.cumsum(weights(s_pop, config.q))
@@ -508,7 +394,7 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
             samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
                               deposit(f, config.big_q, limit))
             archive = keep_best(archive, samples, s_pop)
-        sums = update_pheromone(scratch, plan, archive.d, archive.E, config.rho)
+        sums = update_pheromone(values, table, archive.d, archive.E, config.rho)
         trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:
             dense = np.zeros((runs, m, n))

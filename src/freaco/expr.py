@@ -36,7 +36,8 @@ refused as soon as that shows: on entry, at an ``x(...)`` whose indices
 settle it, else at its end; so also before a later error in its body.
 One executor runs the code on ``np.float64`` scalars for
 :func:`evaluate` and on columns for :func:`evaluate_many`, so both give
-bit-identical values.
+bit-identical values; a ``^`` whose exponent varies by point gets it as a
+whole array in both (see :func:`_power`).
 
 Domain policy: overflow, division by zero or an invalid operation (ln of
 a non-positive value, a fractional power of a negative base, inf - inf,
@@ -166,6 +167,7 @@ class _Compiler:
         self.code: list = []
         self.tail: list = []  # registers n+1, n+2, ... in order of first use
         self.slots: list[int] = []  # register of each scratch slot
+        self.by_point = set(range(n + 1))  # registers whose value varies by point
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -194,9 +196,14 @@ class _Compiler:
     def emit(self, fn, d: int, a: int, b: int = -1, ops: int = 1) -> int:
         while len(self.slots) <= d:
             self.slots.append(self.register(None))
-        self.code.append((fn, self.slots[d], a, b))
+        dst = self.slots[d]
+        self.code.append((fn, dst, a, b))
         self.ops += ops
-        return self.slots[d]
+        if a in self.by_point or b in self.by_point:
+            self.by_point.add(dst)
+        else:
+            self.by_point.discard(dst)
+        return dst
 
     def register(self, value) -> int:
         self.tail.append(value)
@@ -231,7 +238,8 @@ class _Compiler:
             a = self.atom(d)
             if self.peek().text == "^":
                 self.advance()
-                a = self.emit(_power, d, a, self.factor(d + 1))
+                b = self.factor(d + 1)
+                a = self.emit(_power_by_point if b in self.by_point else _power, d, a, b)
         self.depth -= 1
         return a
 
@@ -413,15 +421,29 @@ def _gather(columns, index):
 
 
 def _power(base, exponent):
-    """``np.power``, with an exponent that all points share given term by term as
-    a scalar, as an unrolled sum did: numpy computes ``x^2`` as ``x*x`` then."""
-    if exponent.ndim == 0 or exponent.shape[-1] > 1:
+    """``np.power`` with an exponent that all points share, given term by term
+    as a scalar, as an unrolled sum did.
+
+    numpy computes a scalar exponent 2, 0.5 or -1 as ``x*x``, ``sqrt`` or
+    ``1/x``, and an array of exponents with its ``pow``; the two can differ
+    in the last bit.  Passed as a scalar, an exponent gives the same bits
+    for one point as for a column of them.
+    """
+    if exponent.ndim == 0:
         return np.power(base, exponent)
     base, exponent = np.broadcast_arrays(base, exponent)
     out = np.empty(base.shape)
     for i in np.ndindex(exponent.shape[:-1]):
         out[i] = np.power(base[i], exponent[i][0])
     return out
+
+
+def _power_by_point(base, exponent):
+    """``np.power`` with an exponent that varies by point: both operands as
+    whole arrays, so that numpy's ``pow`` computes every value, for one
+    point as for a column of them (see :func:`_power`)."""
+    base, exponent = np.broadcast_arrays(base, exponent)
+    return np.power(base.ravel(), exponent.ravel()).reshape(base.shape)[()]
 
 
 def _run(expr: Expr, columns):
@@ -499,7 +521,9 @@ def evaluate(expr: Expr, x) -> float:
 
 
 def evaluate_many(expr: Expr, X) -> np.ndarray:
-    """Evaluate at each row of ``X`` (N x n), bit-identical to :func:`evaluate`.
+    """Evaluate at each row of ``X`` (N x n), bit-identical to :func:`evaluate`:
+    the same code runs on columns, and each ``^`` gets its exponent in the
+    same form, a scalar or a whole array (see :func:`_power`).
 
     A domain fault or non-finite result raises the same
     :class:`EvalDomainError` as :func:`evaluate` at the first faulting

@@ -29,10 +29,8 @@ from freaco.engine import (
     keep_best,
     probability_matrix,
     ranked,
-    row_sums,
     select_rank,
     sigma_vector,
-    sum_plan,
     update_pheromone,
     weights,
 )
@@ -54,13 +52,10 @@ def update(tau, f, E, big_q, rho):
     """update_pheromone on one run's dense ``tau``, in place: deposits
     ``big_q * exp(-f)`` (f: 1 x s) on paths ``E`` (1 x s x m) of columns."""
     table = candidate_table([np.flatnonzero(row) for row in tau.support])
-    plan = sum_plan(table, tau.values.shape[1])
-    scratch = np.zeros((1, plan.size))
-    live = (table >= 0).ravel()
-    scratch[0, : table.size][live] = tau.values[tau.support]
+    values = compact(tau.values, table)[None]
     slots = ((table < E[..., None]) & (table >= 0)).sum(axis=-1)  # a column's rank in its row
-    sums = update_pheromone(scratch, plan, deposit(f, big_q), slots, rho)
-    tau.values[tau.support] = scratch[0, : table.size][live]
+    sums = update_pheromone(values, table, deposit(f, big_q), slots, rho)
+    tau.values[tau.support] = values[0, table >= 0]
     return sums
 
 
@@ -447,20 +442,6 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
     assert np.array_equal(tau.values, tau.support.astype(float))
 
 
-def test_row_sum_keeps_numpy_lane_grouping():
-    # numpy adds a dense row of 16 in 8 lanes, so position 8 joins lane 0
-    # before lane 1 (position 1) does: candidates {0, 1, 8} add as
-    # (a0 + a8) + a1, which rounds differently from their compact order
-    table = candidate_table([np.array([0, 1, 8])])
-    plan = sum_plan(table, 16)
-    scratch = np.zeros((1, plan.size))
-    scratch[0, :3] = [2.0**-53, 1.0, 2.0**-53]
-    dense = np.zeros(16)
-    dense[[0, 1, 8]] = scratch[0, :3]
-    assert row_sums(scratch, plan)[0, 0] == dense.sum() == 1 + 2.0**-52
-    assert scratch[0, :3].sum() == 1.0  # the compact row's own sum
-
-
 def test_archive_carries_each_rows_deposit():
     f = np.array([[0.7, -0.2, 0.3]])
     rows = Archive(f[..., None], f, f[..., None], np.zeros((1, 3, 1), dtype=int), deposit(f, 2.0))
@@ -471,10 +452,10 @@ def test_archive_carries_each_rows_deposit():
 
 def test_update_rejects_non_contiguous_pheromone():
     # the deposit goes through a flat view, which a strided array cannot give
-    plan = sum_plan(candidate_table([np.array([0, 1]), np.array([0, 1])]), 2)
-    strided = np.ones((1, 2 * plan.size))[:, ::2]
+    table = candidate_table([np.array([0, 1]), np.array([0, 1])])
+    strided = np.ones((1, 2, 4))[:, :, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        update_pheromone(strided, plan, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), rho=0.5)
+        update_pheromone(strided, table, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), rho=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from freaco.engine import (
     construct_paths,
     init_pheromone,
     probability_matrix,
-    row_sums,
-    sum_plan,
 )
 
 from conftest import compact
@@ -109,56 +107,6 @@ def test_archive_feasible_and_support_fixed_throughout(inst, seed):
 
     run(problem, SolverConfig(seed=seed, s_pop=10, t_max=15), observer=observer)
     assert checked == list(range(1, 16))
-
-
-@st.composite
-def candidate_rows(draw):
-    """A row length n and each row's sorted candidate columns: one lone
-    candidate, a few spread out, a few within 24 positions (so that lanes
-    meet), a dense run or the last positions, where the n % 8 tail of a
-    block lies."""
-    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 1100)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shapes = st.sampled_from(["one", "spread", "near", "run", "end"])
-    sets = []
-    for shape in draw(st.lists(shapes, min_size=1, max_size=5)):
-        k = 1 if shape == "one" else int(rng.integers(1, min(n, rng.choice([4, 8, 60])) + 1))
-        if shape == "spread":
-            cols = rng.choice(n, size=k, replace=False)
-        elif shape == "near":
-            start = int(rng.integers(0, n)) // 8 * 8
-            cols = rng.choice(np.arange(start, min(start + 24, n)), size=min(k, 7, n - start), replace=False)
-        else:
-            first = n - k if shape == "end" else int(rng.integers(0, n - k + 1))
-            cols = np.arange(first, first + k)
-        sets.append(np.sort(cols))
-    return n, sets
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    case=candidate_rows(),
-    runs=st.integers(1, 4),
-    decades=st.sampled_from([0.3, 3.0, 300.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_plan_sums_equal_dense_sums_bit_for_bit(case, runs, decades, seed):
-    # the plan replays numpy's pairwise sum on the candidates only; a
-    # numpy release that groups its sum differently fails here.  Values
-    # lie within 1e-300..1e300; a narrow spread of magnitudes lets a
-    # different grouping change the rounding.
-    n, sets = case
-    table = candidate_table(sets)
-    live = table >= 0
-    plan = sum_plan(table, n)
-    scratch = np.zeros((runs, plan.size))
-    values = scratch[:, : table.size].reshape(runs, *table.shape)
-    rng = np.random.default_rng(seed)
-    center = rng.uniform(decades - 300, 300 - decades)
-    values[:, live] = 10.0 ** rng.uniform(center - decades, center + decades, (runs, int(live.sum())))
-    dense = np.zeros((runs, len(sets), n))
-    dense[:, init_pheromone(sets, n).support] = values[:, live]
-    assert np.array_equal(row_sums(scratch, plan), dense.sum(axis=-1))
 
 
 def exact_minimum(A, b, target):

@@ -429,6 +429,8 @@ ROUND_TRIP_SOURCES = [
     ("sum(k, 1, 3, x1)", 1),  # the body does not use k
     ("sum(k, -2, 1, x(k + 3)*(k - 0.5)) + sum(k, -3, -1, x(-k))", 4),
     ("sum(k, 1, 4, k*x(k) + x1^k + (x(k) + 1)^(k/2) - 2^-k)", 4),  # k as a value
+    ("x1^x2", 2),  # exponents that vary by point
+    ("sum(k, 1, 3, x(k)^x4)", 4),
 ]
 
 
@@ -448,6 +450,25 @@ def test_vectorized_matches_scalar(src, n):
     batched = evaluate_many(expr, X)
     singles = np.array([evaluate(expr, x) for x in X])
     assert np.array_equal(batched, singles)
+
+
+@pytest.mark.parametrize(
+    "src,n,column,values",
+    [
+        ("x1^x2", 2, 1, [0.5, 2.0, -1.0]),
+        ("sum(k, 1, 3, x(k)^x4)", 4, 3, [0.5, 2.0, -1.0]),
+        ("(x1 + 1)^(x2*4 - 2)", 2, 1, [0.625, 1.0, 0.25]),
+        ("2^-x1", 1, 0, [-0.5, -2.0, 1.0]),
+    ],
+)
+def test_exponent_that_varies_by_point_gives_the_same_bits_in_both_modes(src, n, column, values):
+    # numpy computes a scalar exponent 0.5, 2 or -1 as sqrt, x*x or 1/x,
+    # and a column of them with pow; the two differ in the last bit
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.1, 3.0, (2000, n))
+    X[:, column] = rng.choice(values, len(X))
+    expr = parse(src, n)
+    assert np.array_equal(evaluate_many(expr, X), [evaluate(expr, x) for x in X])
 
 
 def _unroll(src: str) -> str:
