@@ -25,17 +25,26 @@ Each iteration couples a combinatorial phase with a continuous phase:
 Layout: pheromone lives on the candidate entries only, the solution
 components of the model.  Row i's candidate columns, ascending, fill
 the slots of a ``candidate_table`` row (m x kmax, kmax the largest set),
-and a run's pheromone is an m x kmax array over those slots, zero in the
-padding, whose row sums are plain sums over the slots.  Paths in the
-archive are slots; ``table[i, slot]`` gives the column where cells and
-results need one.  Observers alone see a dense m x n copy.
+and a run's pheromone is an array over those slots, zero in the padding,
+whose row sums are plain sums over the slots.  Only rows with a choice
+have a pheromone row of their own.  A row with one candidate always
+picks slot 0, so every archive path deposits on that slot and all such
+rows hold the same value: one shared row stands for them.  The kept
+rows, every row with two or more candidates and then the first row with
+one, are the rows of ``table[keep]``, still kmax wide; archive paths
+``E`` are slots of the kept rows only.  A cell's lower corner is the
+maximum of the kept rows' corner and ``base``, the corner the
+one-candidate rows fix.  Full m-row paths of columns are rebuilt only
+for results and observers, and observers alone see a dense m x n copy
+of the pheromone.
 
 Lockstep: :func:`run_many` advances R runs of one problem together.  Their
-state is stacked on a leading run axis: pheromone R x m x kmax, archive
-``X`` and ``LB`` R x s_pop x n, ``f`` and ``d`` R x s_pop and ``E`` R x
-s_pop x m.  Every step of an iteration works on all R runs at once,
-except the random draws, which each run makes from its own Generator.
-:func:`run` is :func:`run_many` with one seed.
+state is stacked on a leading run axis: pheromone R x m' x kmax (m' the
+number of kept rows), archive ``X`` and ``LB`` R x s_pop x n, ``f`` and
+``d`` R x s_pop and ``E`` R x s_pop x m'.  Every step of an iteration
+works on all R runs at once, except the random draws, which each run
+makes from its own Generator.  :func:`run` is :func:`run_many` with one
+seed.
 
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
 (PCG64) and consumes it in a fixed order that does not depend on the
@@ -46,7 +55,8 @@ cell (the stream of ``random((s_pop, m))`` followed by
 (one path and its cell point), then, per Gaussian sample, one uniform
 (rank selection) followed by ``standard_normal(n)``, used as
 ``loc + scale * z``: exactly what ``Generator.normal(loc, scale)``
-computes.  No draw depends on the archive, so an iteration makes all of
+computes.  A one-candidate row's path uniforms are drawn but never
+read.  No draw depends on the archive, so an iteration makes all of
 its draws before it evaluates, ranks and samples.  A batch
 ``random(shape)`` yields the same stream as that many single draws, so
 identical configurations give bit-identical results, whatever batch a
@@ -147,8 +157,9 @@ class RunResult(Record):
 
 class Archive(NamedTuple):
     """R runs' archive rows, each run's ascending in ``f``: points (R x s x n),
-    values (R x s), lower corners (R x s x n), paths as candidate slots
-    (R x s x m) and deposit amounts (R x s, see :func:`deposit`)."""
+    values (R x s), lower corners (R x s x n), paths as candidate slots of
+    the kept rows only (R x s x m', see :func:`run_many`) and deposit
+    amounts (R x s, see :func:`deposit`)."""
 
     X: np.ndarray
     f: np.ndarray
@@ -202,11 +213,16 @@ def construct_paths(
     return np.minimum(picks, (table[:, 1:] >= 0).sum(axis=1), out=picks)
 
 
-def cell_points(E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray):
+def cell_points(
+    E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray, base: np.ndarray | float = 0.0
+):
     """The point uniforms ``u`` place in each path's cell, and the cell's
-    lower corner: paths ... x m give points and corners ... x n."""
+    lower corner: paths ... x m' of columns, for the rows whose right-hand
+    sides are ``b``, give points and corners ... x n.  ``base`` is the
+    corner the rows outside the paths fix, folded in by maximum."""
     n = len(xbar)
     LB = path_to_candidate(E.reshape(-1, E.shape[-1]), b, n).reshape(*E.shape[:-1], n)
+    np.maximum(LB, base, out=LB)
     return LB + u * (xbar - LB), LB
 
 
@@ -232,7 +248,9 @@ def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
     divided by s - 1: the mean over the other points, since loc is one of
     the archive's points.
     """
-    return xi * np.abs(X[:, None] - loc[:, :, None]).sum(axis=2) / (X.shape[1] - 1)
+    gaps = X[:, None] - loc[:, :, None]
+    # abs in place: one R x k x s x n block, not two
+    return xi * np.abs(gaps, out=gaps).sum(axis=2) / (X.shape[1] - 1)
 
 
 def gaussian_samples(
@@ -310,9 +328,9 @@ def keep_best(archive: Archive, new: Archive, s_pop: int) -> Archive:
     return ranked(Archive(*(np.concatenate(pair, axis=1) for pair in zip(archive, new))), s_pop)
 
 
-def _views(archive: Archive, r: int, table: np.ndarray) -> tuple[ArchiveSolution, ...]:
-    E = table[np.arange(table.shape[0]), archive.E[r]]
-    rows = zip(archive.X[r], archive.f[r], archive.LB[r], E)
+def _views(archive: Archive, r: int, paths: np.ndarray) -> tuple[ArchiveSolution, ...]:
+    """Run r's archive rows, with ``paths`` (s x m) as their columns."""
+    rows = zip(archive.X[r], archive.f[r], archive.LB[r], paths)
     return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in rows)
 
 
@@ -352,11 +370,23 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     runs = len(gens)
     xbar, sets = problem.xbar, problem.sets
     table = candidate_table(sets)
-    live = table >= 0
-    values = np.repeat(live[None].astype(float), runs, axis=0)  # compact pheromone
+    multi = (table[:, 1:] >= 0).any(axis=1)  # rows with a choice
+    # kept rows: every row with a choice, then the first without one,
+    # which stands for them all; home[i] is the kept row of row i
+    keep = np.concatenate([np.flatnonzero(multi), np.flatnonzero(~multi)[:1]])
+    home = np.full(m, len(keep) - 1)
+    home[keep] = np.arange(len(keep))
+    kept, kb, rows = table[keep], inst.b[keep], np.arange(len(keep))
+    base = path_to_candidate(table[~multi, 0], inst.b[~multi], n)
+
+    def columns(E):
+        """Full paths of columns (... x m) from kept-row slots ``E``."""
+        return table[np.arange(m), E[..., home]]
+
+    values = np.repeat((kept >= 0)[None].astype(float), runs, axis=0)  # compact pheromone
     sums = values.sum(axis=2)
     if observer is not None:
-        support = init_pheromone(sets, n).support
+        support, live = init_pheromone(sets, n).support, table >= 0
     cw = np.cumsum(weights(s_pop, config.q))
     horizon = config.t_max if config.rho == 0 else min(config.t_max, 1 / config.rho)
     # in log space: the bound itself overflows near big_q = DBL_MAX
@@ -369,9 +399,10 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     first = np.empty((runs, s_pop * (m + n)))
     for g, u in zip(gens, first):
         g.random(out=u)
-    rows = np.arange(m)
-    E = construct_paths(values, sums, table, first[:, : s_pop * m].reshape(runs, s_pop, m))
-    X, LB = cell_points(table[rows, E], inst.b, xbar, first[:, s_pop * m :].reshape(runs, s_pop, n))
+    u = first[:, : s_pop * m].reshape(runs, s_pop, m)[..., keep]
+    E = construct_paths(values, sums, kept, u)
+    u = first[:, s_pop * m :].reshape(runs, s_pop, n)
+    X, LB = cell_points(kept[rows, E], kb, xbar, u, base)
     f = evaluate_many(objective, X.reshape(-1, n)).reshape(runs, s_pop)
     archive = ranked(Archive(X, f, LB, E, deposit(f, config.big_q, limit)), s_pop)
     fresh, pick, z = np.empty((runs, m + n)), np.empty((runs, k)), np.empty((runs, k, n))
@@ -383,8 +414,8 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
                 for s in range(k):
                     v[s] = g.random()
                     g.standard_normal(out=w[s])
-            e = construct_paths(values, sums, table, fresh[:, None, :m])
-            x, lb = cell_points(table[rows, e], inst.b, xbar, fresh[:, None, m:])
+            e = construct_paths(values, sums, kept, fresh[:, None, keep])
+            x, lb = cell_points(kept[rows, e], kb, xbar, fresh[:, None, m:], base)
             f = evaluate_many(objective, x.reshape(runs, n)).reshape(runs, 1)
             new = Archive(x, f, lb, e, deposit(f, config.big_q, limit))
             archive = keep_best(archive, new, s_pop)  # before sampling
@@ -394,19 +425,21 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
             samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
                               deposit(f, config.big_q, limit))
             archive = keep_best(archive, samples, s_pop)
-        sums = update_pheromone(values, table, archive.d, archive.E, config.rho)
+        sums = update_pheromone(values, kept, archive.d, archive.E, config.rho)
         trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:
             dense = np.zeros((runs, m, n))
-            dense[:, support] = values[:, live]  # slots ascend with columns
+            dense[:, support] = values[:, home][:, live]  # slots ascend with columns
+            paths = columns(archive.E)
             for r in range(runs):
-                observer(t, r, _views(archive, r, table), PheromoneMatrix(dense[r], support))
+                observer(t, r, _views(archive, r, paths[r]), PheromoneMatrix(dense[r], support))
 
     evals = s_pop + (config.t_max - 1) * (1 + k)
     X, f, LB, E, _ = archive
+    paths = columns(E[:, 0])
     return [
         RunResult(
-            best=ArchiveSolution(X[r, 0], LB[r, 0], table[rows, E[r, 0]], float(f[r, 0])),
+            best=ArchiveSolution(X[r, 0], LB[r, 0], paths[r], float(f[r, 0])),
             trace=trace[r],
             eval_count=evals,
             seed=seed,

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from freaco import (
     compute_max_solution,
     evaluate_many,
     make_problem,
+    path_to_candidate,
     run,
+    run_many,
 )
 from freaco.engine import (
     Archive,
@@ -534,6 +537,41 @@ def test_observer_gets_a_dense_copy_of_each_iterations_pheromone(ex_problem):
     assert [v.shape for v in seen] == [(5, 6)] * 3
     assert not np.array_equal(seen[0], seen[2])  # a copy, not a view of the live pheromone
     assert np.flatnonzero(seen[0][0]).tolist() == sorted(EX_JBAR[0])
+
+
+# Every row has exactly one candidate (rows 0 and 3 share column 0), so
+# the path space holds one path; and no row has exactly one candidate.
+ONE_PATH = ([[0.9, 0.1, 0.2], [0.1, 0.8, 0.1], [0.2, 0.3, 0.7], [0.6, 0.2, 0.1]],
+            [0.6, 0.5, 0.4, 0.6])
+ALL_CHOICE = ([[0.5, 0.5, 0.2], [0.3, 0.4, 0.4], [0.6, 0.7, 0.6]], [0.5, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("A, b, sizes", [(*ONE_PATH, [1, 1, 1, 1]), (*ALL_CHOICE, [2, 2, 3])])
+def test_blocks_without_choice_or_without_fixed_rows_match_solo_runs(A, b, sizes):
+    problem = make_problem("edge", A, b, "sum(k, 1, 3, (x(k) - 0.3)^2)")
+    assert [len(cols) for cols in problem.sets] == sizes
+    single = [i for i, size in enumerate(sizes) if size == 1]
+    config = SolverConfig(s_pop=6, t_max=12)
+    seen = []
+
+    def observer(t, r, archive, tau):
+        assert np.all(tau.values[~tau.support] == 0.0)
+        held = tau.values[single][tau.support[single]]  # one entry per such row
+        assert np.all(held == held[:1])
+        seen.append((t, r))
+
+    block = run_many(problem, config, [4, 5, 6], observer)
+    assert seen == [(t, r) for t in range(1, 13) for r in range(3)]
+    for result in block:
+        solo = run(problem, replace(config, seed=result.seed))
+        for got, want in ((result.trace, solo.trace), (result.best.x, solo.best.x),
+                          (result.best.lb, solo.best.lb), (result.best.e, solo.best.e)):
+            assert np.array_equal(got, want)
+        assert result.best.f == solo.best.f
+        assert len(result.best.e) == len(sizes)
+        assert np.array_equal(result.best.lb, path_to_candidate(result.best.e, problem.instance.b, 3))
+    if len(single) == len(sizes):  # the one path
+        assert all(r.best.e.tolist() == [0, 1, 2, 0] for r in block)
 
 
 def test_every_archive_point_feasible_throughout(ex_problem):

@@ -11,6 +11,7 @@ from freaco import (
     SolverConfig,
     compute_candidate_sets,
     make_problem,
+    path_to_candidate,
     random_feasible_instance,
     reference_optimum,
     residual,
@@ -107,6 +108,17 @@ def test_archive_feasible_and_support_fixed_throughout(inst, seed):
 
     run(problem, SolverConfig(seed=seed, s_pop=10, t_max=15), observer=observer)
     assert checked == list(range(1, 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=planted(max_m=8, max_n=8), seed=st.integers(0, 2**32 - 1))
+def test_best_cell_is_the_cell_of_its_full_path(inst, seed):
+    problem = make_problem("planted", inst.A, inst.b, f"sum(k, 1, {inst.n}, (x(k) - 0.3)^2)")
+    best = run(problem, SolverConfig(seed=seed, s_pop=6, t_max=8)).best
+    assert len(best.e) == inst.m
+    assert all(j in cols for j, cols in zip(best.e, problem.sets))
+    assert np.array_equal(best.lb, path_to_candidate(best.e, inst.b, inst.n))
+    assert np.all(best.lb <= best.x) and np.all(best.x <= problem.xbar)
 
 
 def exact_minimum(A, b, target):
