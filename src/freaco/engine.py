@@ -48,19 +48,18 @@ seed.
 
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
 (PCG64) and consumes it in a fixed order that does not depend on the
-other runs of its batch.  Iteration 1 draws ``s_pop * (m + n)``
-uniforms: one per row of each of the ``s_pop`` paths, then one point per
-cell (the stream of ``random((s_pop, m))`` followed by
-``random((s_pop, n))``).  Every later iteration draws ``m + n`` uniforms
-(one path and its cell point), then, per Gaussian sample, one uniform
-(rank selection) followed by ``standard_normal(n)``, used as
-``loc + scale * z``: exactly what ``Generator.normal(loc, scale)``
-computes.  A one-candidate row's path uniforms are drawn but never
-read.  No draw depends on the archive, so an iteration makes all of
-its draws before it evaluates, ranks and samples.  A batch
-``random(shape)`` yields the same stream as that many single draws, so
-identical configurations give bit-identical results, whatever batch a
-seed runs in and equal to those of a row-by-row loop.
+other runs of its batch.  Iteration t draws ``a * (m + n)`` uniforms,
+where a is ``s_pop`` at t = 1 and 1 after that: one per row of each of
+the a paths, then one point per cell (the stream of ``random((a, m))``
+followed by ``random((a, n))``).  Then, per Gaussian sample (none at
+t = 1), it draws one uniform (rank selection) followed by
+``standard_normal(n)``, used as ``loc + scale * z``: exactly what
+``Generator.normal(loc, scale)`` computes.  A one-candidate row's path
+uniforms are drawn but never read.  No draw depends on the archive, so
+an iteration makes all of its draws before it evaluates, ranks and
+samples.  A batch ``random(shape)`` yields the same stream as that many
+single draws, so identical configurations give bit-identical results,
+whatever batch a seed runs in and equal to those of a row-by-row loop.
 """
 
 from __future__ import annotations
@@ -340,13 +339,13 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     Result r equals ``run(problem, replace(config, seed=seeds[r]))`` bit
     for bit; ``config.seed`` itself is not used.
 
-    Iteration 1 builds ``s_pop`` paths, fills the archive with one
-    uniform draw per cell and updates the pheromone from that archive
-    directly.  Every later iteration builds one path, refreshes the
-    archive with one uniform draw from its cell, performs
-    ``samples_per_iter`` Gaussian samples against the archive as it
-    stood after that refresh, and updates the pheromone; each insertion
-    round keeps the ``s_pop`` best, so the best value never regresses.
+    Iteration t builds a paths, a being ``s_pop`` at t = 1 and 1 after
+    that, and enters one uniform draw from each path's cell into the
+    archive.  After iteration 1 it then performs ``samples_per_iter``
+    Gaussian samples against the archive as those rows left it.  Every
+    iteration ends by updating the pheromone; each insertion round keeps
+    the ``s_pop`` best, so the best value never regresses.  The draws
+    follow the module's Reproducibility rule.
 
     ``observer(t, r, archive, tau)``, when given, is called after each
     iteration for each run r in order, with that run's archive as a tuple
@@ -396,35 +395,28 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     )
     trace = np.empty((runs, config.t_max))
 
-    first = np.empty((runs, s_pop * (m + n)))
-    for g, u in zip(gens, first):
-        g.random(out=u)
-    u = first[:, : s_pop * m].reshape(runs, s_pop, m)[..., keep]
-    E = construct_paths(values, sums, kept, u)
-    u = first[:, s_pop * m :].reshape(runs, s_pop, n)
-    X, LB = cell_points(kept[rows, E], kb, xbar, u, base)
-    f = evaluate_many(objective, X.reshape(-1, n)).reshape(runs, s_pop)
-    archive = ranked(Archive(X, f, LB, E, deposit(f, config.big_q, limit)), s_pop)
-    fresh, pick, z = np.empty((runs, m + n)), np.empty((runs, k)), np.empty((runs, k, n))
     ri = np.arange(runs)[:, None]
     for t in range(1, config.t_max + 1):
-        if t > 1:
-            for g, u, v, w in zip(gens, fresh, pick, z):
-                g.random(out=u)
-                for s in range(k):
-                    v[s] = g.random()
-                    g.standard_normal(out=w[s])
-            e = construct_paths(values, sums, kept, fresh[:, None, keep])
-            x, lb = cell_points(kept[rows, e], kb, xbar, fresh[:, None, m:], base)
-            f = evaluate_many(objective, x.reshape(runs, n)).reshape(runs, 1)
-            new = Archive(x, f, lb, e, deposit(f, config.big_q, limit))
-            archive = keep_best(archive, new, s_pop)  # before sampling
+        ants, samples = (s_pop, 0) if t == 1 else (1, k)
+        u = np.empty((runs, ants * (m + n)))
+        pick, z = np.empty((runs, samples)), np.empty((runs, samples, n))
+        for g, a, v, w in zip(gens, u, pick, z):
+            g.random(out=a)
+            for s in range(samples):
+                v[s] = g.random()
+                g.standard_normal(out=w[s])
+        e = construct_paths(values, sums, kept, u[:, : ants * m].reshape(runs, ants, m)[..., keep])
+        x, lb = cell_points(kept[rows, e], kb, xbar, u[:, ants * m :].reshape(runs, ants, n), base)
+        f = evaluate_many(objective, x.reshape(-1, n)).reshape(runs, ants)
+        new = Archive(x, f, lb, e, deposit(f, config.big_q, limit))
+        archive = ranked(new, s_pop) if t == 1 else keep_best(archive, new, s_pop)
+        if samples:
             ranks = select_rank(cw, pick)
             Xs = gaussian_samples(archive, ranks, z, config.xi, xbar)
-            f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, k)
-            samples = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
-                              deposit(f, config.big_q, limit))
-            archive = keep_best(archive, samples, s_pop)
+            f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, samples)
+            new = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
+                          deposit(f, config.big_q, limit))
+            archive = keep_best(archive, new, s_pop)
         sums = update_pheromone(values, kept, archive.d, archive.E, config.rho)
         trace[:, t - 1] = archive.f[:, 0]
         if observer is not None:

@@ -26,6 +26,9 @@ REFINE_STEPS = 20
 #: Pattern-search passes allowed per step size before forcing a halving.
 MAX_PASSES_PER_LEVEL = 200
 
+#: Sample coordinates drawn and evaluated at once: whole cells, at least one.
+SAMPLE_BLOCK = 2**13
+
 
 @dataclass(frozen=True, eq=False)
 class OracleReport(Record):
@@ -114,9 +117,10 @@ def reference_optimum(
 
     Enumerates every path of the problem's candidate sets
     (``problem.sets``, within ``cap``), deduplicates the cells they span,
-    draws ``samples_per_cell`` uniform points per cell (plus both corners)
-    and refines each cell's best sample by clamped coordinate pattern
-    search over ``REFINE_STEPS`` step halvings.  The returned best is the
+    draws ``samples_per_cell`` uniform points per cell (plus both corners),
+    cell after cell in blocks of whole cells, and refines each cell's best
+    sample by clamped coordinate pattern search over ``REFINE_STEPS`` step
+    halvings.  The block size changes neither the draws nor the result.  The returned best is the
     minimum over cells; on exact ties the cell with the lexicographically
     smallest lower corner wins.
 
@@ -134,16 +138,15 @@ def reference_optimum(
     lows = np.unique(path_to_candidate(paths, inst.b, inst.n), axis=0)
     K, n = lows.shape
 
-    best_x = np.empty((K, n))
-    best_f = np.full(K, np.inf)
-    for k in range(K):
-        span = xbar - lows[k]
-        X = lows[k] + rng.random((samples_per_cell, n)) * span
-        X = np.vstack([lows[k][None, :], xbar[None, :], X])
-        vals = evaluate_many(problem.objective, X)
-        i = int(np.argmin(vals))
-        best_x[k] = X[i]
-        best_f[k] = vals[i]
+    best_x, best_f = np.empty((K, n)), np.empty(K)
+    step = max(1, SAMPLE_BLOCK // ((samples_per_cell + 2) * n))  # cells per block
+    for lo in range(0, K, step):
+        low = lows[lo : lo + step]
+        X = low[:, None] + rng.random((len(low), samples_per_cell, n)) * (xbar - low)[:, None]
+        X = np.concatenate([low[:, None], np.broadcast_to(xbar, (len(low), 1, n)), X], axis=1)
+        vals = evaluate_many(problem.objective, X.reshape(-1, n)).reshape(len(low), -1)
+        cells, i = np.arange(len(low)), vals.argmin(axis=1)
+        best_x[lo : lo + step], best_f[lo : lo + step] = X[cells, i], vals[cells, i]
 
     best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
     winner = int(np.argmin(best_f))  # first minimum = lexicographically least cell

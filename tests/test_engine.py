@@ -505,6 +505,27 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.trace, b.trace)
 
 
+def test_first_iteration_is_s_pop_paths_then_their_points_from_one_draw(ex_problem):
+    seen = []
+    run(ex_problem, SolverConfig(s_pop=5, samples_per_iter=3, t_max=1, seed=6),
+        observer=lambda t, archive, tau: seen.append(archive))
+    inst, xbar, sets = ex_sets(ex_problem)
+    m, n = inst.m, inst.n
+    u = np.random.default_rng(6).random(5 * (m + n))
+    tau, table = init_pheromone(sets, n), candidate_table(sets)
+    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), table,
+                            u[: 5 * m].reshape(5, m))
+    E = table[np.arange(m), slots]
+    X, LB = cell_points(E, inst.b, xbar, u[5 * m :].reshape(5, n))
+    f = evaluate_many(ex_problem.objective, X)
+    order = np.argsort(f, kind="stable")
+    (archive,) = seen  # s_pop rows, no Gaussian sample
+    assert np.array_equal([s.x for s in archive], X[order])
+    assert np.array_equal([s.lb for s in archive], LB[order])
+    assert np.array_equal([s.e for s in archive], E[order])
+    assert [s.f for s in archive] == f[order].tolist()
+
+
 def test_trace_monotone_and_matches_best():
     result = run(builtin_problem(6), SolverConfig(seed=8))
     assert np.all(np.diff(result.trace) <= 0)

@@ -19,6 +19,7 @@ from freaco import (
     residual,
     run,
 )
+from freaco import oracle
 
 from conftest import EX_A, EX_B, EX_OBJECTIVE
 
@@ -140,6 +141,16 @@ def test_reference_optimum_respects_cap():
 def test_reference_optimum_deterministic_given_rng():
     a = reference_optimum(builtin_problem(4), rng=np.random.default_rng(5))
     b = reference_optimum(builtin_problem(4), rng=np.random.default_rng(5))
+    assert a.best_value == b.best_value
+    assert np.array_equal(a.best_point, b.best_point)
+
+
+@pytest.mark.parametrize("block", [1, 6060, 10**9])  # a cell per block, three cells, all
+def test_reference_optimum_does_not_depend_on_the_sample_block(monkeypatch, block):
+    problem = builtin_problem(5)  # 44 cells, 202 points of 10 coordinates each
+    a = reference_optimum(problem, rng=np.random.default_rng(2))
+    monkeypatch.setattr(oracle, "SAMPLE_BLOCK", block)
+    b = reference_optimum(problem, rng=np.random.default_rng(2))
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_point, b.best_point)
 
