@@ -190,6 +190,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
 SUMMARY_COLUMNS = ("name", "avg", "mdn", "sd", "fbest", "evals", "mean_error")
 TRACE_COLUMNS = ("problem", "run", "iter", "best_so_far")
 
+#: The files ``freaco bench --out DIR`` writes, each with its :func:`export` format.
+OUT_FILES = (("summary.csv", "csv"), ("summary.json", "json"), ("traces.csv", "trace-csv"))
+
 
 def _summary_rows(summary: ExperimentSummary):
     for p in summary.problems:
@@ -252,12 +255,18 @@ def export(summary: ExperimentSummary, format: str, path):
             json.dump(_summary_dict(summary), fh, indent=2)
             fh.write("\n")
     elif format == "trace-csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_COLUMNS)
-            for p in summary.problems:
-                for r, row in enumerate(p.trace):
-                    for t, value in enumerate(row, start=1):
-                        writer.writerow((p.name, r, t, repr(float(value))))
+        write_trace_csv(path, ((p.name, p.trace) for p in summary.problems))
     else:
         raise ValueError(f"unknown export format {format!r}")
+
+
+def write_trace_csv(path, traces):
+    """Write ``(name, trace)`` pairs, each trace runs x iterations of
+    best-so-far values, as the trace CSV described under :func:`export`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for name, trace in traces:
+            for r, row in enumerate(trace):
+                for t, value in enumerate(row, start=1):
+                    writer.writerow((name, r, t, repr(float(value))))

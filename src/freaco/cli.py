@@ -72,6 +72,18 @@ def _seed(value: str) -> int:
     return seed
 
 
+#: ``solve``'s solver flags: (flag, :class:`SolverConfig` field, type, help).
+_SOLVER_FLAGS = (
+    ("seed", "seed", _seed, None),
+    ("iters", "t_max", int, "iteration budget"),
+    ("pop", "s_pop", int, "archive size"),
+    ("q", "q", float, "rank-selection locality"),
+    ("xi", "xi", float, "Gaussian spread factor"),
+    ("rho", "rho", float, "evaporation rate"),
+    ("deposit", "big_q", float, "pheromone deposit constant"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="freaco", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -79,15 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolverConfig()
     solve = subs.add_parser("solve", help="run the solver on one instance")
     _add_source_flags(solve)
-    solve.add_argument("--seed", type=_seed, default=defaults.seed)
-    solve.add_argument("--iters", type=int, default=defaults.t_max, help="iteration budget")
-    solve.add_argument("--pop", type=int, default=defaults.s_pop, help="archive size")
-    solve.add_argument("--q", type=float, default=defaults.q, help="rank-selection locality")
-    solve.add_argument("--xi", type=float, default=defaults.xi, help="Gaussian spread factor")
-    solve.add_argument("--rho", type=float, default=defaults.rho, help="evaporation rate")
-    solve.add_argument(
-        "--deposit", type=float, default=defaults.big_q, help="pheromone deposit constant"
-    )
+    for flag, field, kind, text in _SOLVER_FLAGS:
+        solve.add_argument(f"--{flag}", type=kind, default=getattr(defaults, field), help=text)
     solve.add_argument("--trace", help="write per-iteration best-so-far CSV here")
     solve.add_argument("--out", help="also write the result JSON here")
 
@@ -95,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--problems", default="all", help="'all' or comma list like 1,2,5")
     bench.add_argument("--runs", type=int, default=30)
     bench.add_argument("--seed", type=_seed, default=0, help="base seed; run r uses seed+r")
-    bench.add_argument("--out", default=".", help="directory for summary.csv/summary.json/traces.csv")
+    files = "/".join(name for name, _ in bench_mod.OUT_FILES)
+    bench.add_argument("--out", default=".", help=f"directory for {files}")
 
     verify = subs.add_parser("verify", help="brute-force reference optimum")
     _add_source_flags(verify)
@@ -114,15 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     problem = _load(args)
-    config = SolverConfig(
-        s_pop=args.pop,
-        q=args.q,
-        xi=args.xi,
-        rho=args.rho,
-        big_q=args.deposit,
-        t_max=args.iters,
-        seed=args.seed,
-    )
+    config = SolverConfig(**{field: getattr(args, flag) for flag, field, _, _ in _SOLVER_FLAGS})
     result = run(problem, config)
     payload = {
         "problem": problem.name,
@@ -134,13 +132,7 @@ def _cmd_solve(args) -> int:
     }
     print(json.dumps(payload))
     if args.trace:
-        summary = bench_mod.ExperimentSummary(
-            problems=(bench_mod.summarize_runs(problem, [result]),),
-            runs=1,
-            base_seed=config.seed,
-            config=config,
-        )
-        bench_mod.export(summary, "trace-csv", args.trace)
+        bench_mod.write_trace_csv(args.trace, [(problem.name, [result.trace])])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -164,23 +156,18 @@ def _cmd_bench(args) -> int:
     problems = _parse_problem_list(args.problems)
     os.makedirs(args.out, exist_ok=True)
     spec = bench_mod.ExperimentSpec(problems=problems, runs=args.runs, base_seed=args.seed)
-    summaries = []
-    failures = 0
-    for outcome in bench_mod.run_problems(spec):
-        if isinstance(outcome, ExperimentError):
-            failures += 1
-            _diag(f"error: {outcome} ({outcome.__cause__})")
-        else:
-            summaries.append(outcome)
+    outcomes = bench_mod.run_problems(spec)
+    failures = [o for o in outcomes if isinstance(o, ExperimentError)]
+    for error in failures:
+        _diag(f"error: {error} ({error.__cause__})")
     summary = bench_mod.ExperimentSummary(
-        problems=tuple(summaries),
+        problems=tuple(o for o in outcomes if not isinstance(o, ExperimentError)),
         runs=spec.runs,
         base_seed=spec.base_seed,
         config=spec.config,
     )
-    bench_mod.export(summary, "csv", os.path.join(args.out, "summary.csv"))
-    bench_mod.export(summary, "json", os.path.join(args.out, "summary.json"))
-    bench_mod.export(summary, "trace-csv", os.path.join(args.out, "traces.csv"))
+    for name, format in bench_mod.OUT_FILES:
+        bench_mod.export(summary, format, os.path.join(args.out, name))
     sys.stdout.write(bench_mod.summary_csv_text(summary))
     return EXIT_ERROR if failures else EXIT_OK
 

@@ -131,14 +131,15 @@ class ArchiveSolution(Record):
     f: float
 
 
-@dataclass
-class PheromoneMatrix:
+@dataclass(frozen=True, eq=False)
+class PheromoneMatrix(Record):
     """Dense pheromone of one run, as observers receive it.
 
     ``values`` (m x n) holds each candidate entry's weight and zero
     elsewhere; ``support`` (m x n) is the fixed candidate pattern.  The
     engine itself keeps only the candidate entries (see :func:`run_many`)
-    and builds this view, a fresh copy, only for an observer.
+    and builds this view, a fresh copy, only for an observer; like every
+    :class:`~freaco.fre.Record`, it holds both arrays read-only.
     """
 
     values: np.ndarray

@@ -164,9 +164,13 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
 
     Component j is the largest b_i among rows whose path choice is column
     j, or 0 when no row chose j.  The cell itself is the box from this
-    corner up to ``xbar``.
+    corner up to ``xbar``.  Paths must be integer arrays: a float or bool
+    path raises :class:`InvalidPathError` rather than being truncated.
     """
-    paths = np.asarray(paths, dtype=np.int64)
+    paths = np.asarray(paths)
+    if paths.dtype.kind not in "iu":
+        raise InvalidPathError(f"path indices must be integers, got dtype {paths.dtype}")
+    paths = paths.astype(np.int64, copy=False)
     b = np.asarray(b, dtype=float)
     if paths.ndim not in (1, 2) or paths.shape[-1] != b.shape[0]:
         raise DimensionMismatchError("path", b.shape[0], paths.shape[-1] if paths.ndim else -1)

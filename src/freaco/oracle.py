@@ -26,7 +26,8 @@ REFINE_STEPS = 20
 #: Pattern-search passes allowed per step size before forcing a halving.
 MAX_PASSES_PER_LEVEL = 200
 
-#: Sample coordinates drawn and evaluated at once: whole cells, at least one.
+#: Sample coordinates drawn and evaluated at once: whole cells when one
+#: fits, else one cell in pieces of at most this many sample coordinates.
 SAMPLE_BLOCK = 2**13
 
 
@@ -118,11 +119,14 @@ def reference_optimum(
     Enumerates every path of the problem's candidate sets
     (``problem.sets``, within ``cap``), deduplicates the cells they span,
     draws ``samples_per_cell`` uniform points per cell (plus both corners),
-    cell after cell in blocks of whole cells, and refines each cell's best
-    sample by clamped coordinate pattern search over ``REFINE_STEPS`` step
-    halvings.  The block size changes neither the draws nor the result.  The returned best is the
-    minimum over cells; on exact ties the cell with the lexicographically
-    smallest lower corner wins.
+    cell after cell in blocks of whole cells (a cell larger than
+    ``SAMPLE_BLOCK`` coordinates in pieces, each led by the cell's best so
+    far), and refines each cell's best sample by clamped coordinate pattern
+    search over ``REFINE_STEPS`` step halvings.  A cell's best sample is
+    the first minimum over its lower corner, ``xbar``, then its samples in
+    order, so the block size changes neither the draws nor the result.  The
+    returned best is the minimum over cells; on exact ties the cell with
+    the lexicographically smallest lower corner wins.
 
     Raises :class:`ValueError` when ``samples_per_cell < 0`` or
     ``cap < 1``, before enumerating anything.
@@ -140,13 +144,18 @@ def reference_optimum(
 
     best_x, best_f = np.empty((K, n)), np.empty(K)
     step = max(1, SAMPLE_BLOCK // ((samples_per_cell + 2) * n))  # cells per block
+    piece = max(1, samples_per_cell if step > 1 else SAMPLE_BLOCK // n)  # samples per draw
     for lo in range(0, K, step):
         low = lows[lo : lo + step]
-        X = low[:, None] + rng.random((len(low), samples_per_cell, n)) * (xbar - low)[:, None]
-        X = np.concatenate([low[:, None], np.broadcast_to(xbar, (len(low), 1, n)), X], axis=1)
-        vals = evaluate_many(problem.objective, X.reshape(-1, n)).reshape(len(low), -1)
-        cells, i = np.arange(len(low)), vals.argmin(axis=1)
-        best_x[lo : lo + step], best_f[lo : lo + step] = X[cells, i], vals[cells, i]
+        cells = np.arange(len(low))
+        X = np.stack([low, np.broadcast_to(xbar, low.shape)], axis=1)  # the corners lead
+        for s in range(0, max(samples_per_cell, 1), piece):
+            draw = rng.random((len(low), min(piece, samples_per_cell - s), n))
+            X = np.concatenate([X, low[:, None] + draw * (xbar - low)[:, None]], axis=1)
+            vals = evaluate_many(problem.objective, X.reshape(-1, n)).reshape(len(low), -1)
+            i = vals.argmin(axis=1)
+            X = X[cells, i][:, None]  # each cell's best so far leads its next piece
+        best_x[lo : lo + step], best_f[lo : lo + step] = X[:, 0], vals[cells, i]
 
     best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
     winner = int(np.argmin(best_f))  # first minimum = lexicographically least cell

@@ -114,6 +114,14 @@ def test_fbest_never_beats_certified_floor():
         assert summary.problems[0].f_best >= floor - 1e-6
 
 
+def test_runs_and_thread_budget_must_be_positive(monkeypatch):
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        ExperimentSpec(problems=(builtin_problem(1),), runs=0)
+    monkeypatch.setenv("FREACO_THREADS", "0")
+    with pytest.raises(ValueError, match="FREACO_THREADS must be >= 1"):
+        bench.thread_budget()
+
+
 def test_run_error_carries_problem_and_index():
     # ln(x1 - 1) faults everywhere on [0, 1]; the first evaluation of
     # run 0 must surface as a wrapped experiment error

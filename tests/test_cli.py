@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from freaco import EPS_EQ, Instance, SolverConfig, residual
-from freaco import cli
+from freaco import EPS_EQ, EvalDomainError, Instance, SolverConfig, residual
+from freaco import bench, cli
 from freaco.cli import build_parser, main
 from freaco.oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL
 
@@ -189,6 +189,14 @@ def test_solve_rejects_bad_builtin_index(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["solve", "--builtin", "1"], ["bench", "--problems", "1"]])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    code, out, err = call(capsys, [*command, "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "seed must be non-negative" in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -225,6 +233,44 @@ def test_bench_reruns_byte_identical(capsys, tmp_path, monkeypatch):
     assert out1 == out2
     assert (first / "summary.csv").read_bytes() == (second / "summary.csv").read_bytes()
     assert (first / "traces.csv").read_bytes() == (second / "traces.csv").read_bytes()
+
+
+def test_bench_rejects_a_malformed_problem_list(capsys, tmp_path):
+    out_dir = tmp_path / "bench"
+    code, out, err = call(capsys, ["bench", "--problems", "x", "--out", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert "error: bad --problems list: 'x'" in err
+    assert not out_dir.exists()
+
+
+def test_bench_reports_a_failing_problem_and_writes_the_others(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("FREACO_THREADS", "1")
+    real = bench.run_many
+
+    def problem_keyed_fault(problem, config, seeds, observer=None):
+        if problem.name == "problem-02":
+            raise EvalDomainError("problem-keyed fault", [0.0])
+        return real(problem, config, seeds, observer)
+
+    monkeypatch.setattr(bench, "run_many", problem_keyed_fault)
+    out_dir = tmp_path / "bench"
+    code, out, err = call(
+        capsys, ["bench", "--problems", "1,2,3", "--runs", "2", "--out", str(out_dir)]
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        "error: run 0 of problem 'problem-02' failed (problem-keyed fault at x = [0.0])"
+    ]
+    names = ["problem-01", "problem-03"]
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == names
+    assert (out_dir / "summary.csv").read_text(encoding="utf-8") == out
+    with open(out_dir / "summary.json", encoding="utf-8") as fh:
+        assert [p["name"] for p in json.load(fh)["problems"]] == names
+    with open(out_dir / "traces.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({r["problem"] for r in rows}) == names
+    assert len(rows) == 2 * 2 * 100
 
 
 # ---------------------------------------------------------------------------

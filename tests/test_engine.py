@@ -10,6 +10,7 @@ from freaco import (
     EPS_EQ,
     InfeasibleInstanceError,
     Instance,
+    PheromoneMatrix,
     SolverConfig,
     builtin_problem,
     compose_many,
@@ -52,19 +53,20 @@ def ex_sets(problem):
 
 
 def update(tau, f, E, big_q, rho):
-    """update_pheromone on one run's dense ``tau``, in place: deposits
+    """One run's dense ``tau`` after update_pheromone: deposits
     ``big_q * exp(-f)`` (f: 1 x s) on paths ``E`` (1 x s x m) of columns."""
     table = candidate_table([np.flatnonzero(row) for row in tau.support])
     values = compact(tau.values, table)[None]
     slots = ((table < E[..., None]) & (table >= 0)).sum(axis=-1)  # a column's rank in its row
-    sums = update_pheromone(values, table, deposit(f, big_q), slots, rho)
-    tau.values[tau.support] = values[0, table >= 0]
-    return sums
+    update_pheromone(values, table, deposit(f, big_q), slots, rho)
+    dense = np.zeros_like(tau.values)
+    dense[tau.support] = values[0, table >= 0]
+    return PheromoneMatrix(dense, tau.support)
 
 
 def deposit_one(tau, e, f, big_q=1.0):
     """A single member's deposit: update_pheromone without evaporation."""
-    update(tau, np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
+    return update(tau, np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
 
 
 def draw_paths(tau, table, k, rng):
@@ -137,7 +139,7 @@ def test_probability_after_one_deposit(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    deposit_one(tau, e, 0.5)
+    tau = deposit_one(tau, e, 0.5)
     d = math.exp(-0.5)
     p = probability_matrix(tau)
     for i, cols in enumerate(sets):
@@ -372,7 +374,7 @@ def test_deposit_zero_objective_adds_exactly_one(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    deposit_one(tau, e, 0.0)
+    tau = deposit_one(tau, e, 0.0)
     for i in range(inst.m):
         assert tau.values[i, e[i]] == 2.0
 
@@ -381,7 +383,7 @@ def test_deposit_amount_for_negative_objective(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
-    deposit_one(tau, e, -0.0096)
+    tau = deposit_one(tau, e, -0.0096)
     for i in range(inst.m):
         assert tau.values[i, e[i]] == pytest.approx(1 + 1.009646227810575, abs=1e-12)
 
@@ -389,7 +391,7 @@ def test_deposit_amount_for_negative_objective(ex_problem):
 def test_deposit_leaves_off_support_zero(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
-    deposit_one(tau, np.array([0, 0, 2, 1, 0]), 1.0)
+    tau = deposit_one(tau, np.array([0, 0, 2, 1, 0]), 1.0)
     assert np.all(tau.values[~tau.support] == 0.0)
 
 
@@ -398,19 +400,18 @@ def test_better_solutions_deposit_more(ex_problem):
     e = np.array([0, 0, 2, 1, 0])
     tau1 = init_pheromone(sets, inst.n)
     tau2 = init_pheromone(sets, inst.n)
-    deposit_one(tau1, e, 0.2)
-    deposit_one(tau2, e, 0.9)
+    tau1 = deposit_one(tau1, e, 0.2)
+    tau2 = deposit_one(tau2, e, 0.9)
     assert np.all(tau1.values[0, [0]] > tau2.values[0, [0]])
 
 
 def test_evaporate():
     sets = [np.array([0, 1])]
-    tau = init_pheromone(sets, 2)
-    tau.values[0, 0] = 2.0
+    tau = PheromoneMatrix(np.array([[2.0, 1.0]]), init_pheromone(sets, 2).support)
     nobody = (np.empty((1, 0)), np.empty((1, 0, 1), dtype=np.int64))  # evaporation alone
-    update(tau, *nobody, big_q=1.0, rho=0.5)
+    tau = update(tau, *nobody, big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
-    update(tau, *nobody, big_q=1.0, rho=0.0)
+    tau = update(tau, *nobody, big_q=1.0, rho=0.0)
     assert np.array_equal(tau.values[0], [1.0, 0.5])
 
 
@@ -419,7 +420,7 @@ def test_update_touches_only_archive_paths(ex_problem):
     tau = init_pheromone(sets, inst.n)
     e = np.array([0, 0, 2, 1, 0])
     before = tau.values.copy()
-    update(tau, np.full((1, 8), 0.5), np.tile(e, (1, 8, 1)), big_q=1.0, rho=0.0)
+    tau = update(tau, np.full((1, 8), 0.5), np.tile(e, (1, 8, 1)), big_q=1.0, rho=0.0)
     grew = tau.values > before
     expected = np.zeros_like(grew)
     expected[np.arange(inst.m), e] = True
@@ -431,7 +432,7 @@ def test_update_keeps_probability_rows_normalized(ex_problem):
     tau = init_pheromone(sets, inst.n)
     archive = uniform_archive(ex_problem, 30, np.random.default_rng(20))
     for _ in range(5):
-        update(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
+        tau = update(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
         rows = probability_matrix(tau).sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-12)
         assert np.all(tau.values[~tau.support] == 0.0)
@@ -439,9 +440,9 @@ def test_update_keeps_probability_rows_normalized(ex_problem):
 
 def test_degenerate_rows_reset_to_initial(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    tau = init_pheromone(sets, inst.n)
-    tau.values[:] = np.where(tau.support, 1e-300, 0.0)
-    update(tau, np.array([[1e9]]), np.array([[[0, 0, 2, 1, 0]]]), big_q=1.0, rho=0.5)
+    support = init_pheromone(sets, inst.n).support
+    tau = PheromoneMatrix(np.where(support, 1e-300, 0.0), support)
+    tau = update(tau, np.array([[1e9]]), np.array([[[0, 0, 2, 1, 0]]]), big_q=1.0, rho=0.5)
     assert np.array_equal(tau.values, tau.support.astype(float))
 
 
@@ -560,6 +561,17 @@ def test_observer_gets_a_dense_copy_of_each_iterations_pheromone(ex_problem):
     assert np.flatnonzero(seen[0][0]).tolist() == sorted(EX_JBAR[0])
 
 
+def test_observer_cannot_write_the_pheromone(ex_problem):
+    # the support is shared by every call; a write would corrupt the
+    # next iteration's dense copy
+    def observer(t, archive, tau):
+        for array in (tau.support, tau.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+
+    run(ex_problem, SolverConfig(seed=3, t_max=3), observer=observer)
+
+
 # Every row has exactly one candidate (rows 0 and 3 share column 0), so
 # the path space holds one path; and no row has exactly one candidate.
 ONE_PATH = ([[0.9, 0.1, 0.2], [0.1, 0.8, 0.1], [0.2, 0.3, 0.7], [0.6, 0.2, 0.1]],
@@ -662,6 +674,8 @@ def test_config_validation():
         SolverConfig(rho=1.0)
     with pytest.raises(ValueError):
         SolverConfig(t_max=0)
+    with pytest.raises(ValueError, match="samples_per_iter must be >= 0"):
+        SolverConfig(samples_per_iter=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
 

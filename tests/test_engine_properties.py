@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from freaco import (
     EPS_EQ,
+    PheromoneMatrix,
     SolverConfig,
     compute_candidate_sets,
     make_problem,
@@ -65,10 +66,12 @@ def planted(draw, max_m=12, max_n=16):
 @given(inst=planted(), data=st.data())
 def test_path_draw_matches_searchsorted_reference(inst, data):
     sets = compute_candidate_sets(inst)
-    tau = init_pheromone(sets, inst.n)
+    support = init_pheromone(sets, inst.n).support
     # uneven positive pheromone on the support
-    size = int(tau.support.sum())
-    tau.values[tau.support] = data.draw(st.lists(st.floats(1e-300, 1e3), min_size=size, max_size=size))
+    size = int(support.sum())
+    values = np.zeros(support.shape)
+    values[support] = data.draw(st.lists(st.floats(1e-300, 1e3), min_size=size, max_size=size))
+    tau = PheromoneMatrix(values, support)
     k = data.draw(st.integers(1, 4))
     u = np.array(data.draw(st.lists(UNIFORMS, min_size=k * inst.m, max_size=k * inst.m)))
     u = u.reshape(k, inst.m)
@@ -81,8 +84,10 @@ def test_uniform_at_total_picks_the_last_candidate():
     # candidate (and, in the padded table, onto padding); both draws
     # must clamp to the last candidate
     sets = [np.array([0, 2, 3]), np.array([1])]
-    tau = init_pheromone(sets, 4)
-    tau.values[0, [0, 2, 3]] = [0.1, 0.7, 0.2]
+    start = init_pheromone(sets, 4)
+    values = start.values.copy()
+    values[0, [0, 2, 3]] = [0.1, 0.7, 0.2]
+    tau = PheromoneMatrix(values, start.support)
     total = np.cumsum(probability_matrix(tau)[0, sets[0]])[-1]
     u = np.array([[1.0, 1.0]])
     assert u[0, 0] * total == total

@@ -136,6 +136,25 @@ def test_loop_variable_out_of_scope():
         parse("sum(k, 1, 2, x(k)) + k", 2)
 
 
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("sum(1, 1, 2, x1)", "sum needs a loop variable name"),
+        ("sum(k, 1, 2, sum(k, 1, 2, x1))", "loop variable 'k' is already in scope"),
+        ("sum(k, 1, 2, x(j))", "unknown identifier 'j'"),
+        ("sum(k, 1, 2, x(k + ))", "unexpected ')'"),
+    ],
+)
+def test_sum_and_index_refusals(src, message):
+    with pytest.raises(ExprParseError, match=re.escape(message)):
+        parse(src, 2)
+
+
+def test_dimension_must_be_positive():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        parse("1", 0)
+
+
 def test_computed_index_out_of_range_detected_at_parse():
     with pytest.raises(ExprParseError) as info:
         parse("sum(k, 1, 9, x(k + 2))", 10)
@@ -541,6 +560,9 @@ def test_nested_sum_equals_its_unrolled_terms(data):
         ("sum(i, 1, 2, sum(j, -1, 0, ln(j*i)))", "invalid value encountered in log"),
         ("sum(k, 0, 1, 1/(1 - k) + ln(k - 1))", "invalid value encountered in log"),  # k = 0 first
         ("sum(k, 1, 3, 1e308 + ln(3 - k))", "overflow encountered in add"),  # the first add, then ln(0)
+        # every term of the sum passes, then the code after it faults
+        ("sum(k, 1, 2, x1*k) + ln(x1 - 1)", "invalid value encountered in log"),
+        ("sum(i, 1, 2, sum(j, 1, 2, x1*i*j)) + ln(x1 - 1)", "invalid value encountered in log"),
     ],
 )
 def test_fault_reason_is_the_first_met_term_by_term(src, reason):

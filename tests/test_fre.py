@@ -46,6 +46,24 @@ def test_instance_validation():
         inst.A[0, 0] = 0.9  # arrays are frozen
 
 
+@pytest.mark.parametrize(
+    "A,b,message",
+    [
+        ([], [0.5], "A must be a non-empty 2-D matrix"),
+        ([[]], [0.5], "A must be a non-empty 2-D matrix"),
+        ([0.5, 0.5], [0.5], "A must be a non-empty 2-D matrix"),
+        ([[[0.5]]], [0.5], "A must be a non-empty 2-D matrix"),
+        ([[0.5]], [], "b must be a non-empty vector"),
+        ([[0.5]], [[0.5]], "b must be a non-empty vector"),
+        ([[np.nan]], [0.5], "A and b must be finite"),
+        ([[0.5]], [np.inf], "A and b must be finite"),
+    ],
+)
+def test_instance_refuses_malformed_data(A, b, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        Instance(A, b)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -268,7 +286,7 @@ def test_path_to_candidate_single_row():
 
 def test_path_to_candidate_out_of_range(ex_instance):
     b, n = ex_instance.b, ex_instance.n
-    for bad in ([0, 0, 0, 0, 6], [0, 0, -1, 0, 0], [0, 0, 0, 0, -6]):
+    for bad in ([0, 0, 0, 0, 6], [0, 0, -1, 0, 0], [0, 0, 0, 0, -6], [0, 0, 1.7, 0, 0]):
         with pytest.raises(InvalidPathError):
             path_to_candidate(bad, b, n)
         with pytest.raises(InvalidPathError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,28 @@ def test_reference_optimum_does_not_depend_on_the_sample_block(monkeypatch, bloc
     b = reference_optimum(problem, rng=np.random.default_rng(2))
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_point, b.best_point)
+
+
+@pytest.mark.parametrize("block", [1, 10**9])
+def test_cells_without_samples_do_not_depend_on_the_sample_block(monkeypatch, block):
+    problem = builtin_problem(5)
+    a = reference_optimum(problem, samples_per_cell=0)
+    monkeypatch.setattr(oracle, "SAMPLE_BLOCK", block)
+    b = reference_optimum(problem, samples_per_cell=0)
+    assert (a.best_value, a.samples_per_cell) == (b.best_value, 0)
+    assert np.array_equal(a.best_point, b.best_point)
+
+
+def test_oversized_cell_is_drawn_in_pieces():
+    # a cell of 20000 samples is 120012 coordinates, 15 times SAMPLE_BLOCK;
+    # drawn whole, the cell peaks at about 3 MB
+    tracemalloc.start()
+    try:
+        reference_optimum(builtin_problem(1), samples_per_cell=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,20 @@ def test_non_numeric_matrix_data_rejected(key, value):
         problem_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([1, 2], "instance file must hold a JSON object"),
+        ({**ex1_dict(), "name": 5}, "'name' must be a string"),
+        ({**ex1_dict(), "objective": 3}, "'objective' must be a string expression"),
+    ],
+    ids=["list", "name", "objective"],
+)
+def test_malformed_instance_file_rejected(data, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        problem_from_dict(data)
+
+
 def test_missing_keys_rejected():
     payload = ex1_dict()
     del payload["objective"]

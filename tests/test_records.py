@@ -10,6 +10,7 @@ from freaco import (
     ArchiveSolution,
     Instance,
     OracleReport,
+    PheromoneMatrix,
     Problem,
     ProblemSummary,
     RunResult,
@@ -42,6 +43,11 @@ def build_run_result():
     return RunResult(best, trace, 2, 0, SolverConfig()), [trace, *passed]
 
 
+def build_pheromone_matrix():
+    values, support = np.array([[1.0, 0.0], [2.0, 3.0]]), np.array([[True, False], [True, True]])
+    return PheromoneMatrix(values, support), [values, support]
+
+
 def build_problem_summary():
     trace = np.ones((2, 3))
     return ProblemSummary("p", None, 1.0, 1.0, 0.0, 1.0, 3.0, None, trace), [trace]
@@ -56,6 +62,7 @@ BUILDERS = {
     Problem: build_problem,
     ArchiveSolution: build_archive_solution,
     RunResult: build_run_result,
+    PheromoneMatrix: build_pheromone_matrix,
     ProblemSummary: build_problem_summary,
     OracleReport: build_oracle_report,
 }
