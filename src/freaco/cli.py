@@ -154,8 +154,8 @@ def _parse_problem_list(text: str) -> list[Problem]:
 
 def _cmd_bench(args) -> int:
     problems = _parse_problem_list(args.problems)
-    os.makedirs(args.out, exist_ok=True)
     spec = bench_mod.ExperimentSpec(problems=problems, runs=args.runs, base_seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     outcomes = bench_mod.run_problems(spec)
     failures = [o for o in outcomes if isinstance(o, ExperimentError)]
     for error in failures:

@@ -78,16 +78,20 @@ BLOCK = 1 << 16  # rows x terms that evaluate_many runs at once
 class Expr:
     """A compiled objective over x1..xn.
 
-    Registers 0..n-1 hold the coordinates, n all of them together,
-    the rest start as ``tail``: constants, gather indices and loop
-    variables, None for scratch slots.  Instruction ``(fn, dst, a, b)``
-    stores ``fn(r[a], r[b])`` in ``r[dst]``, or ``fn(r[a])`` when ``b``
-    is -1, and the value is left in ``r[out]``.  Inside sums a value has
-    an axis per sum, innermost first, then the points; ``terms`` is the
-    largest product of those lengths.  Immutable: threads may share it.
+    Registers 0..n-1 are the coordinates, of which only those in
+    ``reads``, the ones the code reads directly (``xj``, or ``x(c)``
+    with a constant index), are filled; the others stay None.  Register
+    n holds all coordinates together, for gathers, and the rest start as
+    ``tail``: constants, gather indices and loop variables, None for
+    scratch slots.  Instruction ``(fn, dst, a, b)`` stores
+    ``fn(r[a], r[b])`` in ``r[dst]``, or ``fn(r[a])`` when ``b`` is -1,
+    and the value is left in ``r[out]``.  Inside sums a value has an axis
+    per sum, innermost first, then the points; ``terms`` is the largest
+    product of those lengths.  Immutable: threads may share it.
     """
 
     n: int
+    reads: tuple
     code: tuple
     tail: tuple
     out: int
@@ -168,6 +172,7 @@ class _Compiler:
         self.tail: list = []  # registers n+1, n+2, ... in order of first use
         self.slots: list[int] = []  # register of each scratch slot
         self.by_point = set(range(n + 1))  # registers whose value varies by point
+        self.reads: set[int] = set()  # coordinate registers the code reads
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -259,6 +264,7 @@ class _Compiler:
             index = int(var.group(1))
             if not 1 <= index <= self.n:
                 self.fail(f"variable x{index} is out of range for dimension {self.n}", tok)
+            self.reads.add(index - 1)
             return index - 1
         if name == "x":
             # x(...) in a sum is an operand in each term of its nest when
@@ -275,6 +281,7 @@ class _Compiler:
                 if not 1 <= i <= self.n:
                     self.fail(f"computed index evaluates to {i}, outside 1..{self.n}", tok)
             if isinstance(index, int):
+                self.reads.add(index - 1)
                 return index - 1
             return self.emit(_gather, d, self.n, self.register((index - 1).astype(np.intp)), ops=0)
         if name in FUNCTIONS:
@@ -403,7 +410,8 @@ def parse(src: str, n: int) -> Expr:
     tok = compiler.peek()
     if tok.kind != "end":
         compiler.fail(f"unexpected trailing {tok.text!r}", tok)
-    return Expr(n, tuple(compiler.code), tuple(compiler.tail), out, compiler.terms)
+    reads = tuple(sorted(compiler.reads))
+    return Expr(n, reads, tuple(compiler.code), tuple(compiler.tail), out, compiler.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +424,9 @@ def _fold(terms, k):
 
 
 def _gather(columns, index):
-    """``x(index)`` in every term: rows of the coordinate table."""
-    return columns.reshape(len(columns), -1)[index]
+    """``x(index)`` in every term: rows of the coordinate table, taken
+    along the coordinate axis in one copy (fancy indexing copies row by row)."""
+    return columns.reshape(len(columns), -1).take(index, axis=0)
 
 
 def _power(base, exponent):
@@ -448,7 +457,9 @@ def _power_by_point(base, exponent):
 
 def _run(expr: Expr, columns):
     """Execute ``expr`` on a point of n values or on n columns."""
-    r = [*columns, columns, *expr.tail]
+    r = [None] * expr.n + [columns, *expr.tail]
+    for i in expr.reads:
+        r[i] = columns[i]
     with np.errstate(all="raise", under="ignore"):
         for fn, dst, a, b in expr.code:
             r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])

@@ -244,6 +244,15 @@ def test_bench_rejects_a_malformed_problem_list(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_bench_rejects_a_bad_run_count_before_making_the_out_dir(capsys, tmp_path):
+    out_dir = tmp_path / "bench"
+    code, out, err = call(capsys, ["bench", "--problems", "1", "--runs", "0", "--out", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert "error: runs must be >= 1" in err
+    assert not out_dir.exists()
+
+
 def test_bench_reports_a_failing_problem_and_writes_the_others(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FREACO_THREADS", "1")
     real = bench.run_many

@@ -618,6 +618,42 @@ def test_batch_of_several_row_blocks():
     assert np.array_equal(info.value.point, X[100], equal_nan=True)
 
 
+PLANTED_SOURCE = "sum(k, 1, 999, (x(k) - 0.5)^2 + x(k)*x(k+1))"  # perfbench's planted objective
+
+
+def planted_reference(x) -> float:
+    # the sum written out, term by term, in floats, added left to right
+    total = 0.0
+    for k in range(1, 1000):
+        d = x[k - 1] - 0.5
+        term = d * d + x[k - 1] * x[k]
+        total = term if k == 1 else total + term
+    return total
+
+
+@pytest.mark.parametrize("rows", [1, 2, 65, 66])  # 66 rows cross the 65-row block
+def test_planted_objective_at_full_size_matches_its_terms(rows):
+    expr = parse(PLANTED_SOURCE, 1000)
+    assert expr_module.BLOCK // expr.terms == 65
+    X = np.random.default_rng(59).random((rows, 1000))
+    reference = [planted_reference(x.tolist()) for x in X]
+    assert [evaluate(expr, x) for x in X] == reference
+    assert evaluate_many(expr, X).tolist() == reference
+
+
+@pytest.mark.parametrize("src", ["x3*sum(k, 1, 2, x(k)) + x5", "x(1 + 2)*sum(k, 1, 2, x(k)) + x(5)"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_direct_and_gathered_reads_agree_and_skip_unread_coordinates(src, bad):
+    # x3 and x5 are read directly, x1 and x2 only through the gather
+    expr = parse(src, 6)
+    assert expr.reads == (2, 4)
+    X = np.random.default_rng(61).random((5, 6))
+    assert np.array_equal(evaluate_many(expr, X), [evaluate(expr, x) for x in X])
+    point = [0.5, 0.25, 0.25, bad, 0.5, bad]  # x4 and x6 are never read
+    assert evaluate(expr, point) == 0.6875
+    assert evaluate_many(expr, [point, point, X[0]]).tolist() == [0.6875, 0.6875, evaluate(expr, X[0])]
+
+
 def test_batch_memory_stays_bounded_for_a_long_sum(tmp_path):
     # Unblocked, this batch holds 20000 x 1500 temporaries (about 460 MB)
     script = tmp_path / "peak.py"
