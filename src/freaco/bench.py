@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -39,12 +40,21 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        for name in ("runs", "base_seed"):
+            try:  # numpy integers pass, stored as int so summaries stay JSON
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class ProblemSummary(Record):
+    """One problem's statistics; ``summary.json`` writes these fields in this order."""
+
     name: str
     known_optimum: float | None
     avg_best: float
@@ -125,9 +135,10 @@ def _experiment_error(problem: Problem, run_index: int, cause: Exception) -> Exp
     return error
 
 
-def run_problems(spec: ExperimentSpec) -> list[ProblemSummary | ExperimentError]:
-    """Per problem, its summary or the :class:`ExperimentError` of its
-    first failing run (chained to the failure).
+def run_problems(spec: ExperimentSpec) -> tuple[ExperimentSummary, list[ExperimentError]]:
+    """The summary of the problems whose runs all pass, and per other
+    problem the :class:`ExperimentError` of its first failing run (chained
+    to the failure), both in problem order.
 
     Each problem's runs are cut into ``ceil(workers / problems)`` blocks
     of consecutive seeds, so that even one problem keeps every worker
@@ -156,32 +167,27 @@ def run_problems(spec: ExperimentSpec) -> list[ProblemSummary | ExperimentError]
                 done.append(_solve_block(job))
             except Exception as exc:  # reported below as the job's ExperimentError
                 done.append(exc)
-    outcomes = []
+    summaries, failures = [], []
     for p, problem in enumerate(spec.problems):
         results = []
         for block, res in zip(blocks, done[p * len(blocks) : (p + 1) * len(blocks)]):
             if isinstance(res, Exception):
-                outcomes.append(_first_failure(spec, problem, block, res))
+                failures.append(_first_failure(spec, problem, block, res))
                 break
             results += res
         else:
-            outcomes.append(summarize_runs(problem, results))
-    return outcomes
+            summaries.append(summarize_runs(problem, results))
+    summary = ExperimentSummary(tuple(summaries), spec.runs, spec.base_seed, spec.config)
+    return summary, failures
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     """Summarize every problem of ``spec``; the first problem with a
     failing run raises its :class:`ExperimentError`."""
-    summaries = run_problems(spec)
-    for outcome in summaries:
-        if isinstance(outcome, ExperimentError):
-            raise outcome
-    return ExperimentSummary(
-        problems=tuple(summaries),
-        runs=spec.runs,
-        base_seed=spec.base_seed,
-        config=spec.config,
-    )
+    summary, failures = run_problems(spec)
+    if failures:
+        raise failures[0]
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +228,7 @@ def _summary_dict(summary: ExperimentSummary) -> dict:
         "runs": summary.runs,
         "base_seed": summary.base_seed,
         "config": asdict(summary.config),
-        "problems": [
-            {
-                "name": p.name,
-                "known_optimum": p.known_optimum,
-                "avg_best": p.avg_best,
-                "median_best": p.median_best,
-                "sd_best": p.sd_best,
-                "f_best": p.f_best,
-                "mean_eval_count": p.mean_eval_count,
-                "mean_error": p.mean_error,
-                "trace": p.trace.tolist(),
-            }
-            for p in summary.problems
-        ],
+        "problems": [{**vars(p), "trace": p.trace.tolist()} for p in summary.problems],
     }
 
 

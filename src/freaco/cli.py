@@ -20,7 +20,6 @@ import numpy as np
 from . import bench as bench_mod
 from .engine import SolverConfig, run
 from .errors import (
-    ExperimentError,
     FreacoError,
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -130,13 +129,13 @@ def _cmd_solve(args) -> int:
         "iterations": config.t_max,
         "seed": result.seed,
     }
-    print(json.dumps(payload))
     if args.trace:
         bench_mod.write_trace_csv(args.trace, [(problem.name, [result.trace])])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+    print(json.dumps(payload))  # after the files, so a failed write leaves stdout empty
     return EXIT_OK
 
 
@@ -156,16 +155,9 @@ def _cmd_bench(args) -> int:
     problems = _parse_problem_list(args.problems)
     spec = bench_mod.ExperimentSpec(problems=problems, runs=args.runs, base_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    outcomes = bench_mod.run_problems(spec)
-    failures = [o for o in outcomes if isinstance(o, ExperimentError)]
+    summary, failures = bench_mod.run_problems(spec)
     for error in failures:
         _diag(f"error: {error} ({error.__cause__})")
-    summary = bench_mod.ExperimentSummary(
-        problems=tuple(o for o in outcomes if not isinstance(o, ExperimentError)),
-        runs=spec.runs,
-        base_seed=spec.base_seed,
-        config=spec.config,
-    )
     for name, format in bench_mod.OUT_FILES:
         bench_mod.export(summary, format, os.path.join(args.out, name))
     sys.stdout.write(bench_mod.summary_csv_text(summary))

@@ -33,6 +33,8 @@ SAMPLE_BLOCK = 2**13
 
 @dataclass(frozen=True, eq=False)
 class OracleReport(Record):
+    """The oracle's result; ``freaco verify`` writes these fields in this order."""
+
     problem: str
     path_count: int
     best_value: float
@@ -41,14 +43,7 @@ class OracleReport(Record):
     samples_per_cell: int
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "path_count": self.path_count,
-            "best_value": self.best_value,
-            "best_point": [float(v) for v in self.best_point],
-            "cells_examined": self.cells_examined,
-            "samples_per_cell": self.samples_per_cell,
-        }
+        return {**vars(self), "best_point": self.best_point.tolist()}
 
 
 def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.ndarray:

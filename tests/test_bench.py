@@ -122,6 +122,30 @@ def test_runs_and_thread_budget_must_be_positive(monkeypatch):
         bench.thread_budget()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("runs", 2.5, "runs must be an integer"),
+        ("base_seed", 1.0, "base_seed must be an integer"),
+        ("base_seed", -1, "base_seed must be >= 0"),
+    ],
+)
+def test_spec_rejects_bad_run_count_and_base_seed(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(problems=(builtin_problem(1),), **{field: value})
+
+
+def test_spec_stores_numpy_integers_as_int(tmp_path):
+    spec = ExperimentSpec(
+        problems=(builtin_problem(1),), runs=np.int64(2), config=SMALL, base_seed=np.int32(3)
+    )
+    assert type(spec.runs) is int and type(spec.base_seed) is int
+    path = tmp_path / "summary.json"
+    export(run_experiment(spec), "json", path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))
+    assert (loaded["runs"], loaded["base_seed"]) == (2, 3)
+
+
 def test_run_error_carries_problem_and_index():
     # ln(x1 - 1) faults everywhere on [0, 1]; the first evaluation of
     # run 0 must surface as a wrapped experiment error
@@ -236,11 +260,11 @@ def test_pooled_error_names_problem_and_run(monkeypatch, threads):
     monkeypatch.setenv("FREACO_THREADS", threads)
     faulty = make_problem("faulty", EX_A, EX_B, "ln(x1 - 1)")
     spec = ExperimentSpec(problems=(builtin_problem(1), faulty), runs=2, config=SMALL)
-    outcomes = run_problems(spec)
-    assert outcomes[0].name == "problem-01"
-    assert isinstance(outcomes[1], ExperimentError)
-    assert (outcomes[1].problem, outcomes[1].run_index) == ("faulty", 0)
-    assert isinstance(outcomes[1].__cause__, EvalDomainError)
+    summary, (failure,) = run_problems(spec)
+    assert summary.problems[0].name == "problem-01"
+    assert isinstance(failure, ExperimentError)
+    assert (failure.problem, failure.run_index) == ("faulty", 0)
+    assert isinstance(failure.__cause__, EvalDomainError)
     with pytest.raises(ExperimentError) as info:
         run_experiment(spec)
     assert (info.value.problem, info.value.run_index) == ("faulty", 0)
@@ -257,7 +281,23 @@ def test_block_error_names_its_failing_seed(monkeypatch):
         return real(problem, config, seeds, observer)
 
     monkeypatch.setattr(bench, "run_many", seed_keyed_fault)
-    (outcome,) = run_problems(small_spec(runs=4))
+    _, (outcome,) = run_problems(small_spec(runs=4))
     assert isinstance(outcome, ExperimentError)
     assert (outcome.problem, outcome.run_index) == ("problem-01", 2)
     assert outcome.__cause__.reason == "seed-keyed fault"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_problems_splits_summary_and_failures_in_problem_order(monkeypatch, threads):
+    monkeypatch.setenv("FREACO_THREADS", threads)
+    faulty_a = make_problem("faulty-a", EX_A, EX_B, "ln(x1 - 1)")
+    faulty_b = make_problem("faulty-b", EX_A, EX_B, "ln(x1 - 1)")
+    spec = ExperimentSpec(problems=(faulty_a, builtin_problem(1), faulty_b), runs=2, config=SMALL)
+    summary, failures = run_problems(spec)
+    assert [p.name for p in summary.problems] == ["problem-01"]
+    assert (summary.runs, summary.base_seed, summary.config) == (2, 0, SMALL)
+    assert [(f.problem, f.run_index) for f in failures] == [("faulty-a", 0), ("faulty-b", 0)]
+    assert all(isinstance(f.__cause__, EvalDomainError) for f in failures)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(spec)
+    assert (info.value.problem, info.value.run_index) == ("faulty-a", 0)

@@ -93,6 +93,14 @@ def test_solve_writes_trace_and_out(capsys, tmp_path):
     assert all(a >= b for a, b in zip(best, best[1:]))
 
 
+def test_solve_failed_write_leaves_stdout_empty(capsys, tmp_path):
+    missing = tmp_path / "missing" / "r.json"
+    code, out, err = call(capsys, ["solve", "--builtin", "1", "--iters", "2", "--out", str(missing)])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_solve_trace_quotes_problem_name(capsys, tmp_path):
     source = tmp_path / "instance.json"
     payload = {"name": "a,b", "A": EX_A, "b": EX_B, "objective": EX_OBJECTIVE}
