@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -26,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .engine import RunResult, SolverConfig, run_many
-from .errors import ExperimentError
+from .errors import ExperimentError, whole
 from .fre import Record
 from .problems import Problem
 
@@ -40,15 +39,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
-        for name in ("runs", "base_seed"):
-            try:  # numpy integers pass, stored as int so summaries stay JSON
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+        for name, low in (("runs", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, whole(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +75,7 @@ def thread_budget() -> int:
     """Worker cap for parallel runs, from FREACO_THREADS (default: all cores)."""
     raw = os.environ.get("FREACO_THREADS", "")
     if raw.strip():
-        budget = int(raw)
-        if budget < 1:
-            raise ValueError("FREACO_THREADS must be >= 1")
-        return budget
+        return whole("FREACO_THREADS", int(raw), 1)
     return os.cpu_count() or 1
 
 

@@ -58,8 +58,8 @@ def _load(args) -> Problem:
     return load_problem_file(args.file)
 
 
-def _add_source_flags(sub, required: bool = True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_source_flags(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="instance JSON file")
     group.add_argument("--builtin", type=int, help="built-in problem number (1-10)")
 

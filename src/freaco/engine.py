@@ -65,13 +65,13 @@ whatever batch a seed runs in and equal to those of a row-by-row loop.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import whole
 from .expr import evaluate_many
 from .fre import Record, path_to_candidate
 from .problems import Problem
@@ -97,13 +97,8 @@ class SolverConfig:
     samples_per_iter: int = 2  # Gaussian samples per iteration after the first
 
     def __post_init__(self):
-        for name in ("s_pop", "t_max", "samples_per_iter", "seed"):
-            try:  # numpy integers pass, stored as int so summaries stay JSON
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.s_pop < 2:
-            raise ValueError("s_pop must be >= 2")
+        for name, low in (("s_pop", 2), ("t_max", 1), ("samples_per_iter", 0), ("seed", 0)):
+            object.__setattr__(self, name, whole(name, getattr(self, name), low))
         for name, value in (("q", self.q), ("xi", self.xi), ("big_q", self.big_q)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
@@ -113,12 +108,6 @@ class SolverConfig:
             raise ValueError("q * s_pop is too large: the largest rank weight is not a normal double")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.samples_per_iter < 0:
-            raise ValueError("samples_per_iter must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +327,8 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     """Solve ``problem`` once per seed in ``seeds`` under ``config``, in lockstep.
 
     Result r equals ``run(problem, replace(config, seed=seeds[r]))`` bit
-    for bit; ``config.seed`` itself is not used.
+    for bit; ``config.seed`` itself is not used.  A seed that is not an
+    integer >= 0 raises :class:`ValueError` before any work.
 
     Iteration t builds a paths, a being ``s_pop`` at t = 1 and 1 after
     that, and enters one uniform draw from each path's cell into the
@@ -363,7 +353,7 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     or below a quarter of the double ceiling plus its start value, and
     every probability is finite.  The default configuration keeps 700.
     """
-    seeds = list(seeds)
+    seeds = [whole("seed", seed, 0) for seed in seeds]
     inst, objective = problem.instance, problem.objective
     m, n, s_pop, k = inst.m, inst.n, config.s_pop, config.samples_per_iter
     gens = [np.random.default_rng(seed) for seed in seeds]

@@ -1,8 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+
+def whole(name: str, value, low: int) -> int:
+    """``value`` as an ``int`` no smaller than ``low``: the check for every
+    count, seed, size and index the package takes.
+
+    Python and numpy integers pass and come back as ``int``, so results
+    stay JSON; anything else, or a value below ``low``, raises
+    :class:`ValueError` naming ``name``.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class FreacoError(Exception):

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvalDomainError, ExprParseError
+from .errors import DimensionMismatchError, EvalDomainError, ExprParseError, whole
 
 # + - * / and negation use Python's operators; ^ (see _power) and the
 # named functions use numpy ufuncs.  np.float64 scalars and arrays then
@@ -403,8 +403,7 @@ def parse(src: str, n: int) -> Expr:
     unknown identifiers, out-of-range variable indices, too deep nesting
     and too large expansions; with more than one, the first read wins.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    n = whole("dimension", n, 1)
     compiler = _Compiler(_tokenize(src), n)
     out = compiler.expr(0)
     tok = compiler.peek()
@@ -529,7 +528,7 @@ def evaluate(expr: Expr, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (expr.n,):
-        raise DimensionMismatchError("point", expr.n, x.size)
+        raise DimensionMismatchError("point", expr.n, x.shape[0] if x.ndim == 1 else -1)
     try:
         value = _run(expr, x).item()  # a sum leaves shape (1,)
     except FloatingPointError:

@@ -105,7 +105,7 @@ def compose_many(inst: Instance, X) -> np.ndarray:
     of ``X`` (N x n -> N x m)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != inst.n:
-        raise DimensionMismatchError("X columns", inst.n, X.shape[-1])
+        raise DimensionMismatchError("X columns", inst.n, X.shape[1] if X.ndim == 2 else -1)
     # (N, 1, n) vs (m, n) -> (N, m, n)
     return np.minimum(X[:, None, :], inst.A).max(axis=2)
 
@@ -173,7 +173,7 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
     paths = paths.astype(np.int64, copy=False)
     b = np.asarray(b, dtype=float)
     if paths.ndim not in (1, 2) or paths.shape[-1] != b.shape[0]:
-        raise DimensionMismatchError("path", b.shape[0], paths.shape[-1] if paths.ndim else -1)
+        raise DimensionMismatchError("path", b.shape[0], paths.shape[-1] if paths.ndim in (1, 2) else -1)
     E = paths if paths.ndim == 2 else paths[None, :]
     # checked before indexing, where a negative index would wrap silently
     if E.size and (E.min() < 0 or E.max() >= n):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathSpaceTooLargeError
+from .errors import PathSpaceTooLargeError, whole
 from .expr import evaluate_many
 from .fre import Instance, Record, path_space_size, path_to_candidate
 from .problems import Problem
@@ -49,9 +49,11 @@ class OracleReport(Record):
 def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.ndarray:
     """All paths in lexicographic order as an (|E|, m) int array.
 
-    Raises :class:`PathSpaceTooLargeError` (carrying the exact count)
-    when the product of candidate-set sizes exceeds ``cap``.
+    Raises :class:`ValueError` unless ``cap`` is an integer >= 1, and
+    :class:`PathSpaceTooLargeError` (carrying the exact count) when the
+    product of candidate-set sizes exceeds ``cap``.
     """
+    cap = whole("cap", cap, 1)
     size = path_space_size(sets)
     if size > cap:
         raise PathSpaceTooLargeError(size, cap)
@@ -123,13 +125,11 @@ def reference_optimum(
     returned best is the minimum over cells; on exact ties the cell with
     the lexicographically smallest lower corner wins.
 
-    Raises :class:`ValueError` when ``samples_per_cell < 0`` or
-    ``cap < 1``, before enumerating anything.
+    ``samples_per_cell`` and ``cap`` accept Python and numpy integers;
+    a non-integer, ``samples_per_cell < 0`` or ``cap < 1`` raises
+    :class:`ValueError` naming the argument, before enumerating anything.
     """
-    if samples_per_cell < 0:
-        raise ValueError(f"samples_per_cell must be >= 0, got {samples_per_cell}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    samples_per_cell = whole("samples_per_cell", samples_per_cell, 0)
     if rng is None:
         rng = np.random.default_rng(0)
     inst, xbar = problem.instance, problem.xbar
@@ -173,8 +173,7 @@ def random_feasible_instance(
     with probability 1 - density) and sets b to the composition of A
     with the planted point.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    m, n = whole("m", m, 1), whole("n", n, 1)
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     if rng is None:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, whole
 from .expr import Expr, parse
 from .fre import Instance, Record, compute_candidate_sets, compute_max_solution
 
@@ -324,6 +324,6 @@ def builtin_problems() -> list[Problem]:
 def builtin_problem(index: int) -> Problem:
     """Fetch a built-in problem by 1-based index."""
     problems = _builtin_tuple()
-    if not 1 <= index <= len(problems):
+    if whole("builtin index", index, 1) > len(problems):
         raise ValueError(f"builtin index must be 1..{len(problems)}, got {index}")
     return problems[index - 1]

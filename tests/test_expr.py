@@ -153,6 +153,9 @@ def test_sum_and_index_refusals(src, message):
 def test_dimension_must_be_positive():
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         parse("1", 0)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        parse("1", 2.5)
+    assert type(parse("x1 + x2", np.int64(2)).n) is int
 
 
 def test_computed_index_out_of_range_detected_at_parse():
@@ -711,6 +714,12 @@ def test_one_row_batch_keeps_shape_errors():
         evaluate_many(expr, np.full((1, 2), 0.5))
     with pytest.raises(ValueError, match="2-D"):
         evaluate_many(expr, np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("x, got", [(np.full(2, 0.5), 2), (np.full((1, 3), 0.5), -1), (0.5, -1)])
+def test_point_error_reports_its_length_or_minus_one_for_wrong_axes(x, got):
+    with pytest.raises(DimensionMismatchError, match=f"^point: expected length 3, got {got}$"):
+        evaluate(parse("x1 + x3", 3), x)
 
 
 @pytest.mark.parametrize("length", [2, 4])

@@ -87,8 +87,10 @@ def test_compose_matches_naive_loop():
 
 
 def test_compose_dimension_mismatch(ex_instance):
-    with pytest.raises(DimensionMismatchError, match="^X columns: expected length 6, got 5"):
-        compose_many(ex_instance, np.zeros((1, 5)))
+    # got: the offending length, or -1 when the number of axes is wrong
+    for X, got in ((np.zeros((1, 5)), 5), (np.zeros(6), -1), (0.5, -1)):
+        with pytest.raises(DimensionMismatchError, match=f"^X columns: expected length 6, got {got}$"):
+            compose_many(ex_instance, X)
     # one point: a vector of length n, not a batch
     for x, got in ((np.zeros(5), 5), (np.zeros((1, 6)), -1)):
         with pytest.raises(DimensionMismatchError, match=f"^x: expected length 6, got {got}$"):
@@ -291,8 +293,10 @@ def test_path_to_candidate_out_of_range(ex_instance):
             path_to_candidate(bad, b, n)
         with pytest.raises(InvalidPathError):
             path_to_candidate([EX_PATH, bad], b, n)  # a bad row anywhere in a batch
-    for short in ([0, 0, 0, 0], [[0, 0, 0, 0]], [[0] * 6] * 2, [[[0] * 5]], 0):
-        with pytest.raises(DimensionMismatchError):
+    for short, got in (
+        ([0, 0, 0, 0], 4), ([[0, 0, 0, 0]], 4), ([[0] * 6] * 2, 6), ([[[0] * 5]], -1), ([[[0] * 4]], -1), (0, -1)
+    ):
+        with pytest.raises(DimensionMismatchError, match=f"^path: expected length 5, got {got}$"):
             path_to_candidate(short, b, n)
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -213,16 +214,31 @@ def test_candidates_of_generated_instances_solve_them():
 def test_generator_argument_validation():
     with pytest.raises(ValueError):
         random_feasible_instance(0, 3)
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        random_feasible_instance(2.5, 3)
     with pytest.raises(ValueError):
         random_feasible_instance(2, 2, density=0.0)
 
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"samples_per_cell": -1}, "samples_per_cell"), ({"cap": 0}, "cap"), ({"cap": -5}, "cap")],
+    [
+        ({"samples_per_cell": -1}, "samples_per_cell"),
+        ({"cap": 0}, "cap"),
+        ({"cap": -5}, "cap"),
+        ({"samples_per_cell": 2.5}, "samples_per_cell"),
+        ({"cap": 2.5}, "cap"),
+    ],
 )
 def test_reference_optimum_rejects_nonsense_sizes(kwargs, name):
     # checked before enumerating: cap=1 alone would raise PathSpaceTooLargeError
     problem = builtin_problem(5)
-    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+    rule = ">= " if isinstance(kwargs[name], int) else "an integer"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
         reference_optimum(problem, **{"cap": 1, **kwargs})
+
+
+def test_report_with_numpy_sample_count_is_json():
+    report = reference_optimum(builtin_problem(1), samples_per_cell=np.int64(5))
+    assert type(report.samples_per_cell) is int
+    assert json.loads(json.dumps(report.to_dict()))["samples_per_cell"] == 5

@@ -158,6 +158,15 @@ def test_registry_has_ten_problems():
     assert [p.name for p in problems] == [f"problem-{i:02d}" for i in range(1, 11)]
 
 
+@pytest.mark.parametrize(
+    "index, message",
+    [(0, "builtin index must be >= 1"), (11, "builtin index must be 1..10"), (2.5, "builtin index must be an integer")],
+)
+def test_builtin_index_outside_the_registry(index, message):
+    with pytest.raises(ValueError, match=message):
+        builtin_problem(index)
+
+
 @pytest.mark.parametrize("index", range(1, 11))
 def test_builtin_feasible(index):
     assert is_feasible(builtin_problem(index).instance, EPS_EQ)

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,19 @@ def test_blocks_match_golden_runs():
 
 def test_no_seeds_no_runs():
     assert run_many(builtin_problem(1), SolverConfig(), []) == []
+
+
+@pytest.mark.parametrize("seeds, message", [([2.5], "seed must be an integer"), ([-1], "seed must be >= 0")])
+def test_seeds_must_be_non_negative_integers(seeds, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_many(builtin_problem(1), SolverConfig(t_max=1), seeds)
+
+
+def test_numpy_seed_is_stored_as_int():
+    config = SolverConfig(t_max=2)
+    (result,) = run_many(builtin_problem(1), config, [np.int64(2)])
+    assert type(result.seed) is int and type(result.config.seed) is int
+    assert result.best.f == run(builtin_problem(1), replace(config, seed=2)).best.f
 
 
 @settings(max_examples=40, deadline=None)
