@@ -7,15 +7,13 @@ Each iteration couples a combinatorial phase with a continuous phase:
   (cell) of the solution set.  All rows of a path are drawn at once, by
   inverse CDF over the candidates' cumulative probabilities, padded with
   zeros to the longest candidate set.
-* Phase two keeps a ranked archive of feasible points as five arrays:
-  points ``X``, values ``f``, cell lower corners ``LB``, paths ``E`` and
-  deposit amounts ``d``, ascending in ``f``.  It refreshes the archive
-  with one fresh uniform draw from the phase-one cell, then samples
-  around archived points with per-coordinate Gaussians whose spread is
-  the mean coordinate distance across the archive, clamping every draw
-  back into the originating cell so feasibility never needs
-  re-checking.  After each insertion round a stable argsort reorders
-  the rows and truncates them to ``s_pop``.
+* Phase two keeps the ``s_pop`` best feasible points as ACO_R does, in
+  one table ascending in value (see :func:`insert`).  It refreshes the
+  table with one fresh uniform draw from the phase-one cell, then
+  samples around archived points with per-coordinate Gaussians whose
+  spread is the mean coordinate distance across the archive, clamping
+  every draw back into the originating cell so feasibility never needs
+  re-checking.  Each new row goes in at its rank, pushing out the worst.
 * The archive then reinforces the pheromone of the paths its members
   came from (deposit ``Q * exp(-f)`` per member, computed once when the
   row is made, followed by one multiplicative evaporation).  One
@@ -40,8 +38,8 @@ of the pheromone.
 
 Lockstep: :func:`run_many` advances R runs of one problem together.  Their
 state is stacked on a leading run axis: pheromone R x m' x kmax (m' the
-number of kept rows), archive ``X`` and ``LB`` R x s_pop x n, ``f`` and
-``d`` R x s_pop and ``E`` R x s_pop x m'.  Every step of an iteration
+number of kept rows) and archive R x s_pop x (2 + 2n + m'), whose
+float columns hold the path slots exactly.  Every step of an iteration
 works on all R runs at once, except the random draws, which each run
 makes from its own Generator.  :func:`run` is :func:`run_many` with one
 seed.
@@ -67,7 +65,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,19 +141,6 @@ class RunResult(Record):
     config: SolverConfig
 
 
-class Archive(NamedTuple):
-    """R runs' archive rows, each run's ascending in ``f``: points (R x s x n),
-    values (R x s), lower corners (R x s x n), paths as candidate slots of
-    the kept rows only (R x s x m', see :func:`run_many`) and deposit
-    amounts (R x s, see :func:`deposit`)."""
-
-    X: np.ndarray
-    f: np.ndarray
-    LB: np.ndarray
-    E: np.ndarray
-    d: np.ndarray
-
-
 def init_pheromone(sets: list[np.ndarray], n: int) -> PheromoneMatrix:
     """Unit pheromone on every candidate entry, zero elsewhere."""
     support = np.zeros((len(sets), n), dtype=bool)
@@ -179,12 +163,12 @@ def candidate_table(sets: list[np.ndarray]) -> np.ndarray:
 
 
 def construct_paths(
-    values: np.ndarray, sums: np.ndarray, table: np.ndarray, u: np.ndarray
+    values: np.ndarray, sums: np.ndarray, last: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Paths as candidate slots (... x k x m) from uniforms ``u`` (... x k x m),
     one categorical choice per row, under compact pheromone ``values``
     (... x m x kmax, zero past each row's candidates) whose row sums are
-    ``sums`` (... x m); ``table[i, slot]`` is the column a slot stands for.
+    ``sums`` (... x m); ``last[i]`` is row i's last candidate slot.
 
     Row i picks its ``c``-th candidate, where ``c`` counts the cumulative
     probabilities at or below ``u * total``, capped at the last candidate:
@@ -199,20 +183,26 @@ def construct_paths(
         picks[..., s, :] = (inner <= target[..., s, :, None]).sum(axis=-1)
     # a partial sum in the padding is the total, counted only when the
     # target reaches it: the clamp
-    return np.minimum(picks, (table[:, 1:] >= 0).sum(axis=1), out=picks)
+    return np.minimum(picks, last, out=picks)
 
 
 def cell_points(
-    E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray, base: np.ndarray | float = 0.0
+    E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray,
+    base: np.ndarray | float = 0.0, out: np.ndarray | None = None,
 ):
     """The point uniforms ``u`` place in each path's cell, and the cell's
     lower corner: paths ... x m' of columns, for the rows whose right-hand
     sides are ``b``, give points and corners ... x n.  ``base`` is the
-    corner the rows outside the paths fix, folded in by maximum."""
+    corner the rows outside the paths fix, folded in by maximum.  Points
+    and corners are the two halves of ``out`` (... x 2n, new if not given)."""
     n = len(xbar)
-    LB = path_to_candidate(E.reshape(-1, E.shape[-1]), b, n).reshape(*E.shape[:-1], n)
+    out = np.empty((*E.shape[:-1], 2 * n)) if out is None else out
+    x, LB = out[..., :n], out[..., n:]
+    LB[...] = path_to_candidate(E.reshape(-1, E.shape[-1]), b, n).reshape(LB.shape)
     np.maximum(LB, base, out=LB)
-    return LB + u * (xbar - LB), LB
+    np.multiply(u, xbar - LB, out=x)
+    x += LB
+    return x, LB
 
 
 def weights(s_pop: int, q: float) -> np.ndarray:
@@ -243,19 +233,23 @@ def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
 
 
 def gaussian_samples(
-    archive: Archive, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray
+    archive: np.ndarray, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray
 ) -> np.ndarray:
-    """Gaussian draws (R x k x n) around the archive points at ``ranks`` (R x k).
+    """New rows (R x k x width): each run's ``archive`` rows (see
+    :func:`insert`) at ``ranks`` (R x k) with their points redrawn, and
+    ``f`` and ``d`` left for the caller to write.
 
     Each draw is ``loc + scale * z`` for standard normals ``z``, with
     spread :func:`sigma_vector`.  Clamping into ``[LB, xbar]`` keeps the
     draw in the selected point's cell, so it stays feasible by
     construction.  A zero spread returns the point itself.
     """
-    ri = np.arange(len(ranks))[:, None]
-    loc = archive.X[ri, ranks]
-    Xs = loc + sigma_vector(archive.X, loc, xi) * z
-    return np.minimum(np.maximum(Xs, archive.LB[ri, ranks]), xbar)
+    n = len(xbar)
+    new = archive[np.arange(len(ranks))[:, None], ranks]
+    loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]
+    Xs = loc + sigma_vector(archive[..., 2 : 2 + n], loc, xi) * z
+    np.minimum(np.maximum(Xs, LB, out=Xs), xbar, out=loc)
+    return new
 
 
 def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np.ndarray:
@@ -299,28 +293,23 @@ def update_pheromone(
     return sums
 
 
-def ranked(archive: Archive, s_pop: int) -> Archive:
-    """Each run's ``s_pop`` rows lowest in ``f``, ascending; on ties earlier rows first."""
-    keep = np.argsort(archive.f, axis=1, kind="stable")[:, :s_pop]
-    ri = np.arange(len(keep))[:, None]
-    return Archive(*(a[ri, keep] for a in archive))
+def insert(archive: np.ndarray, new: np.ndarray) -> None:
+    """Enter each run's ``new`` rows (R x k x width) into its ``archive``
+    (R x s x width) in place, keeping the s rows lowest in value.
 
-
-def keep_best(archive: Archive, new: Archive, s_pop: int) -> Archive:
-    """:func:`ranked` of each run's ranked ``archive`` rows followed by its ``new`` rows.
-
-    New rows no better than a full archive's worst would rank after all
-    of it, so when that holds in every run the archive comes back as it is.
+    A row holds its value ``f``, its deposit ``d``, then the point, its
+    cell's lower corner and its path; each run's rows ascend in ``f``.
+    New rows enter in order, each after every row at or below its value,
+    pushing the worst row out.  So ties keep older rows first, as a
+    stable sort of the archive and then the new rows, cut to s, would.
     """
-    if archive.f.shape[1] == s_pop and not (new.f < archive.f[:, -1:]).any():
-        return archive
-    return ranked(Archive(*(np.concatenate(pair, axis=1) for pair in zip(archive, new))), s_pop)
-
-
-def _views(archive: Archive, r: int, paths: np.ndarray) -> tuple[ArchiveSolution, ...]:
-    """Run r's archive rows, with ``paths`` (s x m) as their columns."""
-    rows = zip(archive.X[r], archive.f[r], archive.LB[r], paths)
-    return tuple(ArchiveSolution(x, lb, e, float(v)) for x, v, lb, e in rows)
+    f, s = archive[..., 0], archive.shape[1]
+    runs, rows = (new[..., 0] < f[:, -1:]).nonzero()  # the worst only falls
+    for r, i in zip(runs.tolist(), rows.tolist()):
+        p = f[r].searchsorted(new[r, i, 0], side="right")
+        if p < s:
+            archive[r, p + 1 :] = archive[r, p:-1]
+            archive[r, p] = new[r, i]
 
 
 def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> list[RunResult]:
@@ -360,18 +349,21 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     runs = len(gens)
     xbar, sets = problem.xbar, problem.sets
     table = candidate_table(sets)
-    multi = (table[:, 1:] >= 0).any(axis=1)  # rows with a choice
+    last = (table[:, 1:] >= 0).sum(axis=1)  # each row's last candidate slot
+    multi = last > 0  # rows with a choice
     # kept rows: every row with a choice, then the first without one,
     # which stands for them all; home[i] is the kept row of row i
     keep = np.concatenate([np.flatnonzero(multi), np.flatnonzero(~multi)[:1]])
     home = np.full(m, len(keep) - 1)
     home[keep] = np.arange(len(keep))
-    kept, kb, rows = table[keep], inst.b[keep], np.arange(len(keep))
+    kept, kb, rows, last = table[keep], inst.b[keep], np.arange(len(keep)), last[keep]
     base = path_to_candidate(table[~multi, 0], inst.b[~multi], n)
+    # archive columns after f and d: point, lower corner, path slots
+    X, LB, E = slice(2, 2 + n), slice(2 + n, 2 + 2 * n), slice(2 + 2 * n, None)
 
-    def columns(E):
-        """Full paths of columns (... x m) from kept-row slots ``E``."""
-        return table[np.arange(m), E[..., home]]
+    def columns(slots):
+        """Full paths of columns (... x m) from kept-row ``slots``."""
+        return table[np.arange(m), slots[..., home]]
 
     values = np.repeat((kept >= 0)[None].astype(float), runs, axis=0)  # compact pheromone
     sums = values.sum(axis=2)
@@ -386,7 +378,11 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     )
     trace = np.empty((runs, config.t_max))
 
-    ri = np.arange(runs)[:, None]
+    def score(new):
+        """Write the value and the deposit of each ``new`` row's point."""
+        new[..., 0] = evaluate_many(objective, new[..., X].reshape(-1, n)).reshape(new.shape[:2])
+        new[..., 1] = deposit(new[..., 0], config.big_q, limit)
+
     for t in range(1, config.t_max + 1):
         ants, samples = (s_pop, 0) if t == 1 else (1, k)
         u = np.empty((runs, ants * (m + n)))
@@ -396,33 +392,36 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
             for s in range(samples):
                 v[s] = g.random()
                 g.standard_normal(out=w[s])
-        e = construct_paths(values, sums, kept, u[:, : ants * m].reshape(runs, ants, m)[..., keep])
-        x, lb = cell_points(kept[rows, e], kb, xbar, u[:, ants * m :].reshape(runs, ants, n), base)
-        f = evaluate_many(objective, x.reshape(-1, n)).reshape(runs, ants)
-        new = Archive(x, f, lb, e, deposit(f, config.big_q, limit))
-        archive = ranked(new, s_pop) if t == 1 else keep_best(archive, new, s_pop)
+        new = np.empty((runs, ants, E.start + len(keep)))  # fresh rows
+        up, ux = u[:, : ants * m], u[:, ants * m :]  # path uniforms, point uniforms
+        e = new[..., E] = construct_paths(values, sums, last, up.reshape(runs, ants, m)[..., keep])
+        cell_points(kept[rows, e], kb, xbar, ux.reshape(runs, ants, n), base, new[..., 2 : E.start])
+        score(new)
+        if t == 1:
+            archive = np.take_along_axis(new, new[..., :1].argsort(axis=1, kind="stable"), axis=1)
+        else:
+            insert(archive, new)
         if samples:
-            ranks = select_rank(cw, pick)
-            Xs = gaussian_samples(archive, ranks, z, config.xi, xbar)
-            f = evaluate_many(objective, Xs.reshape(-1, n)).reshape(runs, samples)
-            new = Archive(Xs, f, archive.LB[ri, ranks], archive.E[ri, ranks],
-                          deposit(f, config.big_q, limit))
-            archive = keep_best(archive, new, s_pop)
-        sums = update_pheromone(values, kept, archive.d, archive.E, config.rho)
-        trace[:, t - 1] = archive.f[:, 0]
+            new = gaussian_samples(archive, select_rank(cw, pick), z, config.xi, xbar)
+            score(new)
+            insert(archive, new)
+        slots = archive[..., E].astype(np.int64)
+        sums = update_pheromone(values, kept, archive[..., 1], slots, config.rho)
+        trace[:, t - 1] = archive[:, 0, 0]
         if observer is not None:
             dense = np.zeros((runs, m, n))
             dense[:, support] = values[:, home][:, live]  # slots ascend with columns
-            paths = columns(archive.E)
+            own, paths = archive.copy(), columns(slots)  # views of the archive would change
             for r in range(runs):
-                observer(t, r, _views(archive, r, paths[r]), PheromoneMatrix(dense[r], support))
+                views = tuple(ArchiveSolution(a[X], a[LB], e, float(a[0]))
+                              for a, e in zip(own[r], paths[r]))
+                observer(t, r, views, PheromoneMatrix(dense[r], support))
 
     evals = s_pop + (config.t_max - 1) * (1 + k)
-    X, f, LB, E, _ = archive
-    paths = columns(E[:, 0])
+    best, paths = archive[:, 0].copy(), columns(slots[:, 0])
     return [
         RunResult(
-            best=ArchiveSolution(X[r, 0], LB[r, 0], paths[r], float(f[r, 0])),
+            best=ArchiveSolution(best[r, X], best[r, LB], paths[r], float(best[r, 0])),
             trace=trace[r],
             eval_count=evals,
             seed=seed,

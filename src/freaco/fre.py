@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidInstanceError,
     InvalidPathError,
+    whole,
 )
 
 #: Tolerance for every equality test against b (feasibility, candidate
@@ -165,8 +166,10 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
     Component j is the largest b_i among rows whose path choice is column
     j, or 0 when no row chose j.  The cell itself is the box from this
     corner up to ``xbar``.  Paths must be integer arrays: a float or bool
-    path raises :class:`InvalidPathError` rather than being truncated.
+    path raises :class:`InvalidPathError` rather than being truncated,
+    and an ``n`` that is not an integer >= 1 raises :class:`ValueError`.
     """
+    n = whole("n", n, 1)
     paths = np.asarray(paths)
     if paths.dtype.kind not in "iu":
         raise InvalidPathError(f"path indices must be integers, got dtype {paths.dtype}")

@@ -2,9 +2,12 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freaco import (
     EPS_EQ,
@@ -23,16 +26,14 @@ from freaco import (
     run_many,
 )
 from freaco.engine import (
-    Archive,
     candidate_table,
     cell_points,
     construct_paths,
     deposit,
     gaussian_samples,
     init_pheromone,
-    keep_best,
+    insert,
     probability_matrix,
-    ranked,
     select_rank,
     sigma_vector,
     update_pheromone,
@@ -69,11 +70,40 @@ def deposit_one(tau, e, f, big_q=1.0):
     return update(tau, np.array([[f]]), np.array([[e]]), big_q=big_q, rho=0.0)
 
 
+def last_slots(table):
+    """Each row's last candidate slot in ``table`` (m x kmax, -1 padded)."""
+    return (table[:, 1:] >= 0).sum(axis=1)
+
+
 def draw_paths(tau, table, k, rng):
     """``k`` paths (k x m) of columns drawn with ``rng`` as the engine draws them."""
     u = rng.random((k, len(table)))
-    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), table, u)
+    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), last_slots(table), u)
     return table[np.arange(len(table)), slots]
+
+
+class Fields(NamedTuple):
+    """The columns of archive rows: value, deposit, point, lower corner
+    and path."""
+
+    f: np.ndarray
+    d: np.ndarray
+    X: np.ndarray
+    LB: np.ndarray
+    E: np.ndarray
+
+
+def pack(fields):
+    """Archive rows (... x width) as the engine keeps them, from :class:`Fields`."""
+    f, d, X, LB, E = fields
+    return np.concatenate([f[..., None], d[..., None], X, LB, E], axis=-1)
+
+
+def split(archive, n):
+    """The :class:`Fields` of ``archive`` rows with ``n`` coordinates."""
+    cuts = (1, 2, 2 + n, 2 + 2 * n)
+    f, d, X, LB, E = np.split(archive, cuts, axis=-1)
+    return Fields(f[..., 0], d[..., 0], X, LB, E.astype(np.int64))
 
 
 def uniform_archive(problem, k, rng):
@@ -84,19 +114,19 @@ def uniform_archive(problem, k, rng):
     E = draw_paths(tau, candidate_table(sets), k, rng)
     X, LB = cell_points(E, inst.b, xbar, rng.random((k, inst.n)))
     f = evaluate_many(problem.objective, X)
-    rows = (X, f, LB, E, deposit(f, 1.0))
-    return ranked(Archive(*(a[None] for a in rows)), k)
+    return pack(Fields(f, deposit(f, 1.0), X, LB, E))[None, np.argsort(f, kind="stable")]
 
 
 def sample(archive, cw, k, xi, xbar, rng):
     """``k`` Gaussian samples (k x n) around a one-run archive and their
     ranks, with the engine's draws: a uniform, then n normals, per sample."""
-    u, z = np.empty((1, k)), np.empty((1, k, archive.X.shape[-1]))
+    n = len(xbar)
+    u, z = np.empty((1, k)), np.empty((1, k, n))
     for s in range(k):
         u[0, s] = rng.random()
-        z[0, s] = rng.standard_normal(z.shape[-1])
+        z[0, s] = rng.standard_normal(n)
     ranks = select_rank(cw, u)
-    return gaussian_samples(archive, ranks, z, xi, xbar)[0], ranks[0]
+    return split(gaussian_samples(archive, ranks, z, xi, xbar), n).X[0], ranks[0]
 
 
 def sigma(X, rank, xi):
@@ -198,28 +228,52 @@ def test_degenerate_cell_yields_its_unique_point():
 
 def test_init_archive_samples_live_in_their_cells(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
-    archive = uniform_archive(ex_problem, 64, np.random.default_rng(3))
+    archive = split(uniform_archive(ex_problem, 64, np.random.default_rng(3)), inst.n)
     assert np.all(archive.LB - EPS_EQ <= archive.X) and np.all(archive.X <= xbar + EPS_EQ)
     assert np.all(np.isfinite(archive.f))
     assert np.all(np.diff(archive.f) >= 0)
 
 
-def test_keep_best_ties_keep_older_rows_first():
-    def rows(fs, tag):  # one run's rows
+def test_insert_ties_keep_older_rows_first():
+    def rows(fs, tag):  # one run's rows, n = 1
         shape = (1, len(fs), 1)
         f = np.array([fs])
-        return Archive(np.full(shape, tag), f, np.zeros(shape), np.zeros(shape, int), deposit(f, 1.0))
+        return pack(Fields(f, deposit(f, 1.0), np.full(shape, tag), np.zeros(shape), np.zeros(shape)))
 
     old = rows([0.1, 0.5, 0.9], tag=0.0)
-    merged = keep_best(old, rows([0.5, 0.2], tag=1.0), 3)
-    assert merged.f.tolist() == [[0.1, 0.2, 0.5]]
-    assert merged.X[0, :, 0].tolist() == [0.0, 1.0, 0.0]  # the older 0.5 wins the tie
-    assert keep_best(old, rows([0.9, 1.0], tag=1.0), 3) is old  # nothing beats the worst
+    merged = old.copy()
+    insert(merged, rows([0.5, 0.2], tag=1.0))
+    assert split(merged, 1).f.tolist() == [[0.1, 0.2, 0.5]]
+    assert split(merged, 1).X[0, :, 0].tolist() == [0.0, 1.0, 0.0]  # the older 0.5 wins the tie
+    merged = old.copy()
+    insert(merged, rows([0.9, 1.0], tag=1.0))
+    assert np.array_equal(merged, old)  # nothing beats the worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.integers(1, 4),
+    s=st.integers(2, 6),
+    k=st.integers(0, 3),
+    width=st.integers(3, 5),
+    data=st.data(),
+)
+def test_insert_equals_a_stable_sort_cut_to_size(runs, s, k, width, data):
+    # values from a small set, so ties are common; the other columns tag each row
+    values = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+    f = np.array(data.draw(st.lists(values, min_size=runs * (s + k), max_size=runs * (s + k))))
+    rows = np.arange(f.size * width, dtype=float).reshape(runs, s + k, width)
+    rows[..., 0] = f.reshape(runs, s + k)
+    old = np.take_along_axis(rows[:, :s], rows[:, :s, :1].argsort(axis=1, kind="stable"), axis=1)
+    both = np.concatenate([old, rows[:, s:]], axis=1)
+    expected = np.take_along_axis(both, both[..., :1].argsort(axis=1, kind="stable")[:, :s], axis=1)
+    insert(old, rows[:, s:])
+    assert np.array_equal(old, expected)
 
 
 def test_init_archive_points_all_feasible(ex_problem):
     inst = ex_problem.instance
-    archive = uniform_archive(ex_problem, 1000, np.random.default_rng(5))
+    archive = split(uniform_archive(ex_problem, 1000, np.random.default_rng(5)), inst.n)
     assert np.abs(compose_many(inst, archive.X[0]) - inst.b).max() <= EPS_EQ
 
 
@@ -333,10 +387,10 @@ def test_sample_with_zero_spread_returns_mean(ex_problem):
     point = np.array([0.8, 0.3, 0.2, 0.0, 0.7, 1.0])
     lb = np.array([0.6, 0.0, 0.0, 0.0, 0.7, 0.3])
     f = np.full((1, 4), 0.958)
-    archive = Archive(
-        np.tile(point, (1, 4, 1)), f, np.tile(lb, (1, 4, 1)),
-        np.tile([4, 0, 5, 4, 0], (1, 4, 1)), deposit(f, 1.0),
-    )
+    archive = pack(Fields(
+        f, deposit(f, 1.0), np.tile(point, (1, 4, 1)), np.tile(lb, (1, 4, 1)),
+        np.tile([4, 0, 5, 4, 0], (1, 4, 1)),
+    ))
     rng = np.random.default_rng(11)
     Xs, _ = sample(archive, np.cumsum(weights(4, 0.5)), 1, 1.0, xbar, rng)
     assert np.array_equal(Xs[0], point)
@@ -349,7 +403,7 @@ def test_samples_stay_in_inherited_cell(ex_problem):
     archive = uniform_archive(ex_problem, 50, rng)
     cw = np.cumsum(weights(50, 0.5))
     Xs, ranks = sample(archive, cw, 10_000, 1.0, xbar, rng)
-    assert np.all(archive.LB[0, ranks] <= Xs) and np.all(Xs <= xbar)
+    assert np.all(split(archive, inst.n).LB[0, ranks] <= Xs) and np.all(Xs <= xbar)
     gaps = np.abs(compose_many(inst, Xs) - inst.b)
     assert gaps.max() <= EPS_EQ
 
@@ -430,7 +484,7 @@ def test_update_touches_only_archive_paths(ex_problem):
 def test_update_keeps_probability_rows_normalized(ex_problem):
     inst, xbar, sets = ex_sets(ex_problem)
     tau = init_pheromone(sets, inst.n)
-    archive = uniform_archive(ex_problem, 30, np.random.default_rng(20))
+    archive = split(uniform_archive(ex_problem, 30, np.random.default_rng(20)), inst.n)
     for _ in range(5):
         tau = update(tau, archive.f, archive.E, big_q=1.0, rho=0.5)
         rows = probability_matrix(tau).sum(axis=1)
@@ -448,8 +502,10 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
 
 def test_archive_carries_each_rows_deposit():
     f = np.array([[0.7, -0.2, 0.3]])
-    rows = Archive(f[..., None], f, f[..., None], np.zeros((1, 3, 1), dtype=int), deposit(f, 2.0))
-    merged = keep_best(ranked(rows, 3), rows._replace(f=f - 1.0, d=deposit(f - 1.0, 2.0)), 4)
+    rows = Fields(f, deposit(f, 2.0), f[..., None], f[..., None], np.zeros((1, 3, 1)))
+    merged = pack(rows)[:, np.argsort(f[0], kind="stable")]
+    insert(merged, pack(rows._replace(f=f - 1.0, d=deposit(f - 1.0, 2.0))))
+    merged = split(merged, 1)
     assert np.array_equal(merged.d, deposit(merged.f, 2.0))
     assert merged.d[0, 0] == 2.0 * math.exp(1.2)
 
@@ -514,7 +570,7 @@ def test_first_iteration_is_s_pop_paths_then_their_points_from_one_draw(ex_probl
     m, n = inst.m, inst.n
     u = np.random.default_rng(6).random(5 * (m + n))
     tau, table = init_pheromone(sets, n), candidate_table(sets)
-    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), table,
+    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), last_slots(table),
                             u[: 5 * m].reshape(5, m))
     E = table[np.arange(m), slots]
     X, LB = cell_points(E, inst.b, xbar, u[5 * m :].reshape(5, n))

@@ -38,7 +38,8 @@ UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), NEAR_ONE)
 def draw(tau, sets, u: np.ndarray) -> np.ndarray:
     """The engine's vectorized path draw for uniforms ``u`` (k x m), as columns."""
     table = candidate_table(sets)
-    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), table, u)
+    last = (table[:, 1:] >= 0).sum(axis=1)  # each row's last candidate slot
+    slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), last, u)
     return table[np.arange(len(table)), slots]
 
 

@@ -300,6 +300,12 @@ def test_path_to_candidate_out_of_range(ex_instance):
             path_to_candidate(short, b, n)
 
 
+@pytest.mark.parametrize("n, message", [(2.5, "n must be an integer"), (0, "n must be >= 1"), (-1, "n must be >= 1")])
+def test_path_to_candidate_checks_n(ex_instance, n, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        path_to_candidate(EX_PATH, ex_instance.b, n)
+
+
 def test_path_to_candidate_batch_matches_plain_loop(ex_instance):
     rng = np.random.default_rng(37)
     instances = [ex_instance] + [

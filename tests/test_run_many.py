@@ -110,6 +110,23 @@ def test_every_run_of_a_block_equals_its_solo_run(m, n, instance_seed, seeds, s_
         assert block_tau[r] == solo_tau[0]
 
 
+@pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+def test_observer_archives_keep_their_values(seeds):
+    # the engine changes its archive in place: a view an observer keeps
+    # must not see later iterations
+    kept, seen = [], []
+
+    def observer(t, r, archive, tau):
+        kept.append(archive)
+        seen.append([(sol.x.copy(), sol.f) for sol in archive])
+
+    run_many(builtin_problem(4), SolverConfig(t_max=10), seeds, observer)
+    assert len(kept) == 10 * len(seeds)
+    for archive, values in zip(kept, seen):
+        for sol, (x, f) in zip(archive, values, strict=True):
+            assert np.array_equal(sol.x, x) and sol.f == f
+
+
 def test_block_memory_stays_below_the_dense_pheromone(tmp_path):
     # 8 runs of a 2000 x 1000 instance: a dense pheromone stack alone
     # would be 8 * 2000 * 1000 doubles, 128 MB.  With numpy 2.4 on Linux
