@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathSpaceTooLargeError, whole
+from .errors import EvalDomainError, PathSpaceTooLargeError, whole
 from .expr import evaluate_many
 from .fre import Instance, Record, path_space_size, path_to_candidate
 from .problems import Problem
@@ -29,6 +29,10 @@ MAX_PASSES_PER_LEVEL = 200
 #: Sample coordinates drawn and evaluated at once: whole cells when one
 #: fits, else one cell in pieces of at most this many sample coordinates.
 SAMPLE_BLOCK = 2**13
+
+#: Candidate coordinates (cells x moves x n) one pattern-search round may
+#: hold: the search runs over blocks of cells that fit.
+SEARCH_BLOCK = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,42 +70,97 @@ def enumerate_paths(sets: list[np.ndarray], cap: int = DEFAULT_PATH_CAP) -> np.n
     return paths
 
 
+def _generator(rng, seed: int | None) -> np.random.Generator:
+    """``rng``, or ``default_rng(seed)`` when it is ``None``; anything else
+    raises :class:`TypeError` naming ``rng``."""
+    if rng is None:
+        return np.random.default_rng(seed)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator or None, got {rng!r}")
+    return rng
+
+
 def _pattern_search(
-    problem: Problem, lows: np.ndarray, upper: np.ndarray, start: np.ndarray, values: np.ndarray
+    problem: Problem,
+    lows: np.ndarray,
+    upper: np.ndarray,
+    start: np.ndarray,
+    values: np.ndarray,
+    ahead: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate pattern search inside each cell, run on all cells at once.
+    """Coordinate pattern search inside each cell (Hooke & Jeeves).
 
     Starts from ``start`` (one point per cell, objective ``values``),
-    with an initial step of half the largest cell edge.  At each step
-    size, coordinate passes repeat until none improves, then the step
+    with an initial step of half the cell's largest edge.  A pass tries
+    the 2n moves x_j - h, x_j + h in order, each clamped to the cell, and
+    keeps every move that lowers the value; passes repeat until one
+    improves nothing (at most ``MAX_PASSES_PER_LEVEL``), then the step
     halves; ``REFINE_STEPS`` halvings total.  Iterates never leave their
     cell, so every visited point stays feasible.
+
+    Cells are independent, so the search runs them in rounds:
+
+    * **Live cells.**  A cell whose pass improves nothing would see the
+      same point and moves in its next pass; it drops out until the
+      step halves.
+    * **Whole-pass rounds.**  One :func:`evaluate_many` call evaluates
+      the next ``ahead`` moves (default: the rest of the pass) of every
+      live cell, all from its current point.  A cell keeps its first
+      improving move and resumes after it in the next round, which is
+      the move-by-move trajectory, bit for bit.
+    * **Search blocks.**  Cells run in blocks that hold at most
+      ``SEARCH_BLOCK`` candidate coordinates (cells x moves x n).  With
+      ``ahead=1`` a round holds one point per cell, so all cells run as
+      one block and every point is evaluated in the move-by-move order.
+
+    A move beyond the first improving one may fault on a point the
+    move-by-move search never visits; :func:`reference_optimum` then
+    reruns the search with ``ahead=1``.
     """
-    n = lows.shape[1]
-    x = start.copy()
-    fx = values.copy()
-    step = 0.5 * (upper - lows).max(axis=1)
-    step = np.maximum(step, 1e-16)  # degenerate cells: harmless no-op moves
-    for _ in range(REFINE_STEPS):
-        for _ in range(MAX_PASSES_PER_LEVEL):
-            improved = False
-            for j in range(n):
-                for sign in (-1.0, 1.0):
-                    cand = x.copy()
-                    cand[:, j] = np.clip(x[:, j] + sign * step, lows[:, j], upper[j])
-                    moved = cand[:, j] != x[:, j]
-                    if not moved.any():
-                        continue
-                    fc = np.full_like(fx, np.inf)
-                    fc[moved] = evaluate_many(problem.objective, cand[moved])
-                    better = fc < fx
-                    if better.any():
-                        x[better] = cand[better]
-                        fx[better] = fc[better]
-                        improved = True
-            if not improved:
-                break
-        step *= 0.5
+    K, n = lows.shape
+    moves = 2 * n  # move 2j is x_j - h, move 2j + 1 is x_j + h
+    width = moves if ahead is None else min(ahead, moves)
+    window = np.arange(width)
+    past = np.arange(moves + width)  # a window may run past the last move
+    coord = np.minimum(past, moves - 1) // 2
+    sign = np.where(past % 2 == 1, 1.0, -1.0)
+    real = past < moves
+    x, fx = start.copy(), values.copy()
+    h = np.maximum(0.5 * (upper - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
+    per = K if width == 1 else max(1, SEARCH_BLOCK // (width * n))  # cells per block
+    for lo in range(0, K, per):
+        for _ in range(REFINE_STEPS):
+            live = np.arange(lo, min(lo + per, K))  # cells still searching at this step
+            at = np.zeros(len(live), dtype=np.int64)  # each live cell's next move in its pass
+            passes = np.ones(len(live), dtype=np.int64)
+            improved = np.zeros(len(live), dtype=bool)  # in the current pass
+            while live.size:
+                move = at[:, None] + window
+                j = coord[move]
+                cell = live[:, None]
+                old = x[cell, j]
+                new = np.clip(old + sign[move] * h[cell], lows[cell, j], upper[j])
+                c, w = np.nonzero(real[move] & (new != old))
+                cand = x[live[c]]
+                cand[np.arange(len(c)), j[c, w]] = new[c, w]
+                fc = np.full(move.shape, np.inf)
+                fc[c, w] = evaluate_many(problem.objective, cand)
+                better = fc < fx[cell]
+                hit = better.any(axis=1)
+                first = better.argmax(axis=1)
+                r = np.flatnonzero(hit)
+                fr = first[r]
+                x[live[r], j[r, fr]] = new[r, fr]
+                fx[live[r]] = fc[r, fr]
+                improved |= hit
+                at = np.where(hit, at + first + 1, at + width)
+                again = (at >= moves) & improved & (passes < MAX_PASSES_PER_LEVEL)
+                at[again] = 0
+                passes[again] += 1
+                improved[again] = False
+                keep = at < moves
+                live, at, passes, improved = live[keep], at[keep], passes[keep], improved[keep]
+            h[lo : lo + per] *= 0.5
     return x, fx
 
 
@@ -119,7 +178,13 @@ def reference_optimum(
     cell after cell in blocks of whole cells (a cell larger than
     ``SAMPLE_BLOCK`` coordinates in pieces, each led by the cell's best so
     far), and refines each cell's best sample by clamped coordinate pattern
-    search over ``REFINE_STEPS`` step halvings.  A cell's best sample is
+    search over ``REFINE_STEPS`` step halvings: live cells only, in
+    whole-pass rounds of one batched evaluation each, over blocks of at
+    most ``SEARCH_BLOCK`` candidate coordinates (see :func:`_pattern_search`).
+    When a round faults, the search reruns with one move per round, which
+    evaluates exactly the points of a move-by-move search in its order: it
+    returns that search's result or raises its :class:`EvalDomainError`,
+    with the same ``reason`` and ``point``.  A cell's best sample is
     the first minimum over its lower corner, ``xbar``, then its samples in
     order, so the block size changes neither the draws nor the result.  The
     returned best is the minimum over cells; on exact ties the cell with
@@ -127,11 +192,12 @@ def reference_optimum(
 
     ``samples_per_cell`` and ``cap`` accept Python and numpy integers;
     a non-integer, ``samples_per_cell < 0`` or ``cap < 1`` raises
-    :class:`ValueError` naming the argument, before enumerating anything.
+    :class:`ValueError` naming the argument, before enumerating anything,
+    and an ``rng`` that is not a :class:`numpy.random.Generator` (or
+    ``None``, for ``default_rng(0)``) raises :class:`TypeError`.
     """
     samples_per_cell = whole("samples_per_cell", samples_per_cell, 0)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = _generator(rng, 0)
     inst, xbar = problem.instance, problem.xbar
     paths = enumerate_paths(problem.sets, cap)
     lows = np.unique(path_to_candidate(paths, inst.b, inst.n), axis=0)
@@ -152,7 +218,10 @@ def reference_optimum(
             X = X[cells, i][:, None]  # each cell's best so far leads its next piece
         best_x[lo : lo + step], best_f[lo : lo + step] = X[:, 0], vals[cells, i]
 
-    best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
+    try:
+        best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
+    except EvalDomainError:  # maybe a move the move-by-move search never makes
+        best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f, ahead=1)
     winner = int(np.argmin(best_f))  # first minimum = lexicographically least cell
     return OracleReport(
         problem=problem.name,
@@ -171,13 +240,14 @@ def random_feasible_instance(
 
     Plants a uniform point, draws A uniformly (dropping entries to zero
     with probability 1 - density) and sets b to the composition of A
-    with the planted point.
+    with the planted point.  ``rng`` is a :class:`numpy.random.Generator`
+    or ``None`` (a fresh unseeded one); anything else raises
+    :class:`TypeError`.
     """
     m, n = whole("m", m, 1), whole("n", n, 1)
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = _generator(rng, None)
     planted = rng.random(n)
     A = rng.random((m, n))
     if density < 1.0:

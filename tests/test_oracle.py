@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freaco import (
     EPS_EQ,
+    EvalDomainError,
     Instance,
     PathSpaceTooLargeError,
     SolverConfig,
@@ -23,6 +26,7 @@ from freaco import (
     run,
 )
 from freaco import oracle
+from freaco.expr import evaluate_many
 
 from conftest import EX_A, EX_B, EX_OBJECTIVE
 
@@ -181,6 +185,157 @@ def test_oversized_cell_is_drawn_in_pieces():
 
 
 # ---------------------------------------------------------------------------
+# pattern search
+
+
+def move_by_move(problem, lows, upper, start, values):
+    """The pattern search one move at a time over all cells, every pass
+    over every cell: the reference for ``oracle._pattern_search``."""
+    n = lows.shape[1]
+    x = start.copy()
+    fx = values.copy()
+    step = 0.5 * (upper - lows).max(axis=1)
+    step = np.maximum(step, 1e-16)
+    for _ in range(oracle.REFINE_STEPS):
+        for _ in range(oracle.MAX_PASSES_PER_LEVEL):
+            improved = False
+            for j in range(n):
+                for sign in (-1.0, 1.0):
+                    cand = x.copy()
+                    cand[:, j] = np.clip(x[:, j] + sign * step, lows[:, j], upper[j])
+                    moved = cand[:, j] != x[:, j]
+                    if not moved.any():
+                        continue
+                    fc = np.full_like(fx, np.inf)
+                    fc[moved] = evaluate_many(problem.objective, cand[moved])
+                    better = fc < fx
+                    if better.any():
+                        x[better] = cand[better]
+                        fx[better] = fc[better]
+                        improved = True
+            if not improved:
+                break
+        step *= 0.5
+    return x, fx
+
+
+def cells(problem):
+    """Each cell's lower corner, as ``reference_optimum`` lists them."""
+    inst = problem.instance
+    return np.unique(path_to_candidate(enumerate_paths(problem.sets), inst.b, inst.n), axis=0)
+
+
+def corner_starts(problem):
+    """Cells and their search starts at ``samples_per_cell=0``: the first
+    minimum of the lower corner and ``xbar``."""
+    lows = cells(problem)
+    X = np.stack([lows, np.broadcast_to(problem.xbar, lows.shape)], axis=1)
+    vals = evaluate_many(problem.objective, X.reshape(-1, lows.shape[1])).reshape(len(lows), 2)
+    i = vals.argmin(axis=1)
+    return lows, X[np.arange(len(lows)), i], vals[np.arange(len(lows)), i]
+
+
+@st.composite
+def smooth_terms(draw, n):
+    """A fault-free objective on [0, 1]^n: ``^`` with a per-point exponent,
+    ``exp``, ``sin``, ``ln`` and ``abs``, each of a drawn coordinate."""
+    coef = st.integers(1, 19).map(lambda k: k / 10)
+    var = st.integers(1, n).map(lambda j: f"x{j}")
+    forms = [
+        lambda a, b, u, v: f"({u} + {a})^({v} + {b})",
+        lambda a, b, u, v: f"{a}*exp({b}*{u} - {v})",
+        lambda a, b, u, v: f"sin({a}*{u} + {b}*{v})",
+        lambda a, b, u, v: f"{a}*ln({b} + {u}*{v})",
+        lambda a, b, u, v: f"abs({u} - {a}*{v} + {b})",
+    ]
+    k = draw(st.integers(1, 2 * n))
+    picks = [draw(st.sampled_from(forms))(draw(coef), draw(coef), draw(var), draw(var)) for _ in range(k)]
+    return " + ".join(picks)
+
+
+@st.composite
+def search_inputs(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    density = draw(st.sampled_from([1.0, 0.6, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = random_feasible_instance(m, n, density, rng=rng)
+    problem = make_problem("planted", inst.A, inst.b, draw(smooth_terms(n)))
+    lows = cells(problem)
+    # samples inside each cell, some of them at the lower corner
+    start = lows + rng.random(lows.shape) * (problem.xbar - lows) * (rng.random((len(lows), 1)) < 0.8)
+    return problem, lows, start, evaluate_many(problem.objective, start)
+
+
+@pytest.mark.parametrize(
+    "ahead, blocks",
+    [(None, False), (1, False), (None, True), (3, False)],
+    ids=["whole-pass", "one-move", "blocks", "three-moves"],
+)
+@pytest.mark.parametrize("schedule", [None, (3, 1)], ids=["full", "short"])
+@settings(max_examples=30, deadline=None)
+@given(case=search_inputs())
+def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, blocks, schedule, case):
+    problem, lows, start, values = case
+    n = lows.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        if schedule:  # a short search ends mid-way, where a wrong move order shows
+            mp.setattr(oracle, "REFINE_STEPS", schedule[0])
+            mp.setattr(oracle, "MAX_PASSES_PER_LEVEL", schedule[1])
+        rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+        if blocks:  # two cells per block
+            mp.setattr(oracle, "SEARCH_BLOCK", 2 * (2 * n) * n)
+        x, fx = oracle._pattern_search(problem, lows, problem.xbar, start, values, ahead=ahead)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+# One cell, [0.2, 1] x [0, 1], entered at xbar.  At step 1/4 the search
+# stands at [0.5, 1], where the move x1 - 1/4 improves; the same round's
+# move x1 + 1/4 faults at [0.75, 1], where x1 + 1.2 x2 lies in the band
+# (1.94, 2.0).  The move-by-move search makes that move from [0.25, 1].
+SPECULATIVE_FAULT = (
+    [[0.2, 0.0]],
+    [0.2],
+    "(abs(x1 + 1.2*x2 - 1.97) - 0.03)^0.5 + 2.9*(x1 - 0.21)^2 + 1.5*(x2 - 0.92)^2",
+)
+
+# The worked example with a band |x6 - 0.85| < 0.1: the move-by-move
+# search faults in it, and a whole-pass round faults first at another point.
+SEARCH_FAULT = (
+    EX_A,
+    EX_B,
+    "(abs(x6 - 0.85) - 0.1)^0.5 - 0.37*x1 - 0.48*x2 + 0.96*x3 + 0.88*x4 - 0.32*x5 - 0.13*x6",
+)
+
+
+def test_a_fault_of_a_speculative_move_alone_leaves_the_result():
+    problem = make_problem("band", *SPECULATIVE_FAULT)
+    lows, start, values = corner_starts(problem)
+    with pytest.raises(EvalDomainError) as info:
+        oracle._pattern_search(problem, lows, problem.xbar, start, values)
+    assert info.value.point.tolist() == [0.75, 1.0]
+    rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+    report = reference_optimum(problem, samples_per_cell=0)
+    assert report.best_value == rf.min()
+    assert np.array_equal(report.best_point, rx[rf.argmin()])
+
+
+def test_a_fault_of_the_move_by_move_search_is_raised_as_it_raises():
+    problem = make_problem("band", *SEARCH_FAULT)
+    lows, start, values = corner_starts(problem)
+    with pytest.raises(EvalDomainError) as reference:
+        move_by_move(problem, lows, problem.xbar, start, values)
+    assert reference.value.reason == "invalid value encountered in power"
+    assert reference.value.point.tolist() == [1.0, 0.5, 0.04999999999999999, 0.0, 0.7, 0.75]
+    with pytest.raises(EvalDomainError) as whole_pass:
+        oracle._pattern_search(problem, lows, problem.xbar, start, values)
+    assert whole_pass.value.point.tolist() != reference.value.point.tolist()
+    with pytest.raises(EvalDomainError) as info:
+        reference_optimum(problem, samples_per_cell=0)
+    assert info.value.reason == reference.value.reason
+    assert np.array_equal(info.value.point, reference.value.point)
+
+
+# ---------------------------------------------------------------------------
 # random instance generation
 
 
@@ -218,6 +373,9 @@ def test_generator_argument_validation():
         random_feasible_instance(2.5, 3)
     with pytest.raises(ValueError):
         random_feasible_instance(2, 2, density=0.0)
+    for rng in (5, np.random.RandomState(5), "seed"):
+        with pytest.raises(TypeError, match="^rng must be a numpy.random.Generator"):
+            random_feasible_instance(3, 3, rng=rng)
 
 
 @pytest.mark.parametrize(
@@ -236,6 +394,13 @@ def test_reference_optimum_rejects_nonsense_sizes(kwargs, name):
     rule = ">= " if isinstance(kwargs[name], int) else "an integer"
     with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
         reference_optimum(problem, **{"cap": 1, **kwargs})
+
+
+@pytest.mark.parametrize("rng", [5, np.random.RandomState(5), "seed"])
+def test_reference_optimum_rejects_an_rng_that_is_not_a_generator(rng):
+    # checked before enumerating: cap=1 alone would raise PathSpaceTooLargeError
+    with pytest.raises(TypeError, match="^rng must be a numpy.random.Generator"):
+        reference_optimum(builtin_problem(5), rng=rng, cap=1)
 
 
 def test_report_with_numpy_sample_count_is_json():
