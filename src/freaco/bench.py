@@ -75,7 +75,11 @@ def thread_budget() -> int:
     """Worker cap for parallel runs, from FREACO_THREADS (default: all cores)."""
     raw = os.environ.get("FREACO_THREADS", "")
     if raw.strip():
-        return whole("FREACO_THREADS", int(raw), 1)
+        try:
+            raw = int(raw)
+        except ValueError:
+            pass  # whole refuses the text by name
+        return whole("FREACO_THREADS", raw, 1)
     return os.cpu_count() or 1
 
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import whole
+from .errors import real, whole
 from .expr import evaluate_many
 from .fre import Record, path_to_candidate
 from .problems import Problem
@@ -96,8 +96,9 @@ class SolverConfig:
     def __post_init__(self):
         for name, low in (("s_pop", 2), ("t_max", 1), ("samples_per_iter", 0), ("seed", 0)):
             object.__setattr__(self, name, whole(name, getattr(self, name), low))
-        for name, value in (("q", self.q), ("xi", self.xi), ("big_q", self.big_q)):
-            if not (math.isfinite(value) and value > 0):
+        for name in ("q", "xi", "big_q", "rho"):
+            object.__setattr__(self, name, value := real(name, getattr(self, name)))
+            if name != "rho" and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
         if self.q * self.s_pop < sys.float_info.min:  # the rank weights' scale
             raise ValueError(f"q * s_pop must be >= {sys.float_info.min:g}")

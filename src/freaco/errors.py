@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its integer and real checks."""
 
 from __future__ import annotations
 
@@ -22,6 +22,16 @@ def whole(name: str, value, low: int) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def real(name: str, value) -> float:
+    """``value``, a Python or numpy integer or float but not a bool, as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range: inf, which range checks refuse
+        return np.inf if value > 0 else -np.inf
 
 
 class FreacoError(Exception):

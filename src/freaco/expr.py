@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import operator
-import pickle
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,9 +95,6 @@ class Expr:
     tail: tuple
     out: int
     terms: int
-
-    def __eq__(self, other):  # by content: == of the tail's arrays is no bool
-        return isinstance(other, Expr) and pickle.dumps(self) == pickle.dumps(other)
 
 
 # ---------------------------------------------------------------------------

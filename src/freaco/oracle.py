@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, PathSpaceTooLargeError, whole
+from .errors import EvalDomainError, PathSpaceTooLargeError, real, whole
 from .expr import evaluate_many
 from .fre import Instance, Record, path_space_size, path_to_candidate
 from .problems import Problem
@@ -244,7 +244,7 @@ def random_feasible_instance(
     or ``None`` (a fresh unseeded one); anything else raises
     :class:`TypeError`.
     """
-    m, n = whole("m", m, 1), whole("n", n, 1)
+    m, n, density = whole("m", m, 1), whole("n", n, 1), real("density", density)
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     rng = _generator(rng, None)

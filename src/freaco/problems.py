@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInstanceError, whole
+from .errors import InvalidInstanceError, real, whole
 from .expr import Expr, parse
 from .fre import Instance, Record, compute_candidate_sets, compute_max_solution
 
@@ -40,25 +40,33 @@ from .fre import Instance, Record, compute_candidate_sets, compute_max_solution
 class Problem(Record):
     """A named minimization problem over a constraint instance, feasible by type.
 
-    ``xbar`` (the greatest solution, length n) and ``sets`` (one array of
-    candidate columns per row) are computed once, when the problem is
-    built, and are read-only.  Building a problem over an unsolvable
-    system raises :class:`InfeasibleInstanceError`, carrying ``xbar`` and
-    the rows it violates.
+    ``objective`` (``objective_src`` compiled), ``xbar`` (the greatest
+    solution) and ``sets`` (candidate columns per row) are computed once,
+    when the problem is built, and are read-only; an unsolvable system
+    raises :class:`InfeasibleInstanceError`, carrying ``xbar`` and the rows
+    it violates.  ``known_optimum`` is None or a finite ``float``.
     """
 
     name: str
     instance: Instance
-    objective: Expr
     objective_src: str
     known_optimum: float | None = None
+    objective: Expr = field(init=False, repr=False)
     xbar: np.ndarray = field(init=False, repr=False)
     sets: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        optimum = self.known_optimum
+        try:
+            optimum = None if optimum is None else real("'known_optimum'", optimum)
+        except ValueError as exc:
+            raise InvalidInstanceError(*exc.args) from None
+        if optimum is not None and not math.isfinite(optimum):
+            raise InvalidInstanceError("'known_optimum' must be finite")
+        objective = parse(self.objective_src, self.instance.n)
         xbar = compute_max_solution(self.instance)
         sets = compute_candidate_sets(self.instance, xbar)  # raises when infeasible
-        self.__setstate__({"xbar": xbar, "sets": tuple(sets)})
+        self.__setstate__(dict(known_optimum=optimum, objective=objective, xbar=xbar, sets=tuple(sets)))
 
     @property
     def n(self) -> int:
@@ -69,8 +77,7 @@ def make_problem(
     name: str, A, b, objective_src: str, known_optimum: float | None = None
 ) -> Problem:
     """Validate data, parse the objective and build the (feasible) problem."""
-    instance = Instance(A, b)
-    return Problem(name, instance, parse(objective_src, instance.n), objective_src, known_optimum)
+    return Problem(name, Instance(A, b), objective_src, known_optimum)
 
 
 def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:
@@ -86,9 +93,7 @@ def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:
         raise InvalidInstanceError("'objective' must be a string expression")
     for key in ("A", "b"):
         _check_numbers(key, data[key])
-    return make_problem(
-        name, data["A"], data["b"], data["objective"], _known_optimum(data.get("known_optimum"))
-    )
+    return make_problem(name, data["A"], data["b"], data["objective"], data.get("known_optimum"))
 
 
 def _check_numbers(key: str, value) -> None:
@@ -99,22 +104,6 @@ def _check_numbers(key: str, value) -> None:
             raise InvalidInstanceError(
                 f"entries of {key!r} must be numbers, not strings or booleans"
             )
-
-
-def _known_optimum(value) -> float | None:
-    """An instance file's ``known_optimum``: a finite JSON number, or null."""
-    if value is None:
-        return None
-    # bool is a subclass of int, but JSON true is not a number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInstanceError("'known_optimum' must be a number or null")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidInstanceError("'known_optimum' must be finite")
-    return value
 
 
 def load_problem_file(path) -> Problem:

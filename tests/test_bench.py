@@ -120,6 +120,9 @@ def test_runs_and_thread_budget_must_be_positive(monkeypatch):
     monkeypatch.setenv("FREACO_THREADS", "0")
     with pytest.raises(ValueError, match="FREACO_THREADS must be >= 1"):
         bench.thread_budget()
+    monkeypatch.setenv("FREACO_THREADS", "abc")
+    with pytest.raises(ValueError, match="^FREACO_THREADS must be an integer, got 'abc'$"):
+        bench.thread_budget()
 
 
 @pytest.mark.parametrize(
@@ -202,6 +205,20 @@ def test_json_round_trip(tmp_path):
     assert a.mean_eval_count == b["mean_eval_count"]
     assert a.mean_error == b["mean_error"]
     assert np.array_equal(a.trace, np.asarray(b["trace"], dtype=float))
+
+
+def test_json_is_strict_for_a_numpy_float_setting(tmp_path):
+    # a numpy float setting is stored as a float, so summary.json is JSON
+    # without NaN or Infinity and config.q reads back as a number
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    config = SolverConfig(s_pop=10, t_max=12, q=np.float32(0.0125))
+    summary = run_experiment(ExperimentSpec(problems=(builtin_problem(1),), runs=2, config=config))
+    path = tmp_path / "summary.json"
+    export(summary, "json", path)
+    loaded = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert type(loaded["config"]["q"]) is float and loaded["config"]["q"] == float(np.float32(0.0125))
 
 
 def test_trace_csv_rows(tmp_path):

@@ -679,11 +679,11 @@ def test_infeasible_problem_raises_with_rows():
     # A phi xbar caps row 1 at 0.2 < 0.5, so the system is unsolvable; a
     # Problem is feasible by construction, so building it directly raises
     # before any run can start
-    from freaco import Problem, parse
+    from freaco import Problem
 
     inst = Instance([[0.2, 0.1], [0.9, 0.8]], [0.5, 0.3])
     with pytest.raises(InfeasibleInstanceError) as info:
-        Problem("bad", inst, parse("x1", 2), "x1", None)
+        Problem("bad", inst, "x1", None)
     assert info.value.rows.tolist() == [0]
     assert np.array_equal(info.value.xbar, [0.3, 0.3])
 
@@ -698,11 +698,23 @@ def test_best_never_beats_certified_reference():
         assert result.best.f >= ref.best_value - 1e-6
 
 
-@pytest.mark.parametrize("field", ["q", "xi", "big_q"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["q", "xi", "big_q", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, np.float32("nan")])
 def test_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+    message = r"rho must lie in \[0, 1\)" if field == "rho" else f"{field} must be positive and finite"
+    with pytest.raises(ValueError, match=message):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["q", "xi", "big_q", "rho"])
+def test_config_reals_are_floats_and_refuse_non_numbers(field):
+    integer = 0 if field == "rho" else 2  # inside the field's range
+    for value in (np.float32(0.25), np.float64(0.25), np.int64(integer), integer):
+        stored = getattr(SolverConfig(**{field: value}), field)
+        assert type(stored) is float and stored == float(value)
+    for value in (True, np.bool_(False), "0.1", None, [0.1]):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize(

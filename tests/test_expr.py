@@ -338,7 +338,7 @@ def test_computed_index_must_be_integer_arithmetic():
             parse(src, 3)
         assert (info.value.line, info.value.col) == (1, 1), src
     # unary minus and parentheses are integer arithmetic too
-    assert parse("x(--1) + x((1 + 1)*1)", 2) == parse("x1 + x2", 2)
+    assert pickle.dumps(parse("x(--1) + x((1 + 1)*1)", 2)) == pickle.dumps(parse("x1 + x2", 2))
 
 
 def test_first_error_in_reading_order_is_reported():
@@ -675,12 +675,15 @@ def test_batch_memory_stays_bounded_for_a_long_sum(tmp_path):
 
 
 def test_expr_compares_and_pickles_by_content():
+    # == and hash go by identity, like every record; content is the pickle
     src = "sum(k, 1, 3, x(k)^k)"
-    expr = parse(src, 3)
-    assert expr == parse(src, 3)
-    assert expr != parse("sum(k, 1, 3, x(k)^2)", 3)
+    expr, again = parse(src, 3), parse(src, 3)
+    assert expr == expr and expr != again and len({expr, again}) == 2
+    assert pickle.dumps(expr) == pickle.dumps(again)
+    assert pickle.dumps(expr) != pickle.dumps(parse("sum(k, 1, 3, x(k)^2)", 3))
     copy = pickle.loads(pickle.dumps(expr))
-    assert copy == expr and evaluate(copy, [0.3, 0.6, 0.9]) == evaluate(expr, [0.3, 0.6, 0.9])
+    assert pickle.dumps(copy) == pickle.dumps(expr)
+    assert evaluate(copy, [0.3, 0.6, 0.9]) == evaluate(expr, [0.3, 0.6, 0.9])
 
 
 @pytest.mark.parametrize("src,n", [(p.objective_src, p.n) for p in builtin_problems()])

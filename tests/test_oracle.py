@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -371,8 +372,17 @@ def test_generator_argument_validation():
         random_feasible_instance(0, 3)
     with pytest.raises(ValueError, match="^m must be an integer"):
         random_feasible_instance(2.5, 3)
-    with pytest.raises(ValueError):
-        random_feasible_instance(2, 2, density=0.0)
+    for density in (0.0, 1.5, math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match=r"^density must lie in \(0, 1\]"):
+            random_feasible_instance(2, 2, density=density)
+    for density in (True, np.bool_(True), "0.5", None):
+        with pytest.raises(ValueError, match="^density must be a number, got "):
+            random_feasible_instance(2, 2, density=density)
+    # numpy and integer densities are read as the float they hold
+    for density in (np.float32(0.5), np.float64(0.5), 1, np.int64(1)):
+        a = random_feasible_instance(3, 4, density, rng=np.random.default_rng(1))
+        b = random_feasible_instance(3, 4, float(density), rng=np.random.default_rng(1))
+        assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
     for rng in (5, np.random.RandomState(5), "seed"):
         with pytest.raises(TypeError, match="^rng must be a numpy.random.Generator"):
             random_feasible_instance(3, 3, rng=rng)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from freaco import (
     EPS_EQ,
+    ExprParseError,
     InfeasibleInstanceError,
     InvalidInstanceError,
     Problem,
@@ -20,7 +21,7 @@ from freaco import (
     evaluate,
     is_feasible,
     load_problem_file,
-    parse,
+    make_problem,
     problem_from_dict,
     random_feasible_instance,
     reference_optimum,
@@ -260,15 +261,26 @@ def test_problem_from_dict_optional_optimum():
 
 @pytest.mark.parametrize(
     "optimum",
-    [[1], "0.5", "nan", True, False, {"f": 1}, float("nan"), float("inf"), 10**400],
-    ids=["list", "string", "nan-string", "true", "false", "object", "NaN", "Infinity", "huge-int"],
+    [
+        [1], "0.5", "nan", True, False, {"f": 1}, float("nan"), float("inf"), 10**400,
+        -(10**400), np.bool_(True), np.float32("nan"),
+    ],
+    ids=[
+        "list", "string", "nan-string", "true", "false", "object", "NaN", "Infinity", "huge-int",
+        "huge-negative-int", "numpy-bool", "numpy-nan",
+    ],
 )
 def test_known_optimum_must_be_finite_number_or_null(optimum):
+    # the file loader and the library path share the one check in Problem
     payload = ex1_dict()
     payload["known_optimum"] = optimum
-    with pytest.raises(InvalidInstanceError) as info:
-        problem_from_dict(payload)
-    assert "known_optimum" in str(info.value)
+    for build in (
+        lambda: problem_from_dict(payload),
+        lambda: make_problem("example-1", EX_A, EX_B, EX_OBJECTIVE, optimum),
+    ):
+        with pytest.raises(InvalidInstanceError) as info:
+            build()
+        assert "known_optimum" in str(info.value)
 
 
 def test_integer_known_optimum_reads_as_float():
@@ -276,6 +288,9 @@ def test_integer_known_optimum_reads_as_float():
     payload["known_optimum"] = -2
     optimum = problem_from_dict(payload).known_optimum
     assert optimum == -2.0 and isinstance(optimum, float)
+    for value in (np.int64(-2), np.float32(-2), np.float64(-2)):
+        optimum = make_problem("example-1", EX_A, EX_B, EX_OBJECTIVE, value).known_optimum
+        assert optimum == -2.0 and type(optimum) is float
 
 
 @pytest.mark.parametrize(
@@ -343,6 +358,11 @@ def test_infeasible_file_raises_typed_error():
     with pytest.raises(InfeasibleInstanceError) as info:
         problem_from_dict(payload)
     assert 0 in info.value.rows.tolist()
+    # the objective is parsed before the structure is built, so a source
+    # that is both unparsable and infeasible is a parse error (exit 1, not 2)
+    payload["objective"] = "x1 +"
+    with pytest.raises(ExprParseError):
+        problem_from_dict(payload)
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -365,7 +385,7 @@ def test_invalid_json_rejected(tmp_path):
 )
 def test_problem_structure_matches_fre_and_survives_pickling(m, n, density, seed):
     inst = random_feasible_instance(m, n, density, rng=np.random.default_rng(seed))
-    problem = Problem("planted", inst, parse("x1", n), "x1")
+    problem = Problem("planted", inst, "x1")
     xbar = compute_max_solution(inst)
     sets = compute_candidate_sets(inst, xbar)
     copy = pickle.loads(pickle.dumps(problem))
@@ -380,9 +400,12 @@ def test_problem_structure_matches_fre_and_survives_pickling(m, n, density, seed
 
 def test_structure_fields_stay_out_of_init_and_repr():
     problem = builtin_problem(1)
-    assert "xbar" not in repr(problem) and "sets" not in repr(problem)
+    for name in ("objective", "xbar", "sets"):
+        assert f"{name}=" not in repr(problem)
     with pytest.raises(TypeError):
-        Problem("p", problem.instance, problem.objective, problem.objective_src, None, problem.xbar)
+        Problem("p", problem.instance, problem.objective_src, None, problem.xbar)
+    with pytest.raises(TypeError):  # the objective is parsed from objective_src, never passed
+        Problem("p", problem.instance, problem.objective_src, objective=problem.objective)
 
 
 def test_structure_is_computed_once_per_problem(monkeypatch, capsys):
@@ -402,7 +425,7 @@ def test_structure_is_computed_once_per_problem(monkeypatch, capsys):
                     if value is fn:
                         monkeypatch.setattr(module, attr, counted)
 
-    Problem("again", problem.instance, problem.objective, problem.objective_src)
+    Problem("again", problem.instance, problem.objective_src)
     assert sorted(calls) == ["compute_candidate_sets", "compute_max_solution"]
     calls.clear()
     config = SolverConfig(t_max=3)
