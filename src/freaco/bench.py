@@ -17,6 +17,7 @@ workers or on completion order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -39,6 +40,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        for problem in self.problems:
+            if not isinstance(problem, Problem):
+                raise TypeError(f"problems must hold Problem instances, got {problem!r}")
+        if not isinstance(self.config, SolverConfig):
+            raise TypeError(f"config must be a SolverConfig, got {self.config!r}")
         for name, low in (("runs", 1), ("base_seed", 0)):
             object.__setattr__(self, name, whole(name, getattr(self, name), low))
 
@@ -207,8 +213,6 @@ def _summary_rows(summary: ExperimentSummary):
 
 
 def summary_csv_text(summary: ExperimentSummary) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)

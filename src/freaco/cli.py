@@ -146,18 +146,16 @@ def _parse_problem_list(text: str) -> list[Problem]:
         indices = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise InvalidInstanceError(f"bad --problems list: {text!r}") from None
-    if not indices:
-        return []
     return [builtin_problem(i) for i in indices]
 
 
 def _cmd_bench(args) -> int:
     problems = _parse_problem_list(args.problems)
     spec = bench_mod.ExperimentSpec(problems=problems, runs=args.runs, base_seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     summary, failures = bench_mod.run_problems(spec)
     for error in failures:
         _diag(f"error: {error} ({error.__cause__})")
+    os.makedirs(args.out, exist_ok=True)  # after the runs, so a failed setting leaves no directory
     for name, format in bench_mod.OUT_FILES:
         bench_mod.export(summary, format, os.path.join(args.out, name))
     sys.stdout.write(bench_mod.summary_csv_text(summary))

@@ -65,12 +65,21 @@ class Record:
 
 @dataclass(frozen=True, eq=False)
 class Instance(Record):
-    """A max-min relational constraint system ``A phi x = b``."""
+    """A max-min relational constraint system ``A phi x = b``, its entries numbers in [0, 1].
+    A string or boolean entry, which numpy would read as a number, raises :class:`InvalidInstanceError`."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
+        refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_}  # numpy reads "0.5" as 0.5, True as 1.0
+        for key in ("A", "b"):
+            value = getattr(self, key)
+            for row in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(row, np.ndarray):  # an integer or float array needs no walk
+                    row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
+                if not refused.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
+                    raise InvalidInstanceError(f"entries of {key!r} must be numbers, not strings or booleans")
         try:
             A = np.asarray(self.A, dtype=float)
             b = np.asarray(self.b, dtype=float)
@@ -81,9 +90,7 @@ class Instance(Record):
         if b.ndim != 1 or b.size == 0:
             raise InvalidInstanceError("b must be a non-empty vector")
         if A.shape[0] != b.shape[0]:
-            raise InvalidInstanceError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
+            raise InvalidInstanceError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
         if not np.isfinite(A).all() or not np.isfinite(b).all():
             raise InvalidInstanceError("A and b must be finite")
         if A.min() < 0.0 or A.max() > 1.0:

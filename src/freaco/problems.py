@@ -44,7 +44,8 @@ class Problem(Record):
     solution) and ``sets`` (candidate columns per row) are computed once,
     when the problem is built, and are read-only; an unsolvable system
     raises :class:`InfeasibleInstanceError`, carrying ``xbar`` and the rows
-    it violates.  ``known_optimum`` is None or a finite ``float``.
+    it violates.  ``name`` and ``objective_src`` are strings, ``instance`` an
+    :class:`Instance` and ``known_optimum`` None or a finite ``float``.
     """
 
     name: str
@@ -56,6 +57,12 @@ class Problem(Record):
     sets: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidInstanceError("'name' must be a string")
+        if not isinstance(self.instance, Instance):
+            raise TypeError(f"instance must be an Instance, got {self.instance!r}")
+        if not isinstance(self.objective_src, str):
+            raise InvalidInstanceError("'objective' must be a string expression")
         optimum = self.known_optimum
         try:
             optimum = None if optimum is None else real("'known_optimum'", optimum)
@@ -87,23 +94,7 @@ def problem_from_dict(data: dict, default_name: str = "instance") -> Problem:
         if key not in data:
             raise InvalidInstanceError(f"instance file is missing key {key!r}")
     name = data.get("name", default_name)
-    if not isinstance(name, str):
-        raise InvalidInstanceError("'name' must be a string")
-    if not isinstance(data["objective"], str):
-        raise InvalidInstanceError("'objective' must be a string expression")
-    for key in ("A", "b"):
-        _check_numbers(key, data[key])
     return make_problem(name, data["A"], data["b"], data["objective"], data.get("known_optimum"))
-
-
-def _check_numbers(key: str, value) -> None:
-    """Refuse JSON strings and booleans in ``A`` or ``b``, which numpy
-    would read as numbers ("0.5" as 0.5, true as 1.0)."""
-    for row in value if isinstance(value, list) else [value]:
-        if not {str, bool}.isdisjoint(map(type, row if isinstance(row, list) else [row])):
-            raise InvalidInstanceError(
-                f"entries of {key!r} must be numbers, not strings or booleans"
-            )
 
 
 def load_problem_file(path) -> Problem:

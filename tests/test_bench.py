@@ -138,6 +138,21 @@ def test_spec_rejects_bad_run_count_and_base_seed(field, value, message):
         ExperimentSpec(problems=(builtin_problem(1),), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"problems": [5]}, "^problems must hold Problem instances, got 5$"),
+        ({"problems": (builtin_problem(1), "problem-02")}, "^problems must hold Problem instances"),
+        ({"problems": (builtin_problem(1),), "config": None}, "^config must be a SolverConfig, got None$"),
+        ({"problems": (builtin_problem(1),), "config": {"t_max": 5}}, "^config must be a SolverConfig"),
+    ],
+    ids=["int-problem", "name-as-problem", "no-config", "dict-config"],
+)
+def test_spec_rejects_what_is_not_a_problem_or_config(fields, message):
+    with pytest.raises(TypeError, match=message):
+        ExperimentSpec(runs=1, **fields)
+
+
 def test_spec_stores_numpy_integers_as_int(tmp_path):
     spec = ExperimentSpec(
         problems=(builtin_problem(1),), runs=np.int64(2), config=SMALL, base_seed=np.int32(3)

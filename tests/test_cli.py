@@ -261,6 +261,27 @@ def test_bench_rejects_a_bad_run_count_before_making_the_out_dir(capsys, tmp_pat
     assert not out_dir.exists()
 
 
+def test_bench_rejects_a_bad_thread_budget_before_making_the_out_dir(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("FREACO_THREADS", "abc")
+    out_dir = tmp_path / "out"
+    code, out, err = call(capsys, ["bench", "--problems", "1", "--runs", "1", "--out", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert "FREACO_THREADS" in err
+    assert not out_dir.exists()
+
+
+def test_bench_out_beneath_a_regular_file_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("FREACO_THREADS", "1")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code, out, err = call(
+        capsys, ["bench", "--problems", "1", "--runs", "1", "--out", str(tmp_path / "file" / "out")]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bench_reports_a_failing_problem_and_writes_the_others(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FREACO_THREADS", "1")
     real = bench.run_many

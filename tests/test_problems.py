@@ -12,6 +12,7 @@ from freaco import (
     EPS_EQ,
     ExprParseError,
     InfeasibleInstanceError,
+    Instance,
     InvalidInstanceError,
     Problem,
     SolverConfig,
@@ -307,13 +308,32 @@ def test_integer_known_optimum_reads_as_float():
         ("A", [*EX_A[:3], [False, *EX_A[3][1:]], EX_A[4]]),
         ("b", ["0.7", *EX_B[1:]]),
         ("b", [True, *EX_B[1:]]),
+        # the same refused by Instance for library callers, also in numpy form
+        ("b", [np.True_, *EX_B[1:]]),
+        ("A", np.array(EX_A).astype(str)),
+        ("A", np.array(EX_A) > 0.5),
+        ("b", np.array(EX_B).astype(str)),
+        ("b", np.array([True, *EX_B[1:]], dtype=object)),
     ],
 )
 def test_non_numeric_matrix_data_rejected(key, value):
+    # the file loader and the library path share the one check in Instance
     payload = ex1_dict()
     payload[key] = value
-    with pytest.raises(InvalidInstanceError):
-        problem_from_dict(payload)
+    for build in (
+        lambda: problem_from_dict(payload),
+        lambda: make_problem("example-1", payload["A"], payload["b"], EX_OBJECTIVE),
+    ):
+        with pytest.raises(InvalidInstanceError):
+            build()
+
+
+def test_numpy_numbers_are_accepted_as_matrix_data():
+    listed = [[np.int64(v) if v == 0 else v for v in row] for row in EX_A]
+    for A, b in ((listed, EX_B), (np.array(EX_A, dtype=object), np.array(EX_B, dtype=object))):
+        problem = make_problem("example-1", A, b, EX_OBJECTIVE)
+        assert problem.instance.A.dtype == float and problem.instance.b.dtype == float
+        assert np.array_equal(problem.instance.A, EX_A) and np.array_equal(problem.instance.b, EX_B)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +348,14 @@ def test_non_numeric_matrix_data_rejected(key, value):
 def test_malformed_instance_file_rejected(data, message):
     with pytest.raises(InvalidInstanceError, match=message):
         problem_from_dict(data)
+    if isinstance(data, dict):  # Problem checks its own fields for library callers too
+        with pytest.raises(InvalidInstanceError, match=message):
+            Problem(data["name"], Instance(data["A"], data["b"]), data["objective"])
+
+
+def test_problem_instance_must_be_an_instance():
+    with pytest.raises(TypeError, match="^instance must be an Instance"):
+        Problem("p", np.array([[0.5]]), "x1")
 
 
 def test_missing_keys_rejected():
