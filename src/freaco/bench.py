@@ -45,6 +45,8 @@ class ExperimentSpec:
                 raise TypeError(f"problems must hold Problem instances, got {problem!r}")
         if not isinstance(self.config, SolverConfig):
             raise TypeError(f"config must be a SolverConfig, got {self.config!r}")
+        if self.config.seed != 0:  # it would go unused, yet summary.json would write it
+            raise ValueError(f"config.seed must be 0, got {self.config.seed}: run r uses seed base_seed + r")
         for name, low in (("runs", 1), ("base_seed", 0)):
             object.__setattr__(self, name, whole(name, getattr(self, name), low))
 

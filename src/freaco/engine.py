@@ -4,7 +4,8 @@ Each iteration couples a combinatorial phase with a continuous phase:
 
 * Phase one picks one candidate column per matrix row with probabilities
   proportional to pheromone, which yields a path and hence a feasible box
-  (cell) of the solution set.  All rows of a path are drawn at once, by
+  (cell) of the solution set.  All the paths an iteration builds, every
+  row of every path of every run, are drawn in one comparison, by
   inverse CDF over the candidates' cumulative probabilities, padded with
   zeros to the longest candidate set.
 * Phase two keeps the ``s_pop`` best feasible points as ACO_R does, in
@@ -177,13 +178,9 @@ def construct_paths(
     each row's partial sums exact and puts its total in the last column.
     """
     cum = (values / sums[..., None]).cumsum(axis=-1)
-    inner = cum[..., :-1]
     target = u * cum[..., None, :, -1]
-    picks = np.empty(u.shape, dtype=np.int64)
-    for s in range(u.shape[-2]):  # one path per run at a time keeps temporaries small
-        picks[..., s, :] = (inner <= target[..., s, :, None]).sum(axis=-1)
-    # a partial sum in the padding is the total, counted only when the
-    # target reaches it: the clamp
+    picks = (cum[..., None, :, :-1] <= target[..., None]).sum(axis=-1)
+    # a partial sum in the padding is the total, counted only when the target reaches it: the clamp
     return np.minimum(picks, last, out=picks)
 
 

@@ -65,21 +65,23 @@ class Record:
 
 @dataclass(frozen=True, eq=False)
 class Instance(Record):
-    """A max-min relational constraint system ``A phi x = b``, its entries numbers in [0, 1].
-    A string or boolean entry, which numpy would read as a number, raises :class:`InvalidInstanceError`."""
+    """A max-min relational constraint system ``A phi x = b``, its entries real numbers in [0, 1].
+    A string, boolean or complex entry, which numpy reads as real, raises :class:`InvalidInstanceError`."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_}  # numpy reads "0.5" as 0.5, True as 1.0
+        refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_,  # numpy reads "0.5" as 0.5, True as 1.0
+                   complex, np.complex64, np.complex128, np.clongdouble}  # and 0.5+1j as 0.5
         for key in ("A", "b"):
             value = getattr(self, key)
             for row in value if isinstance(value, (list, tuple)) else [value]:
                 if isinstance(row, np.ndarray):  # an integer or float array needs no walk
                     row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
                 if not refused.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
-                    raise InvalidInstanceError(f"entries of {key!r} must be numbers, not strings or booleans")
+                    raise InvalidInstanceError(
+                        f"entries of {key!r} must be real numbers, not strings, booleans or complex numbers")
         try:
             A = np.asarray(self.A, dtype=float)
             b = np.asarray(self.b, dtype=float)

@@ -83,12 +83,11 @@ def _generator(rng, seed: int | None) -> np.random.Generator:
 def _pattern_search(
     problem: Problem,
     lows: np.ndarray,
-    upper: np.ndarray,
     start: np.ndarray,
     values: np.ndarray,
     ahead: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate pattern search inside each cell (Hooke & Jeeves).
+    """Coordinate pattern search inside each cell ``[lows, problem.xbar]`` (Hooke & Jeeves).
 
     Starts from ``start`` (one point per cell, objective ``values``),
     with an initial step of half the cell's largest edge.  A pass tries
@@ -126,7 +125,7 @@ def _pattern_search(
     sign = np.where(past % 2 == 1, 1.0, -1.0)
     real = past < moves
     x, fx = start.copy(), values.copy()
-    h = np.maximum(0.5 * (upper - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
+    h = np.maximum(0.5 * (problem.xbar - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
     per = K if width == 1 else max(1, SEARCH_BLOCK // (width * n))  # cells per block
     for lo in range(0, K, per):
         for _ in range(REFINE_STEPS):
@@ -139,7 +138,7 @@ def _pattern_search(
                 j = coord[move]
                 cell = live[:, None]
                 old = x[cell, j]
-                new = np.clip(old + sign[move] * h[cell], lows[cell, j], upper[j])
+                new = np.clip(old + sign[move] * h[cell], lows[cell, j], problem.xbar[j])
                 c, w = np.nonzero(real[move] & (new != old))
                 cand = x[live[c]]
                 cand[np.arange(len(c)), j[c, w]] = new[c, w]
@@ -219,9 +218,9 @@ def reference_optimum(
         best_x[lo : lo + step], best_f[lo : lo + step] = X[:, 0], vals[cells, i]
 
     try:
-        best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f)
+        best_x, best_f = _pattern_search(problem, lows, best_x, best_f)
     except EvalDomainError:  # maybe a move the move-by-move search never makes
-        best_x, best_f = _pattern_search(problem, lows, xbar, best_x, best_f, ahead=1)
+        best_x, best_f = _pattern_search(problem, lows, best_x, best_f, ahead=1)
     winner = int(np.argmin(best_f))  # first minimum = lexicographically least cell
     return OracleReport(
         problem=problem.name,

@@ -131,6 +131,7 @@ def test_runs_and_thread_budget_must_be_positive(monkeypatch):
         ("runs", 2.5, "runs must be an integer"),
         ("base_seed", 1.0, "base_seed must be an integer"),
         ("base_seed", -1, "base_seed must be >= 0"),
+        ("config", SolverConfig(t_max=3, seed=7), "^config.seed must be 0, got 7"),
     ],
 )
 def test_spec_rejects_bad_run_count_and_base_seed(field, value, message):

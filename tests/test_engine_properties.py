@@ -66,18 +66,30 @@ def planted(draw, max_m=12, max_n=16):
 @settings(max_examples=200, deadline=None)
 @given(inst=planted(), data=st.data())
 def test_path_draw_matches_searchsorted_reference(inst, data):
+    # R runs drawn in one call, as the engine draws them, each with its own
+    # pheromone, against the row-by-row reference run by run
     sets = compute_candidate_sets(inst)
+    table = candidate_table(sets)
+    last = (table[:, 1:] >= 0).sum(axis=1)  # each row's last candidate slot
     support = init_pheromone(sets, inst.n).support
-    # uneven positive pheromone on the support
     size = int(support.sum())
-    values = np.zeros(support.shape)
-    values[support] = data.draw(st.lists(st.floats(1e-300, 1e3), min_size=size, max_size=size))
-    tau = PheromoneMatrix(values, support)
-    k = data.draw(st.integers(1, 4))
-    u = np.array(data.draw(st.lists(UNIFORMS, min_size=k * inst.m, max_size=k * inst.m)))
-    u = u.reshape(k, inst.m)
-    drawn = draw(tau, sets, u)
-    assert np.array_equal(drawn, reference_paths(tau, sets, u))
+    runs, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    taus = []
+    for _ in range(runs):  # uneven positive pheromone on the support
+        values = np.zeros(support.shape)
+        values[support] = data.draw(st.lists(st.floats(1e-300, 1e3), min_size=size, max_size=size))
+        taus.append(PheromoneMatrix(values, support))
+    count = runs * k * inst.m
+    u = np.array(data.draw(st.lists(UNIFORMS, min_size=count, max_size=count))).reshape(runs, k, inst.m)
+    slots = construct_paths(
+        np.stack([compact(tau.values, table) for tau in taus]),
+        np.stack([tau.values.sum(axis=1) for tau in taus]),
+        last,
+        u,
+    )
+    drawn = table[np.arange(inst.m), slots]
+    for tau, run_u, run_drawn in zip(taus, u, drawn):
+        assert np.array_equal(run_drawn, reference_paths(tau, sets, run_u))
 
 
 def test_uniform_at_total_picks_the_last_candidate():

@@ -285,7 +285,7 @@ def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, blocks, schedule,
         rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
         if blocks:  # two cells per block
             mp.setattr(oracle, "SEARCH_BLOCK", 2 * (2 * n) * n)
-        x, fx = oracle._pattern_search(problem, lows, problem.xbar, start, values, ahead=ahead)
+        x, fx = oracle._pattern_search(problem, lows, start, values, ahead=ahead)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
@@ -312,7 +312,7 @@ def test_a_fault_of_a_speculative_move_alone_leaves_the_result():
     problem = make_problem("band", *SPECULATIVE_FAULT)
     lows, start, values = corner_starts(problem)
     with pytest.raises(EvalDomainError) as info:
-        oracle._pattern_search(problem, lows, problem.xbar, start, values)
+        oracle._pattern_search(problem, lows, start, values)
     assert info.value.point.tolist() == [0.75, 1.0]
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     report = reference_optimum(problem, samples_per_cell=0)
@@ -328,7 +328,7 @@ def test_a_fault_of_the_move_by_move_search_is_raised_as_it_raises():
     assert reference.value.reason == "invalid value encountered in power"
     assert reference.value.point.tolist() == [1.0, 0.5, 0.04999999999999999, 0.0, 0.7, 0.75]
     with pytest.raises(EvalDomainError) as whole_pass:
-        oracle._pattern_search(problem, lows, problem.xbar, start, values)
+        oracle._pattern_search(problem, lows, start, values)
     assert whole_pass.value.point.tolist() != reference.value.point.tolist()
     with pytest.raises(EvalDomainError) as info:
         reference_optimum(problem, samples_per_cell=0)

@@ -314,6 +314,10 @@ def test_integer_known_optimum_reads_as_float():
         ("A", np.array(EX_A) > 0.5),
         ("b", np.array(EX_B).astype(str)),
         ("b", np.array([True, *EX_B[1:]], dtype=object)),
+        # complex entries, which numpy would cut to their real part
+        ("A", np.array(EX_A) + 1j),
+        ("A", [[np.complex128(EX_A[0][0] + 1j), *EX_A[0][1:]], *EX_A[1:]]),
+        ("b", np.array(EX_B) + 0j),
     ],
 )
 def test_non_numeric_matrix_data_rejected(key, value):
