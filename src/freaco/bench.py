@@ -40,9 +40,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        names = set()  # output rows are keyed by name: a repeat could not be told apart
         for problem in self.problems:
             if not isinstance(problem, Problem):
                 raise TypeError(f"problems must hold Problem instances, got {problem!r}")
+            if problem.name in names:
+                raise ValueError(f"problems must have distinct names, got {problem.name!r} twice")
+            names.add(problem.name)
         if not isinstance(self.config, SolverConfig):
             raise TypeError(f"config must be a SolverConfig, got {self.config!r}")
         if self.config.seed != 0:  # it would go unused, yet summary.json would write it

@@ -415,7 +415,10 @@ def parse(src: str, n: int) -> Expr:
 
 def _fold(terms, k):
     """Add ``terms`` left to right along the leading axis of loop variable ``k``."""
-    return np.add.accumulate(np.broadcast_to(terms, np.broadcast(terms, k).shape), axis=0)[-1]
+    shape = np.broadcast(terms, k).shape
+    if np.shape(terms) != shape:  # a body that does not span the loop
+        terms = np.broadcast_to(terms, shape)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _gather(columns, index):

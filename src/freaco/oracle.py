@@ -111,10 +111,19 @@ def _pattern_search(
       ``SEARCH_BLOCK`` candidate coordinates (cells x moves x n).  With
       ``ahead=1`` a round holds one point per cell, so all cells run as
       one block and every point is evaluated in the move-by-move order.
+    * **Quiet levels.**  A level that follows one where no cell of the
+      block moved opens, when ``ahead`` is ``None``, with one round that
+      evaluates every cell's whole pass at this level and at each
+      following level, all from its current point: the points the
+      level-by-level search evaluates while no cell moves.  It spans as
+      many levels as remain and as fit in ``SEARCH_BLOCK``, and opens
+      only for two or more.  The levels before the first where a cell
+      improves are done, and that level runs as an ordinary level.
 
-    A move beyond the first improving one may fault on a point the
-    move-by-move search never visits; :func:`reference_optimum` then
-    reruns the search with ``ahead=1``.
+    A move beyond the first improving one, or at a level beyond the first
+    that moves a cell, may fault on a point the move-by-move search never
+    visits; :func:`reference_optimum` then reruns the search with
+    ``ahead=1``.
     """
     K, n = lows.shape
     moves = 2 * n  # move 2j is x_j - h, move 2j + 1 is x_j + h
@@ -128,11 +137,21 @@ def _pattern_search(
     h = np.maximum(0.5 * (problem.xbar - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
     per = K if width == 1 else max(1, SEARCH_BLOCK // (width * n))  # cells per block
     for lo in range(0, K, per):
-        for _ in range(REFINE_STEPS):
-            live = np.arange(lo, min(lo + per, K))  # cells still searching at this step
+        block = np.arange(lo, min(lo + per, K))
+        level, quiet = 0, False  # quiet: the block's last level moved no cell
+        while level < REFINE_STEPS:
+            span = min(REFINE_STEPS - level, SEARCH_BLOCK // (len(block) * moves * n))
+            if quiet and ahead is None and span > 1:  # one level would repeat its own round
+                skip = _first_moving_level(problem, lows, x, fx, h, block, span)
+                h[block] *= 0.5**skip  # exact: a power of two
+                level += skip
+                if skip == span:
+                    continue
+            live = block  # cells still searching at this step
             at = np.zeros(len(live), dtype=np.int64)  # each live cell's next move in its pass
             passes = np.ones(len(live), dtype=np.int64)
             improved = np.zeros(len(live), dtype=bool)  # in the current pass
+            quiet = True
             while live.size:
                 move = at[:, None] + window
                 j = coord[move]
@@ -148,6 +167,7 @@ def _pattern_search(
                 hit = better.any(axis=1)
                 first = better.argmax(axis=1)
                 r = np.flatnonzero(hit)
+                quiet = quiet and not r.size
                 fr = first[r]
                 x[live[r], j[r, fr]] = new[r, fr]
                 fx[live[r]] = fc[r, fr]
@@ -159,8 +179,26 @@ def _pattern_search(
                 improved[again] = False
                 keep = at < moves
                 live, at, passes, improved = live[keep], at[keep], passes[keep], improved[keep]
-            h[lo : lo + per] *= 0.5
+            h[block] *= 0.5
+            level += 1
     return x, fx
+
+
+def _first_moving_level(problem, lows, x, fx, h, cells, span) -> int:
+    """The first of the next ``span`` step levels at which a whole pass
+    from the current points moves one of ``cells``, or ``span`` when none
+    does: the passes of all levels in one :func:`evaluate_many` call."""
+    n = lows.shape[1]
+    j = np.arange(2 * n) // 2  # move 2j is x_j - h, move 2j + 1 is x_j + h
+    sign = np.tile([-1.0, 1.0], n)
+    step = h[cells, None, None] * 0.5 ** np.arange(span)[:, None]  # cells x levels x 1, exact
+    old = x[cells][:, None, j]
+    new = np.clip(old + sign * step, lows[cells][:, None, j], problem.xbar[j])
+    c, level, w = np.nonzero(new != old)
+    cand = x[cells[c]]
+    cand[np.arange(len(c)), j[w]] = new[c, level, w]
+    moves = level[evaluate_many(problem.objective, cand) < fx[cells[c]]]
+    return int(moves.min()) if moves.size else span
 
 
 def reference_optimum(
@@ -179,7 +217,9 @@ def reference_optimum(
     far), and refines each cell's best sample by clamped coordinate pattern
     search over ``REFINE_STEPS`` step halvings: live cells only, in
     whole-pass rounds of one batched evaluation each, over blocks of at
-    most ``SEARCH_BLOCK`` candidate coordinates (see :func:`_pattern_search`).
+    most ``SEARCH_BLOCK`` candidate coordinates, where one round covers
+    the levels after a level that moves no cell until one would move a
+    cell (see :func:`_pattern_search`).
     When a round faults, the search reruns with one move per round, which
     evaluates exactly the points of a move-by-move search in its order: it
     returns that search's result or raises its :class:`EvalDomainError`,

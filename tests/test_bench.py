@@ -132,11 +132,16 @@ def test_runs_and_thread_budget_must_be_positive(monkeypatch):
         ("base_seed", 1.0, "base_seed must be an integer"),
         ("base_seed", -1, "base_seed must be >= 0"),
         ("config", SolverConfig(t_max=3, seed=7), "^config.seed must be 0, got 7"),
+        (
+            "problems",
+            (builtin_problem(1), builtin_problem(2), builtin_problem(1)),
+            "^problems must have distinct names, got 'problem-01' twice$",
+        ),
     ],
 )
 def test_spec_rejects_bad_run_count_and_base_seed(field, value, message):
     with pytest.raises(ValueError, match=message):
-        ExperimentSpec(problems=(builtin_problem(1),), **{field: value})
+        ExperimentSpec(**{"problems": (builtin_problem(1),), field: value})
 
 
 @pytest.mark.parametrize(

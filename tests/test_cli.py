@@ -243,12 +243,20 @@ def test_bench_reruns_byte_identical(capsys, tmp_path, monkeypatch):
     assert (first / "traces.csv").read_bytes() == (second / "traces.csv").read_bytes()
 
 
-def test_bench_rejects_a_malformed_problem_list(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "problems, message",
+    [
+        ("x", "error: bad --problems list: 'x'"),
+        ("1,1", "error: problems must have distinct names, got 'problem-01' twice"),
+    ],
+    ids=["malformed", "repeated"],
+)
+def test_bench_rejects_a_malformed_problem_list(capsys, tmp_path, problems, message):
     out_dir = tmp_path / "bench"
-    code, out, err = call(capsys, ["bench", "--problems", "x", "--out", str(out_dir)])
+    code, out, err = call(capsys, ["bench", "--problems", problems, "--runs", "1", "--out", str(out_dir)])
     assert code == 1
     assert out == ""
-    assert "error: bad --problems list: 'x'" in err
+    assert message in err
     assert not out_dir.exists()
 
 

@@ -268,24 +268,61 @@ def search_inputs(draw):
 
 
 @pytest.mark.parametrize(
-    "ahead, blocks",
-    [(None, False), (1, False), (None, True), (3, False)],
-    ids=["whole-pass", "one-move", "blocks", "three-moves"],
+    "ahead, block",
+    [(None, None), (1, None), (None, (2, 1)), (3, None), (None, (None, 2))],
+    ids=["whole-pass", "one-move", "blocks", "three-moves", "two-level-windows"],
 )
 @pytest.mark.parametrize("schedule", [None, (3, 1)], ids=["full", "short"])
 @settings(max_examples=30, deadline=None)
 @given(case=search_inputs())
-def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, blocks, schedule, case):
+def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, block, schedule, case):
     problem, lows, start, values = case
-    n = lows.shape[1]
+    K, n = lows.shape
     with pytest.MonkeyPatch.context() as mp:
         if schedule:  # a short search ends mid-way, where a wrong move order shows
             mp.setattr(oracle, "REFINE_STEPS", schedule[0])
             mp.setattr(oracle, "MAX_PASSES_PER_LEVEL", schedule[1])
         rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
-        if blocks:  # two cells per block
-            mp.setattr(oracle, "SEARCH_BLOCK", 2 * (2 * n) * n)
+        if block:  # (cells per block or all of them, levels per window) of whole passes
+            cells, levels = block
+            mp.setattr(oracle, "SEARCH_BLOCK", (cells or K) * levels * (2 * n) * n)
         x, fx = oracle._pattern_search(problem, lows, start, values, ahead=ahead)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+def counted_search(monkeypatch, problem, lows, start, values):
+    """``oracle._pattern_search`` and the batches it evaluated, in order."""
+    batches = []
+
+    def counting(expr, X):
+        batches.append(X.copy())
+        return evaluate_many(expr, X)
+
+    monkeypatch.setattr(oracle, "evaluate_many", counting)
+    return (*oracle._pattern_search(problem, lows, start, values), batches)
+
+
+def test_a_search_that_never_moves_takes_one_round_and_one_window(monkeypatch):
+    problem = builtin_problem(3)  # no move improves any of its 3 cells
+    lows, start, values = corner_starts(problem)
+    x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
+    assert len(batches) == 2  # level 0, then one window for the other 19 levels
+    assert np.array_equal(x, start) and np.array_equal(fx, values)
+    rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+def test_a_window_skips_its_quiet_levels_and_reruns_the_first_that_moves(monkeypatch):
+    # One cell, [0.2, 1], entered at xbar = 1 with step 0.4.  The moves to
+    # 0.6 (step 0.4) and 0.8 (0.2) do not improve; the move to 0.9 (0.1) does.
+    problem = make_problem("late", [[0.2]], [0.2], "abs(x1 - 0.93)")
+    lows, start, values = corner_starts(problem)
+    assert start.tolist() == [[1.0]]
+    x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
+    # level 0, then a window of the 19 other levels' moves down from 1
+    assert [len(b) for b in batches[:2]] == [1, oracle.REFINE_STEPS - 1]
+    assert np.array_equal(batches[2], batches[1][1:2])  # level 2 runs as an ordinary level
+    rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
