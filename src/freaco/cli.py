@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidInstanceError,
     PathSpaceTooLargeError,
+    whole,
 )
 from .fre import path_space_size, path_to_candidate
 from .oracle import DEFAULT_PATH_CAP, DEFAULT_SAMPLES_PER_CELL, reference_optimum
@@ -170,6 +171,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    count = whole("max", args.max, 0)
     problem = _load(args)
     inst, sets = problem.instance, problem.sets
     header = {
@@ -179,7 +181,7 @@ def _cmd_enumerate(args) -> int:
         "path_count": path_space_size(sets),
     }
     print(json.dumps(header))
-    paths = itertools.islice(itertools.product(*sets), max(args.max, 0))
+    paths = itertools.islice(itertools.product(*sets), count)
     while chunk := list(itertools.islice(paths, _ENUMERATE_CHUNK)):
         E = np.array(chunk, dtype=np.int64)
         for path, lower in zip(E.tolist(), path_to_candidate(E, inst.b, inst.n).tolist()):

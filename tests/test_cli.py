@@ -150,6 +150,13 @@ def test_solve_q_too_large_for_the_rank_weights_exits_one(capsys):
     assert "error: q * s_pop is too large" in err
 
 
+def test_solve_xi_too_large_for_the_spread_exits_one(capsys):
+    code, out, err = call(capsys, ["solve", "--builtin", "1", "--xi", "1e308", "--iters", "5"])
+    assert code == 1
+    assert out == ""
+    assert "error: xi * (s_pop - 1) must be a finite double" in err
+
+
 def _ex1_with_objective(tmp_path, objective):
     path = tmp_path / "objective.json"
     payload = {"name": "example-1", "A": EX_A, "b": EX_B, "objective": objective}
@@ -392,6 +399,13 @@ def test_enumerate_max_zero_prints_header_only(capsys, ex1_file):
     code, out, err = call(capsys, ["enumerate", "--file", str(ex1_file), "--max", "0"])
     assert code == 0
     assert len(out.strip().splitlines()) == 1
+
+
+def test_enumerate_negative_max_exits_one(capsys, ex1_file):
+    code, out, err = call(capsys, ["enumerate", "--file", str(ex1_file), "--max", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "error: max must be >= 0, got -3" in err
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def sample(archive, cw, k, xi, xbar, rng):
         u[0, s] = rng.random()
         z[0, s] = rng.standard_normal(n)
     ranks = select_rank(cw, u)
-    return split(gaussian_samples(archive, ranks, z, xi, xbar), n).X[0], ranks[0]
+    return split(gaussian_samples(archive, ranks, z, xi, xbar)[0], n).X[0], ranks[0]
 
 
 def sigma(X, rank, xi):
@@ -769,3 +769,58 @@ def test_huge_deposits_keep_pheromone_finite(objective, big_q, rho):
     assert np.isfinite(values).all() and np.isfinite(p).all()
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.isfinite(result.best.f)
+
+
+def largest_xi(s_pop):
+    """The largest ``xi`` for which ``xi * (s_pop - 1)`` is a finite double."""
+    xi = sys.float_info.max / (s_pop - 1)
+    while not math.isfinite(xi * (s_pop - 1)):
+        xi = np.nextafter(xi, 0.0)
+    return float(xi)
+
+
+def test_config_rejects_xi_whose_spread_could_overflow():
+    with pytest.raises(ValueError, match=r"xi \* \(s_pop - 1\) must be a finite double"):
+        SolverConfig(xi=1e308)
+    with pytest.raises(ValueError, match=r"xi \* \(s_pop - 1\) must be a finite double"):
+        SolverConfig(xi=float(np.nextafter(largest_xi(50), math.inf)))
+    SolverConfig(xi=largest_xi(50))
+    SolverConfig(s_pop=2, xi=1e308)  # one gap of at most 1
+
+
+@pytest.mark.parametrize("s_pop", [2, 50])
+def test_a_draw_past_the_double_range_lands_on_the_cell_face(s_pop):
+    # every other point lies 0.75 away in each coordinate, so sigma is
+    # xi * 0.75, finite; at the largest xi sigma * z overflows to +-inf,
+    # never NaN, at xi = 1 it stays finite, and either way the clamp puts
+    # the draw on the face of the cell
+    n, xbar = 2, np.ones(2)
+    X, LB = np.ones((s_pop, n)), np.zeros((s_pop, n))
+    X[0], LB[0] = 0.25, 0.2
+    f = np.arange(s_pop, dtype=float)
+    archive = pack(Fields(f, deposit(f, 1.0), X, LB, np.zeros((s_pop, 1))))[None]
+    z = np.array([[[sys.float_info.max, -sys.float_info.max]]])
+    for xi in (largest_xi(s_pop), 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, scale = gaussian_samples(archive, np.zeros((1, 1), dtype=np.int64), z, xi, xbar)
+        assert np.isfinite(scale).all()
+        assert split(new, n).X[0, 0].tolist() == [1.0, 0.2]
+
+
+@pytest.mark.parametrize("s_pop", [2, 50])
+def test_largest_xi_keeps_runs_feasible_and_finite(s_pop):
+    # seed 0 of problem 2 at s_pop 2 draws past the double range
+    problem = builtin_problem(2)
+    inst, xbar = problem.instance, problem.xbar
+
+    def observer(t, archive, tau):
+        for sol in archive:
+            assert np.all(sol.lb <= sol.x) and np.all(sol.x <= xbar)
+            assert np.abs(compose_many(inst, sol.x[None]) - inst.b).max() <= EPS_EQ
+
+    config = SolverConfig(seed=0, s_pop=s_pop, t_max=30, xi=largest_xi(s_pop))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(problem, config, observer)
+    assert np.isfinite(result.trace).all()

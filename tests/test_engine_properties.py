@@ -1,6 +1,7 @@
 """Property tests of the engine on planted random instances."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,12 +18,15 @@ from freaco import (
     reference_optimum,
     residual,
     run,
+    run_many,
 )
+from freaco import engine
 from freaco.engine import (
     candidate_table,
     construct_paths,
     init_pheromone,
     probability_matrix,
+    sigma_vector,
 )
 
 from conftest import compact
@@ -56,8 +60,8 @@ def reference_paths(tau, sets, u: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def planted(draw, max_m=12, max_n=16):
-    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+def planted(draw, max_m=12, max_n=16, n=None):
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n) if n is None else n)
     density = draw(st.sampled_from([1.0, 0.6, 0.3]))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_feasible_instance(m, n, density, rng=np.random.default_rng(seed))
@@ -137,6 +141,64 @@ def test_best_cell_is_the_cell_of_its_full_path(inst, seed):
     assert all(j in cols for j, cols in zip(best.e, problem.sets))
     assert np.array_equal(best.lb, path_to_candidate(best.e, inst.b, inst.n))
     assert np.all(best.lb <= best.x) and np.all(best.x <= problem.xbar)
+
+
+def per_phase(archive, ranks, z, xi, xbar, scale=None):
+    """Gaussian samples with the spread computed anew for every sample in
+    every phase, whatever ``scale`` is given: the reference for the
+    spreads :func:`run_many` keeps while the archive and the ranks hold."""
+    n = len(xbar)
+    new = archive[np.arange(len(ranks))[:, None], ranks]
+    loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]
+    scale = sigma_vector(archive[..., 2 : 2 + n], loc, xi)
+    np.minimum(np.maximum(loc + scale * z, LB), xbar, out=loc)
+    return new, scale
+
+
+def outcomes(problem, config, seeds):
+    """Each run's trace, best point and final pheromone, as bytes."""
+    final = {}
+
+    def observer(t, r, archive, tau):
+        final[r] = tau.values.tobytes()
+
+    results = run_many(problem, config, seeds, observer)
+    return [(res.trace.tobytes(), res.best.x.tobytes(), final[r]) for r, res in enumerate(results)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=planted(max_m=8, n=st.one_of(st.just(1), st.integers(2, 7), st.integers(8, 12))),
+    k=st.sampled_from([1, 2, 3]),
+    q=st.sampled_from([0.0125, 0.2, 1.0]),
+    runs=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_spreads_equal_spreads_computed_every_phase(inst, k, q, runs, seed):
+    problem = make_problem("planted", inst.A, inst.b, f"sum(k, 1, {inst.n}, (x(k) - 0.3)^2)")
+    config = SolverConfig(s_pop=8, q=q, t_max=20, samples_per_iter=k)
+    seeds = range(seed, seed + runs)
+    kept = outcomes(problem, config, seeds)
+    with mock.patch.object(engine, "gaussian_samples", per_phase):
+        assert outcomes(problem, config, seeds) == kept
+
+
+def test_spreads_are_computed_for_fewer_rows_than_samples():
+    inst = random_feasible_instance(6, 8, rng=np.random.default_rng(3))
+    problem = make_problem("planted", inst.A, inst.b, "sum(k, 1, 8, (x(k) - 0.3)^2)")
+    config = SolverConfig(seed=1, s_pop=10, t_max=40)
+    rows = []
+
+    def counted(X, loc, xi):
+        rows.append(loc.shape[0] * loc.shape[1])
+        return sigma_vector(X, loc, xi)
+
+    with mock.patch.object(engine, "sigma_vector", counted):
+        run(problem, config)
+    phases = config.t_max - 1
+    assert len(rows) < phases  # some phases reuse the last spread
+    assert min(rows) == 1  # some phases draw every sample around one point
+    assert sum(rows) < phases * config.samples_per_iter
 
 
 def exact_minimum(A, b, target):
