@@ -40,6 +40,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        if not self.problems:
+            raise ValueError("problems must name at least one problem")
         names = set()  # output rows are keyed by name: a repeat could not be told apart
         for problem in self.problems:
             if not isinstance(problem, Problem):
@@ -153,7 +155,7 @@ def run_problems(spec: ExperimentSpec) -> tuple[ExperimentSummary, list[Experime
     depend on the number of workers.
     """
     budget = thread_budget()
-    blocks = _blocks(spec.runs, -(-budget // max(len(spec.problems), 1)))
+    blocks = _blocks(spec.runs, -(-budget // len(spec.problems)))
     jobs = [
         (problem, spec.config, [spec.base_seed + r for r in block])
         for problem in spec.problems

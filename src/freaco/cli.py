@@ -65,16 +65,9 @@ def _add_source_flags(sub):
     group.add_argument("--builtin", type=int, help="built-in problem number (1-10)")
 
 
-def _seed(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return seed
-
-
 #: ``solve``'s solver flags: (flag, :class:`SolverConfig` field, type, help).
 _SOLVER_FLAGS = (
-    ("seed", "seed", _seed, None),
+    ("seed", "seed", int, None),
     ("iters", "t_max", int, "iteration budget"),
     ("pop", "s_pop", int, "archive size"),
     ("q", "q", float, "rank-selection locality"),
@@ -99,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("bench", help="multi-run benchmark over built-in problems")
     bench.add_argument("--problems", default="all", help="'all' or comma list like 1,2,5")
     bench.add_argument("--runs", type=int, default=30)
-    bench.add_argument("--seed", type=_seed, default=0, help="base seed; run r uses seed+r")
+    bench.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
     files = "/".join(name for name, _ in bench_mod.OUT_FILES)
     bench.add_argument("--out", default=".", help=f"directory for {files}")
 

@@ -15,10 +15,6 @@ Each iteration couples a combinatorial phase with a continuous phase:
   spread is the mean coordinate distance across the archive, clamping
   every draw back into the originating cell so feasibility never needs
   re-checking.  Each new row goes in at its rank, pushing out the worst.
-  A spread depends only on the archive's points and the chosen rank, so
-  it is computed only when they change: a phase whose ranks equal the
-  last phase's, with no row entered since, reuses that phase's spreads,
-  and a phase whose samples all share one rank computes its spread once.
 * The archive then reinforces the pheromone of the paths its members
   came from (deposit ``Q * exp(-f)`` per member, computed once when the
   row is made, followed by one multiplicative evaporation).  One
@@ -237,17 +233,14 @@ def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
 
 
 def gaussian_samples(
-    archive: np.ndarray, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray,
-    scale: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    archive: np.ndarray, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray
+) -> np.ndarray:
     """New rows (R x k x width): each run's ``archive`` rows (see
     :func:`insert`) at ``ranks`` (R x k) with their points redrawn, and
-    ``f`` and ``d`` left for the caller to write; and the spread used.
+    ``f`` and ``d`` left for the caller to write.
 
     Each draw is ``loc + scale * z`` for standard normals ``z``, with
-    spread :func:`sigma_vector`.  ``scale`` is a spread returned by an
-    earlier call on the same archive points and ranks, which this call
-    reuses; without it, σ is computed here, on the first point alone
+    spread :func:`sigma_vector`, computed on the first point alone
     (R x 1 x n, broadcast over the samples) when every rank is the same.
     Clamping into ``[LB, xbar]`` keeps the draw in the selected point's
     cell, so it stays feasible by construction.  A zero spread returns
@@ -257,17 +250,16 @@ def gaussian_samples(
     n = len(xbar)
     new = archive[np.arange(len(ranks))[:, None], ranks]
     loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]
-    if scale is None:
-        raw = ranks.tobytes()  # one rank everywhere: its bytes repeat
-        one = raw == raw[: ranks.itemsize] * ranks.size
-        scale = sigma_vector(archive[..., 2 : 2 + n], loc[:, :1] if one else loc, xi)
+    raw = ranks.tobytes()  # one rank everywhere: its bytes repeat
+    one = raw == raw[: ranks.itemsize] * ranks.size
+    scale = sigma_vector(archive[..., 2 : 2 + n], loc[:, :1] if one else loc, xi)
     if xi > 1:  # a draw may pass the double range: +-inf, which the clamp puts on a face
         with np.errstate(over="ignore"):
             Xs = loc + scale * z
     else:  # a spread is xi times a mean gap of at most 1, so at most 1: the draw stays finite
         Xs = loc + scale * z
     np.minimum(np.maximum(Xs, LB, out=Xs), xbar, out=loc)
-    return new, scale
+    return new
 
 
 def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np.ndarray:
@@ -311,7 +303,7 @@ def update_pheromone(
     return sums
 
 
-def insert(archive: np.ndarray, new: np.ndarray) -> bool:
+def insert(archive: np.ndarray, new: np.ndarray) -> None:
     """Enter each run's ``new`` rows (R x k x width) into its ``archive``
     (R x s x width) in place, keeping the s rows lowest in value.
 
@@ -320,18 +312,14 @@ def insert(archive: np.ndarray, new: np.ndarray) -> bool:
     New rows enter in order, each after every row at or below its value,
     pushing the worst row out.  So ties keep older rows first, as a
     stable sort of the archive and then the new rows, cut to s, would.
-    Returns whether any row entered.
     """
     f, s = archive[..., 0], archive.shape[1]
     runs, rows = (new[..., 0] < f[:, -1:]).nonzero()  # the worst only falls
-    entered = False
     for r, i in zip(runs.tolist(), rows.tolist()):
         p = f[r].searchsorted(new[r, i, 0], side="right")
         if p < s:
             archive[r, p + 1 :] = archive[r, p:-1]
             archive[r, p] = new[r, i]
-            entered = True
-    return entered
 
 
 def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> list[RunResult]:
@@ -347,10 +335,7 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     Gaussian samples against the archive as those rows left it.  Every
     iteration ends by updating the pheromone; each insertion round keeps
     the ``s_pop`` best, so the best value never regresses.  The draws
-    follow the module's Reproducibility rule.  The Gaussian spreads of
-    the last phase are kept with its ranks until a row enters any run's
-    archive; a phase that draws the same ranks before then reuses them
-    instead of calling :func:`sigma_vector`, with the same bits.
+    follow the module's Reproducibility rule.
 
     ``observer(t, r, archive, tau)``, when given, is called after each
     iteration for each run r in order, with that run's archive as a tuple
@@ -402,7 +387,6 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
         math.log(sys.float_info.max) - math.log(4 * s_pop * horizon) - math.log(config.big_q),
     )
     trace = np.empty((runs, config.t_max))
-    held = None  # the ranks, as bytes, whose spreads are scale, until a row enters an archive
 
     def score(new):
         """Write the value and the deposit of each ``new`` row's point."""
@@ -425,16 +409,12 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
         score(new)
         if t == 1:
             archive = np.take_along_axis(new, new[..., :1].argsort(axis=1, kind="stable"), axis=1)
-        elif insert(archive, new):
-            held = None
+        else:
+            insert(archive, new)
         if samples:
-            ranks = select_rank(cw, pick)
-            key = ranks.tobytes()
-            new, scale = gaussian_samples(
-                archive, ranks, z, config.xi, xbar, scale if key == held else None
-            )
+            new = gaussian_samples(archive, select_rank(cw, pick), z, config.xi, xbar)
             score(new)
-            held = None if insert(archive, new) else key
+            insert(archive, new)
         slots = archive[..., E].astype(np.int64)
         sums = update_pheromone(values, kept, archive[..., 1], slots, config.rho)
         trace[:, t - 1] = archive[:, 0, 0]

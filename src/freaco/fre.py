@@ -85,7 +85,7 @@ class Instance(Record):
         try:
             A = np.asarray(self.A, dtype=float)
             b = np.asarray(self.b, dtype=float)
-        except (TypeError, ValueError) as exc:  # a non-numeric entry or a ragged row
+        except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or huge integer
             raise InvalidInstanceError(f"A and b must be arrays of numbers ({exc})") from None
         if A.ndim != 2 or A.size == 0:
             raise InvalidInstanceError("A must be a non-empty 2-D matrix")

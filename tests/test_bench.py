@@ -137,6 +137,7 @@ def test_runs_and_thread_budget_must_be_positive(monkeypatch):
             (builtin_problem(1), builtin_problem(2), builtin_problem(1)),
             "^problems must have distinct names, got 'problem-01' twice$",
         ),
+        ("problems", (), "^problems must name at least one problem$"),
     ],
 )
 def test_spec_rejects_bad_run_count_and_base_seed(field, value, message):

@@ -122,7 +122,14 @@ def test_solve_trace_quotes_problem_name(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("known_optimum", [1]), ("A", {"a": 1}), ("b", ["0.7", *EX_B[1:]])],
+    [
+        ("known_optimum", [1]),
+        ("A", {"a": 1}),
+        ("b", ["0.7", *EX_B[1:]]),
+        # JSON integers beyond the double range
+        ("A", [[10**400, *EX_A[0][1:]], *EX_A[1:]]),
+        ("b", [10**400, *EX_B[1:]]),
+    ],
 )
 def test_solve_malformed_instance_data_exits_one(capsys, tmp_path, key, value):
     path = tmp_path / "malformed.json"
@@ -205,11 +212,11 @@ def test_solve_rejects_bad_builtin_index(capsys):
 
 
 @pytest.mark.parametrize("command", [["solve", "--builtin", "1"], ["bench", "--problems", "1"]])
-def test_negative_seed_is_a_usage_error(capsys, command):
+def test_negative_seed_exits_one_before_any_work(capsys, command):
     code, out, err = call(capsys, [*command, "--seed", "-1"])
     assert code == 1
     assert out == ""
-    assert "seed must be non-negative" in err
+    assert "seed must be >= 0" in err
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +262,9 @@ def test_bench_reruns_byte_identical(capsys, tmp_path, monkeypatch):
     [
         ("x", "error: bad --problems list: 'x'"),
         ("1,1", "error: problems must have distinct names, got 'problem-01' twice"),
+        (",", "error: problems must name at least one problem"),
     ],
-    ids=["malformed", "repeated"],
+    ids=["malformed", "repeated", "empty"],
 )
 def test_bench_rejects_a_malformed_problem_list(capsys, tmp_path, problems, message):
     out_dir = tmp_path / "bench"

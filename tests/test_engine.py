@@ -126,7 +126,7 @@ def sample(archive, cw, k, xi, xbar, rng):
         u[0, s] = rng.random()
         z[0, s] = rng.standard_normal(n)
     ranks = select_rank(cw, u)
-    return split(gaussian_samples(archive, ranks, z, xi, xbar)[0], n).X[0], ranks[0]
+    return split(gaussian_samples(archive, ranks, z, xi, xbar), n).X[0], ranks[0]
 
 
 def sigma(X, rank, xi):
@@ -803,8 +803,8 @@ def test_a_draw_past_the_double_range_lands_on_the_cell_face(s_pop):
     for xi in (largest_xi(s_pop), 1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new, scale = gaussian_samples(archive, np.zeros((1, 1), dtype=np.int64), z, xi, xbar)
-        assert np.isfinite(scale).all()
+            new = gaussian_samples(archive, np.zeros((1, 1), dtype=np.int64), z, xi, xbar)
+        assert np.isfinite(sigma(X, 0, xi)).all()
         assert split(new, n).X[0, 0].tolist() == [1.0, 0.2]
 
 

@@ -143,16 +143,16 @@ def test_best_cell_is_the_cell_of_its_full_path(inst, seed):
     assert np.all(best.lb <= best.x) and np.all(best.x <= problem.xbar)
 
 
-def per_phase(archive, ranks, z, xi, xbar, scale=None):
-    """Gaussian samples with the spread computed anew for every sample in
-    every phase, whatever ``scale`` is given: the reference for the
-    spreads :func:`run_many` keeps while the archive and the ranks hold."""
+def per_phase(archive, ranks, z, xi, xbar):
+    """Gaussian samples with the spread computed for every sample, even
+    when all share one rank: the reference for the one-rank shortcut of
+    :func:`~freaco.engine.gaussian_samples`."""
     n = len(xbar)
     new = archive[np.arange(len(ranks))[:, None], ranks]
     loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]
     scale = sigma_vector(archive[..., 2 : 2 + n], loc, xi)
     np.minimum(np.maximum(loc + scale * z, LB), xbar, out=loc)
-    return new, scale
+    return new
 
 
 def outcomes(problem, config, seeds):
@@ -174,13 +174,13 @@ def outcomes(problem, config, seeds):
     runs=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kept_spreads_equal_spreads_computed_every_phase(inst, k, q, runs, seed):
+def test_one_rank_spread_equals_per_sample_spreads(inst, k, q, runs, seed):
     problem = make_problem("planted", inst.A, inst.b, f"sum(k, 1, {inst.n}, (x(k) - 0.3)^2)")
     config = SolverConfig(s_pop=8, q=q, t_max=20, samples_per_iter=k)
     seeds = range(seed, seed + runs)
-    kept = outcomes(problem, config, seeds)
+    shared = outcomes(problem, config, seeds)
     with mock.patch.object(engine, "gaussian_samples", per_phase):
-        assert outcomes(problem, config, seeds) == kept
+        assert outcomes(problem, config, seeds) == shared
 
 
 def test_spreads_are_computed_for_fewer_rows_than_samples():
@@ -196,7 +196,7 @@ def test_spreads_are_computed_for_fewer_rows_than_samples():
     with mock.patch.object(engine, "sigma_vector", counted):
         run(problem, config)
     phases = config.t_max - 1
-    assert len(rows) < phases  # some phases reuse the last spread
+    assert len(rows) == phases  # one call per Gaussian phase
     assert min(rows) == 1  # some phases draw every sample around one point
     assert sum(rows) < phases * config.samples_per_iter
 

@@ -57,6 +57,10 @@ def test_instance_validation():
         ([[0.5]], [[0.5]], "b must be a non-empty vector"),
         ([[np.nan]], [0.5], "A and b must be finite"),
         ([[0.5]], [np.inf], "A and b must be finite"),
+        # integers beyond the double range, which float() cannot convert
+        ([[10**400]], [0.5], "A and b must be arrays of numbers"),
+        ([[0.5]], [10**400], "A and b must be arrays of numbers"),
+        (np.array([[0.5, 10**400]], dtype=object), [0.5], "A and b must be arrays of numbers"),
     ],
 )
 def test_instance_refuses_malformed_data(A, b, message):
