@@ -12,10 +12,12 @@ def whole(name: str, value, low: int) -> int:
     count, seed, size and index the package takes.
 
     Python and numpy integers pass and come back as ``int``, so results
-    stay JSON; anything else, or a value below ``low``, raises
-    :class:`ValueError` naming ``name``.
+    stay JSON; anything else, booleans included, or a value below ``low``,
+    raises :class:`ValueError` naming ``name``.
     """
     try:
+        if isinstance(value, bool):  # operator.index takes True for 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

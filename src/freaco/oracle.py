@@ -118,7 +118,8 @@ def _pattern_search(
       level-by-level search evaluates while no cell moves.  It spans as
       many levels as remain and as fit in ``SEARCH_BLOCK``, and opens
       only for two or more.  The levels before the first where a cell
-      improves are done, and that level runs as an ordinary level.
+      improves are done, and that level's part of the window is its
+      first round: its cells continue from those values.
 
     A move beyond the first improving one, or at a level beyond the first
     that moves a cell, may fault on a point the move-by-move search never
@@ -140,13 +141,9 @@ def _pattern_search(
         block = np.arange(lo, min(lo + per, K))
         level, quiet = 0, False  # quiet: the block's last level moved no cell
         while level < REFINE_STEPS:
-            span = min(REFINE_STEPS - level, SEARCH_BLOCK // (len(block) * moves * n))
-            if quiet and ahead is None and span > 1:  # one level would repeat its own round
-                skip = _first_moving_level(problem, lows, x, fx, h, block, span)
-                h[block] *= 0.5**skip  # exact: a power of two
-                level += skip
-                if skip == span:
-                    continue
+            span = 1  # levels the first round covers: a window of several after a quiet level
+            if quiet and ahead is None:
+                span = min(REFINE_STEPS - level, SEARCH_BLOCK // (len(block) * moves * n))
             live = block  # cells still searching at this step
             at = np.zeros(len(live), dtype=np.int64)  # each live cell's next move in its pass
             passes = np.ones(len(live), dtype=np.int64)
@@ -157,13 +154,25 @@ def _pattern_search(
                 j = coord[move]
                 cell = live[:, None]
                 old = x[cell, j]
-                new = np.clip(old + sign[move] * h[cell], lows[cell, j], problem.xbar[j])
-                c, w = np.nonzero(real[move] & (new != old))
+                step = h[cell]
+                if span > 1:  # a window: levels x cells x moves, level l's step h * 0.5**l (exact)
+                    step = step * 0.5 ** np.arange(span)[:, None, None]
+                new = np.clip(old + sign[move] * step, lows[cell, j], problem.xbar[j])
+                *_, c, w = moved = np.nonzero(real[move] & (new != old))  # ([level,] cell, move)
                 cand = x[live[c]]
-                cand[np.arange(len(c)), j[c, w]] = new[c, w]
-                fc = np.full(move.shape, np.inf)
-                fc[c, w] = evaluate_many(problem.objective, cand)
+                cand[np.arange(len(c)), j[c, w]] = new[moved]
+                fc = np.full(new.shape, np.inf)
+                fc[moved] = evaluate_many(problem.objective, cand)
                 better = fc < fx[cell]
+                if span > 1:  # levels before the first that moves a cell are done
+                    moving = np.flatnonzero(better.reshape(span, -1).any(axis=1))
+                    skip = int(moving[0]) if moving.size else span - 1
+                    h[block] *= 0.5**skip  # exact: a power of two
+                    level += skip
+                    if not moving.size:  # the block stays quiet through the last level
+                        break
+                    new, fc, better = new[skip], fc[skip], better[skip]  # that level's first round
+                    span = 1
                 hit = better.any(axis=1)
                 first = better.argmax(axis=1)
                 r = np.flatnonzero(hit)
@@ -184,23 +193,6 @@ def _pattern_search(
     return x, fx
 
 
-def _first_moving_level(problem, lows, x, fx, h, cells, span) -> int:
-    """The first of the next ``span`` step levels at which a whole pass
-    from the current points moves one of ``cells``, or ``span`` when none
-    does: the passes of all levels in one :func:`evaluate_many` call."""
-    n = lows.shape[1]
-    j = np.arange(2 * n) // 2  # move 2j is x_j - h, move 2j + 1 is x_j + h
-    sign = np.tile([-1.0, 1.0], n)
-    step = h[cells, None, None] * 0.5 ** np.arange(span)[:, None]  # cells x levels x 1, exact
-    old = x[cells][:, None, j]
-    new = np.clip(old + sign * step, lows[cells][:, None, j], problem.xbar[j])
-    c, level, w = np.nonzero(new != old)
-    cand = x[cells[c]]
-    cand[np.arange(len(c)), j[w]] = new[c, level, w]
-    moves = level[evaluate_many(problem.objective, cand) < fx[cells[c]]]
-    return int(moves.min()) if moves.size else span
-
-
 def reference_optimum(
     problem: Problem,
     samples_per_cell: int = DEFAULT_SAMPLES_PER_CELL,
@@ -218,8 +210,9 @@ def reference_optimum(
     search over ``REFINE_STEPS`` step halvings: live cells only, in
     whole-pass rounds of one batched evaluation each, over blocks of at
     most ``SEARCH_BLOCK`` candidate coordinates, where one round covers
-    the levels after a level that moves no cell until one would move a
-    cell (see :func:`_pattern_search`).
+    the levels after a level that moves no cell, up to and including the
+    first that moves a cell, which continues from that round's values
+    (see :func:`_pattern_search`).
     When a round faults, the search reruns with one move per round, which
     evaluates exactly the points of a move-by-move search in its order: it
     returns that search's result or raises its :class:`EvalDomainError`,

@@ -103,6 +103,8 @@ def load_problem_file(path) -> Problem:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInstanceError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:  # json decodes nested arrays and objects recursively
+            raise InvalidInstanceError(f"{path}: JSON nested too deeply") from None
     return problem_from_dict(data, default_name=str(path))
 
 

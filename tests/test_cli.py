@@ -143,6 +143,18 @@ def test_solve_malformed_instance_data_exits_one(capsys, tmp_path, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "enumerate"])
+def test_a_too_deeply_nested_instance_file_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"  # 3000 levels: beyond the JSON decoder's recursion
+    A = "[" * 3000 + "0.5" + "]" * 3000
+    path.write_text(f'{{"A": {A}, "b": [0.5], "objective": "x1"}}', encoding="utf-8")
+    code, out, err = call(capsys, [command, "--file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_solve_non_finite_deposit_exits_one(capsys):
     code, out, err = call(capsys, ["solve", "--builtin", "1", "--deposit", "nan"])
     assert code == 1

@@ -719,7 +719,15 @@ def test_config_reals_are_floats_and_refuse_non_numbers(field):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("s_pop", 50.0), ("t_max", 2.5), ("samples_per_iter", 1.5), ("seed", 1.5), ("seed", "3")],
+    [
+        ("s_pop", 50.0),
+        ("t_max", 2.5),
+        ("samples_per_iter", 1.5),
+        ("seed", 1.5),
+        ("seed", "3"),
+        ("t_max", True),
+        ("seed", False),
+    ],
 )
 def test_config_rejects_non_integral_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):

@@ -312,7 +312,7 @@ def test_a_search_that_never_moves_takes_one_round_and_one_window(monkeypatch):
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
-def test_a_window_skips_its_quiet_levels_and_reruns_the_first_that_moves(monkeypatch):
+def test_a_window_skips_its_quiet_levels_and_keeps_the_first_that_moves(monkeypatch):
     # One cell, [0.2, 1], entered at xbar = 1 with step 0.4.  The moves to
     # 0.6 (step 0.4) and 0.8 (0.2) do not improve; the move to 0.9 (0.1) does.
     problem = make_problem("late", [[0.2]], [0.2], "abs(x1 - 0.93)")
@@ -321,7 +321,11 @@ def test_a_window_skips_its_quiet_levels_and_reruns_the_first_that_moves(monkeyp
     x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
     # level 0, then a window of the 19 other levels' moves down from 1
     assert [len(b) for b in batches[:2]] == [1, oracle.REFINE_STEPS - 1]
-    assert np.array_equal(batches[2], batches[1][1:2])  # level 2 runs as an ordinary level
+    # level 2 keeps the window's move to 0.9 and resumes after it: the move
+    # 0.9 + 0.1 (clamped to 1), then one pass from 0.9 that improves nothing.
+    # 0.9 is not evaluated again at step 0.1.
+    assert [b.ravel().tolist() for b in batches[2:4]] == [[1.0], [0.8, 1.0]]
+    assert len(batches) == 34  # 42 when the moving level ran again from 1
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 

@@ -162,7 +162,12 @@ def test_registry_has_ten_problems():
 
 @pytest.mark.parametrize(
     "index, message",
-    [(0, "builtin index must be >= 1"), (11, "builtin index must be 1..10"), (2.5, "builtin index must be an integer")],
+    [
+        (0, "builtin index must be >= 1"),
+        (11, "builtin index must be 1..10"),
+        (2.5, "builtin index must be an integer"),
+        (True, "builtin index must be an integer, got True"),
+    ],
 )
 def test_builtin_index_outside_the_registry(index, message):
     with pytest.raises(ValueError, match=message):
@@ -400,6 +405,18 @@ def test_infeasible_file_raises_typed_error():
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(InvalidInstanceError):
+        load_problem_file(path)
+
+
+@pytest.mark.parametrize("key", ["A", "name"])
+@pytest.mark.parametrize("depth", [900, 3000])
+def test_deeply_nested_json_rejected(tmp_path, key, depth):
+    # 3000 levels exceed the JSON decoder's recursion; 900 decode and are refused as data
+    fields = {"name": '"deep"', "A": "[[0.5]]", "b": "[0.5]", "objective": '"x1"'}
+    fields[key] = "[" * depth + "0.5" + "]" * depth if key == "A" else '{"a": ' * depth + "1" + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}", encoding="utf-8")
     with pytest.raises(InvalidInstanceError):
         load_problem_file(path)
 

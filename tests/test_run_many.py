@@ -66,7 +66,10 @@ def test_no_seeds_no_runs():
     assert run_many(builtin_problem(1), SolverConfig(), []) == []
 
 
-@pytest.mark.parametrize("seeds, message", [([2.5], "seed must be an integer"), ([-1], "seed must be >= 0")])
+@pytest.mark.parametrize(
+    "seeds, message",
+    [([2.5], "seed must be an integer"), ([-1], "seed must be >= 0"), ([True], "seed must be an integer, got True")],
+)
 def test_seeds_must_be_non_negative_integers(seeds, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         run_many(builtin_problem(1), SolverConfig(t_max=1), seeds)
