@@ -45,6 +45,19 @@ works on all R runs at once, except the random draws, which each run
 makes from its own Generator.  :func:`run` is :func:`run_many` with one
 seed.
 
+Once per call, :func:`run_many` builds what its iteration loop only
+reads: the kept rows' table, their ``b`` and ``base`` (the one checked
+:func:`~freaco.fre.path_to_candidate` call), the flat offsets of the
+pheromone rows that :func:`update_pheromone` deposits through, the run
+index of the Gaussian phase's gather, the cumulative rank weights, the
+deposit clamp, and the buffers of the iterations after the first, whose
+shapes never change: uniforms with their path and point views, rank
+uniforms, normals and fresh rows, each overwritten in full every
+iteration.  The loop does not check its own paths, which come from the
+candidate table: :func:`cell_points` starts each corner from ``base``
+and raises it through the unchecked max-scatter kernel of
+:mod:`freaco.fre`.
+
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
 (PCG64) and consumes it in a fixed order that does not depend on the
 other runs of its batch.  Iteration t draws ``a * (m + n)`` uniforms,
@@ -71,7 +84,7 @@ import numpy as np
 
 from .errors import real, whole
 from .expr import evaluate_many
-from .fre import Record, path_to_candidate
+from .fre import Record, _max_scatter, path_to_candidate
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
@@ -193,13 +206,19 @@ def cell_points(
     """The point uniforms ``u`` place in each path's cell, and the cell's
     lower corner: paths ... x m' of columns, for the rows whose right-hand
     sides are ``b``, give points and corners ... x n.  ``base`` is the
-    corner the rows outside the paths fix, folded in by maximum.  Points
-    and corners are the two halves of ``out`` (... x 2n, new if not given)."""
+    corner the rows outside the paths fix: each corner starts from it and
+    the paths' ``b`` are scattered in by maximum.  Points and corners are
+    the two halves of ``out`` (... x 2n, new if not given), whose leading
+    axes must merge into one without a copy, as the rows of a C-contiguous
+    table do.  The paths are not checked (see :func:`~freaco.fre.path_to_candidate`)."""
     n = len(xbar)
     out = np.empty((*E.shape[:-1], 2 * n)) if out is None else out
     x, LB = out[..., :n], out[..., n:]
-    LB[...] = path_to_candidate(E.reshape(-1, E.shape[-1]), b, n).reshape(LB.shape)
-    np.maximum(LB, base, out=LB)
+    LB[...] = base
+    lower = LB.reshape(-1, n)
+    if lower.size and not np.may_share_memory(lower, LB):  # a copy: the corners would be lost
+        raise ValueError("out's leading axes must merge into one without a copy")
+    _max_scatter(lower, E.reshape(-1, E.shape[-1]), b)
     np.multiply(u, xbar - LB, out=x)
     x += LB
     return x, LB
@@ -233,11 +252,13 @@ def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
 
 
 def gaussian_samples(
-    archive: np.ndarray, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray
+    archive: np.ndarray, ranks: np.ndarray, z: np.ndarray, xi: float, xbar: np.ndarray,
+    runs: np.ndarray | None = None,
 ) -> np.ndarray:
     """New rows (R x k x width): each run's ``archive`` rows (see
     :func:`insert`) at ``ranks`` (R x k) with their points redrawn, and
-    ``f`` and ``d`` left for the caller to write.
+    ``f`` and ``d`` left for the caller to write.  ``runs`` is the run
+    index ``arange(R)[:, None]``, built here when not given.
 
     Each draw is ``loc + scale * z`` for standard normals ``z``, with
     spread :func:`sigma_vector`, computed on the first point alone
@@ -248,7 +269,7 @@ def gaussian_samples(
     face (σ itself stays finite, see :class:`SolverConfig`).
     """
     n = len(xbar)
-    new = archive[np.arange(len(ranks))[:, None], ranks]
+    new = archive[np.arange(len(ranks))[:, None] if runs is None else runs, ranks]
     loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]
     raw = ranks.tobytes()  # one rank everywhere: its bytes repeat
     one = raw == raw[: ranks.itemsize] * ranks.size
@@ -275,8 +296,15 @@ def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np
     return np.array(amounts).reshape(f.shape)
 
 
+def _flat_offsets(runs: int, m: int, kmax: int) -> np.ndarray:
+    """Flat start (runs x 1 x m) of each run's pheromone row in a C-contiguous
+    runs x m x kmax array: slot s of run r's row i sits at the offset plus s."""
+    return np.arange(0, runs * m * kmax, m * kmax)[:, None, None] + np.arange(0, m * kmax, kmax)
+
+
 def update_pheromone(
-    values: np.ndarray, table: np.ndarray, d: np.ndarray, E: np.ndarray, rho: float
+    values: np.ndarray, table: np.ndarray, d: np.ndarray, E: np.ndarray, rho: float,
+    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deposit ``d[r, s]`` on every candidate slot of path ``E[r, s]``, then
     evaporate; return the row sums (R x m) that the next path draw uses.
@@ -284,16 +312,19 @@ def update_pheromone(
     ``values`` (R x m x kmax, see ``table``) is each run's compact
     pheromone, updated in place, and is C-contiguous, so one flat index
     reaches every entry.  Each run's deposits are added member by member
-    in the order given.  Rows whose sum underflows below ROW_SUM_FLOOR
-    (possible when every deposit is ~exp(-700) and evaporation keeps
-    halving) are reset to the initial uniform row so the selection
-    probabilities stay well defined.
+    in the order given.  ``offsets`` (R x 1 x m) hold the flat start of
+    each pheromone row, ``(r * m + i) * kmax`` for run r's row i, and are
+    built here when not given.  Rows whose sum underflows below
+    ROW_SUM_FLOOR (possible when every deposit is ~exp(-700) and
+    evaporation keeps halving) are reset to the initial uniform row so the
+    selection probabilities stay well defined.
     """
     if not values.flags.c_contiguous:  # a flat reshape would be a copy
         raise ValueError("pheromone values must be C-contiguous")
-    _, m, kmax = values.shape
-    entries = E + np.arange(0, values.size, m * kmax)[:, None, None] + np.arange(0, m * kmax, kmax)
-    np.add.at(values.reshape(-1), entries.ravel(), d.repeat(m))
+    if offsets is None:
+        offsets = _flat_offsets(*values.shape)
+    entries = E + offsets
+    np.add.at(values.reshape(-1), entries.ravel(), d.repeat(values.shape[1]))
     values *= 1.0 - rho
     sums = values.sum(axis=2)
     dead = sums < ROW_SUM_FLOOR
@@ -387,6 +418,22 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
         math.log(sys.float_info.max) - math.log(4 * s_pop * horizon) - math.log(config.big_q),
     )
     trace = np.empty((runs, config.t_max))
+    run_index = np.arange(runs)[:, None]  # of the Gaussian phase's gather
+    offsets = _flat_offsets(*values.shape)  # each pheromone row's flat start
+
+    def buffers(ants, samples):
+        """An iteration's buffers for ``ants`` paths and ``samples`` Gaussian
+        samples: rank uniforms, normals, fresh rows, the path and point
+        views of the uniforms, and per run its Generator and its rows of
+        uniforms, rank uniforms and normals.  Each iteration overwrites
+        every entry."""
+        u = np.empty((runs, ants * (m + n)))
+        pick, z = np.empty((runs, samples)), np.empty((runs, samples, n))
+        return (pick, z, np.empty((runs, ants, E.start + len(keep))),
+                u[:, : ants * m].reshape(runs, ants, m), u[:, ants * m :].reshape(runs, ants, n),
+                [(g, a, v, list(w)) for g, a, v, w in zip(gens, u, pick, z)])
+
+    later = buffers(1, k)  # the shapes of every iteration after the first
 
     def score(new):
         """Write the value and the deposit of each ``new`` row's point."""
@@ -394,29 +441,25 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
         new[..., 1] = deposit(new[..., 0], config.big_q, limit)
 
     for t in range(1, config.t_max + 1):
-        ants, samples = (s_pop, 0) if t == 1 else (1, k)
-        u = np.empty((runs, ants * (m + n)))
-        pick, z = np.empty((runs, samples)), np.empty((runs, samples, n))
-        for g, a, v, w in zip(gens, u, pick, z):
+        pick, z, new, up, ux, draws = buffers(s_pop, 0) if t == 1 else later
+        for g, a, v, w in draws:
             g.random(out=a)
-            for s in range(samples):
+            for s, normals in enumerate(w):
                 v[s] = g.random()
-                g.standard_normal(out=w[s])
-        new = np.empty((runs, ants, E.start + len(keep)))  # fresh rows
-        up, ux = u[:, : ants * m], u[:, ants * m :]  # path uniforms, point uniforms
-        e = new[..., E] = construct_paths(values, sums, last, up.reshape(runs, ants, m)[..., keep])
-        cell_points(kept[rows, e], kb, xbar, ux.reshape(runs, ants, n), base, new[..., 2 : E.start])
+                g.standard_normal(out=normals)
+        e = new[..., E] = construct_paths(values, sums, last, up[..., keep])
+        cell_points(kept[rows, e], kb, xbar, ux, base, new[..., 2 : E.start])
         score(new)
         if t == 1:
             archive = np.take_along_axis(new, new[..., :1].argsort(axis=1, kind="stable"), axis=1)
         else:
             insert(archive, new)
-        if samples:
-            new = gaussian_samples(archive, select_rank(cw, pick), z, config.xi, xbar)
+        if t > 1 and k:
+            new = gaussian_samples(archive, select_rank(cw, pick), z, config.xi, xbar, run_index)
             score(new)
             insert(archive, new)
         slots = archive[..., E].astype(np.int64)
-        sums = update_pheromone(values, kept, archive[..., 1], slots, config.rho)
+        sums = update_pheromone(values, kept, archive[..., 1], slots, config.rho, offsets)
         trace[:, t - 1] = archive[:, 0, 0]
         if observer is not None:
             dense = np.zeros((runs, m, n))

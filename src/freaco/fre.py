@@ -169,14 +169,27 @@ def path_space_size(sets: list[np.ndarray]) -> int:
     return math.prod(int(s.size) for s in sets)
 
 
+def _max_scatter(lower: np.ndarray, paths: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``lower[r, paths[r, i]]`` to at least ``b[i]`` for every path r
+    and row i, in place: ``lower`` k x n, integer ``paths`` k x m inside
+    ``[0, n)``.  Unchecked: :func:`path_to_candidate` checks library input,
+    and the engine's paths come from its candidate table.  ``max`` is exact
+    and order-free, so any number of rows may share a column."""
+    np.maximum.at(lower, (np.arange(len(paths))[:, None], paths), b)
+
+
 def path_to_candidate(paths, b, n: int) -> np.ndarray:
     """Lower corner of one path's cell (m -> n), or of every path in a batch (k x m -> k x n).
 
     Component j is the largest b_i among rows whose path choice is column
     j, or 0 when no row chose j.  The cell itself is the box from this
-    corner up to ``xbar``.  Paths must be integer arrays: a float or bool
-    path raises :class:`InvalidPathError` rather than being truncated,
-    and an ``n`` that is not an integer >= 1 raises :class:`ValueError`.
+    corner up to ``xbar``.  Every check lives here, at the public
+    boundary: paths must be integer arrays (a float or bool path raises
+    :class:`InvalidPathError` rather than being truncated) with columns
+    in ``[0, n)``, ``b`` must be a vector as long as a path (anything else
+    raises :class:`DimensionMismatchError`), and an ``n`` that is not an
+    integer >= 1 raises :class:`ValueError`.  The engine, whose paths come
+    from the candidate table, shares the unchecked kernel behind it.
     """
     n = whole("n", n, 1)
     paths = np.asarray(paths)
@@ -184,13 +197,16 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
         raise InvalidPathError(f"path indices must be integers, got dtype {paths.dtype}")
     paths = paths.astype(np.int64, copy=False)
     b = np.asarray(b, dtype=float)
-    if paths.ndim not in (1, 2) or paths.shape[-1] != b.shape[0]:
-        raise DimensionMismatchError("path", b.shape[0], paths.shape[-1] if paths.ndim in (1, 2) else -1)
+    rows = paths.shape[-1] if paths.ndim in (1, 2) else -1  # -1: neither a path nor a batch
+    if b.ndim != 1:  # a column b would give each path one entry for all its rows
+        raise DimensionMismatchError("b", rows, -1)
+    if rows != b.shape[0]:
+        raise DimensionMismatchError("path", b.shape[0], rows)
     E = paths if paths.ndim == 2 else paths[None, :]
     # checked before indexing, where a negative index would wrap silently
     if E.size and (E.min() < 0 or E.max() >= n):
         bad = E[((E < 0) | (E >= n)).any(axis=1)][0]
         raise InvalidPathError(f"path indices must lie in [0, {n}), got {bad.tolist()}")
     lower = np.zeros((len(E), n))
-    np.maximum.at(lower, (np.arange(len(E))[:, None], E), b)
+    _max_scatter(lower, E, b)
     return lower if paths.ndim == 2 else lower[0]

@@ -157,7 +157,8 @@ def _pattern_search(
                 step = h[cell]
                 if span > 1:  # a window: levels x cells x moves, level l's step h * 0.5**l (exact)
                     step = step * 0.5 ** np.arange(span)[:, None, None]
-                new = np.clip(old + sign[move] * step, lows[cell, j], problem.xbar[j])
+                # np.clip's result, bit for bit on these NaN-free points, at about half its cost
+                new = np.minimum(np.maximum(old + sign[move] * step, lows[cell, j]), problem.xbar[j])
                 *_, c, w = moved = np.nonzero(real[move] & (new != old))  # ([level,] cell, move)
                 cand = x[live[c]]
                 cand[np.arange(len(c)), j[c, w]] = new[moved]

@@ -518,6 +518,16 @@ def test_update_rejects_non_contiguous_pheromone():
         update_pheromone(strided, table, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), rho=0.5)
 
 
+def test_cell_points_refuses_an_out_whose_rows_do_not_merge():
+    # the corners are scattered through one rows x n view of out: a copy would lose them
+    out = np.empty((4, 3, 2)).T  # 2 x 3 x 4, its leading axes transposed
+    with pytest.raises(ValueError, match="without a copy"):
+        cell_points(np.zeros((2, 3, 1), dtype=np.int64), [0.5], np.ones(2), np.zeros((2, 3, 2)), out=out)
+    x, LB = cell_points(np.zeros((2, 3, 1), dtype=np.int64), [0.5], np.ones(2), np.zeros((2, 3, 2)),
+                        out=np.empty((2, 3, 4)))
+    assert np.array_equal(LB, np.broadcast_to([0.5, 0.0], (2, 3, 2))) and np.array_equal(x, LB)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 

@@ -12,6 +12,7 @@ from freaco import (
     PheromoneMatrix,
     SolverConfig,
     compute_candidate_sets,
+    compute_max_solution,
     make_problem,
     path_to_candidate,
     random_feasible_instance,
@@ -23,6 +24,7 @@ from freaco import (
 from freaco import engine
 from freaco.engine import (
     candidate_table,
+    cell_points,
     construct_paths,
     init_pheromone,
     probability_matrix,
@@ -143,10 +145,41 @@ def test_best_cell_is_the_cell_of_its_full_path(inst, seed):
     assert np.all(best.lb <= best.x) and np.all(best.x <= problem.xbar)
 
 
-def per_phase(archive, ranks, z, xi, xbar):
+@settings(max_examples=120, deadline=None)
+@given(inst=planted(), runs=st.integers(1, 3), ants=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_cell_corner_kernel_equals_the_checked_corner(inst, runs, ants, seed):
+    # the kept rows and the base corner as run_many builds them, and the
+    # points and corners written into the middle of a wider row table
+    rng = np.random.default_rng(seed)
+    m, n = inst.m, inst.n
+    table = candidate_table(compute_candidate_sets(inst))
+    last = (table[:, 1:] >= 0).sum(axis=1)
+    multi = last > 0
+    keep = np.concatenate([np.flatnonzero(multi), np.flatnonzero(~multi)[:1]])
+    base = path_to_candidate(table[~multi, 0], inst.b[~multi], n)
+    slots = np.floor(rng.random((runs, ants, len(keep))) * (last[keep] + 1)).astype(np.int64)
+    columns = table[keep][np.arange(len(keep)), slots]
+    xbar = compute_max_solution(inst)
+    rows = np.full((runs, ants, 2 + 2 * n + len(keep)), np.nan)
+    x, LB = cell_points(columns, inst.b[keep], xbar, rng.random((runs, ants, n)), base,
+                        rows[..., 2 : 2 + 2 * n])
+    want = np.maximum(path_to_candidate(columns.reshape(-1, len(keep)), inst.b[keep], n), base)
+    assert LB.tobytes() == want.reshape(LB.shape).tobytes()
+    assert np.array_equal(rows[..., 2 + n : 2 + 2 * n], LB)  # written into the table itself
+    assert np.isnan(rows[..., :2]).all() and np.isnan(rows[..., 2 + 2 * n :]).all()
+    assert np.all(LB <= x) and np.all(x <= xbar)
+    # the kept rows and the base stand for every row: the full path's corner
+    home = np.full(m, len(keep) - 1)
+    home[keep] = np.arange(len(keep))
+    full = table[np.arange(m), slots[..., home]]
+    assert np.array_equal(LB.reshape(-1, n), path_to_candidate(full.reshape(-1, m), inst.b, n))
+
+
+def per_phase(archive, ranks, z, xi, xbar, runs=None):
     """Gaussian samples with the spread computed for every sample, even
     when all share one rank: the reference for the one-rank shortcut of
-    :func:`~freaco.engine.gaussian_samples`."""
+    :func:`~freaco.engine.gaussian_samples`, which it replaces, so it takes
+    the same arguments (it builds its own run index)."""
     n = len(xbar)
     new = archive[np.arange(len(ranks))[:, None], ranks]
     loc, LB = new[..., 2 : 2 + n], new[..., 2 + n : 2 + 2 * n]

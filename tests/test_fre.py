@@ -304,6 +304,24 @@ def test_path_to_candidate_out_of_range(ex_instance):
             path_to_candidate(short, b, n)
 
 
+@pytest.mark.parametrize(
+    "paths, b",
+    [
+        ([[0, 1], [1, 0]], [[0.3], [0.7]]),  # a column: each path would use one entry for all its rows
+        ([0, 1], [[0.3], [0.7]]),
+        ([[0, 1], [1, 0]], [[0.3, 0.7]]),
+        ([[0, 1], [1, 0]], 0.5),  # a scalar
+        ([[0, 1], [1, 0]], [[[0.3, 0.7]]]),
+    ],
+    ids=["column", "column-one-path", "row", "scalar", "3-d"],
+)
+def test_path_to_candidate_refuses_b_that_is_not_a_vector(paths, b):
+    with pytest.raises(DimensionMismatchError, match="^b: expected length 2, got -1$"):
+        path_to_candidate(paths, b, 2)
+    want = [[0.3, 0.7], [0.7, 0.3]] if np.ndim(paths) == 2 else [0.3, 0.7]
+    assert np.array_equal(path_to_candidate(paths, [0.3, 0.7], 2), want)  # b as a vector
+
+
 @pytest.mark.parametrize("n, message", [(2.5, "n must be an integer"), (0, "n must be >= 1"), (-1, "n must be >= 1")])
 def test_path_to_candidate_checks_n(ex_instance, n, message):
     with pytest.raises(ValueError, match=f"^{message}"):
