@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -228,13 +229,59 @@ def summary_csv_text(summary: ExperimentSummary) -> str:
     return buf.getvalue()
 
 
-def _summary_dict(summary: ExperimentSummary) -> dict:
-    return {
-        "runs": summary.runs,
-        "base_seed": summary.base_seed,
-        "config": asdict(summary.config),
-        "problems": [{**vars(p), "trace": p.trace.tolist()} for p in summary.problems],
-    }
+def _value_texts(trace, render) -> list[str]:
+    """``render(v)`` of every value of ``trace``, flattened, called once per
+    run of equal values: best-so-far traces are plateaus.  Runs are found on
+    the bits, so 0.0 and -0.0 (and NaNs of different payloads) stay apart."""
+    bits = np.ascontiguousarray(trace, dtype=float).reshape(-1).view(np.int64)
+    first = np.empty(len(bits), dtype=bool)  # of its run
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    texts = np.array([render(v) for v in bits[starts].view(float).tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(bits))).tolist()
+
+
+def _json_float(value: float) -> str:
+    """``value`` as :mod:`json` writes a float."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_rows(trace: np.ndarray, indent: str):
+    """``json.dumps(trace.tolist(), indent=2)`` for a list opened at
+    ``indent``, in pieces of at most one row."""
+    if trace.ndim != 2 or trace.dtype != float or not trace.size:
+        yield json.dumps(trace.tolist(), indent=2).replace("\n", "\n" + indent)
+        return
+    runs, width = trace.shape
+    inner, leaf = indent + "  ", indent + "    "
+    texts = _value_texts(trace, _json_float)
+    for r in range(runs):
+        yield f"[\n{inner}[\n{leaf}" if r == 0 else f"\n{inner}],\n{inner}[\n{leaf}"
+        yield (",\n" + leaf).join(texts[r * width : (r + 1) * width])
+    yield f"\n{inner}]\n{indent}]"
+
+
+def _summary_json(summary: ExperimentSummary):
+    """``summary.json`` in pieces: ``json.dump(..., indent=2)`` of the summary with
+    every trace matrix as nested lists, each trace written by :func:`_json_rows`."""
+    text = json.dumps(
+        {
+            "runs": summary.runs,
+            "base_seed": summary.base_seed,
+            "config": asdict(summary.config),
+            "problems": [{**vars(p), "trace": 0} for p in summary.problems],
+        },
+        indent=2,
+    )
+    head, *tails = text.split('"trace": 0')  # the one key "trace", its value a placeholder
+    for p, tail in zip(summary.problems, tails):
+        yield head + '"trace": '
+        yield from _json_rows(p.trace, head[head.rindex("\n") + 1 :])
+        head = tail
+    yield head + "\n"
 
 
 def export(summary: ExperimentSummary, format: str, path):
@@ -250,8 +297,7 @@ def export(summary: ExperimentSummary, format: str, path):
             fh.write(summary_csv_text(summary))
     elif format == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_summary_dict(summary), fh, indent=2)
-            fh.write("\n")
+            fh.writelines(_summary_json(summary))
     elif format == "trace-csv":
         write_trace_csv(path, ((p.name, p.trace) for p in summary.problems))
     else:
@@ -261,10 +307,19 @@ def export(summary: ExperimentSummary, format: str, path):
 def write_trace_csv(path, traces):
     """Write ``(name, trace)`` pairs, each trace runs x iterations of
     best-so-far values, as the trace CSV described under :func:`export`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for name, trace in traces:
-            for r, row in enumerate(trace):
-                for t, value in enumerate(row, start=1):
-                    writer.writerow((name, r, t, repr(float(value))))
+            trace = np.asarray(trace, dtype=float)
+            runs, width = trace.shape
+            steps = [f"{t}," for t in range(1, width + 1)]
+            texts = _value_texts(trace, repr)
+            for r in range(runs if width else 0):  # a run without iterations has no rows
+                buf.seek(0)
+                buf.truncate()
+                writer.writerow((name, r))  # quoted as csv quotes the row's first two fields
+                lead = buf.getvalue()[:-1] + ","
+                lines = map(str.__add__, steps, texts[r * width : (r + 1) * width])
+                fh.write(lead + ("\n" + lead).join(lines) + "\n")

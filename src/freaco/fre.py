@@ -63,42 +63,46 @@ class Record:
         self.__dict__.update({key: _readonly_view(value) for key, value in state.items()})
 
 
+def _unit_entries(key: str, value) -> np.ndarray:
+    """``value`` as a float array of finite reals in [0, 1]: the rule for the
+    entries of an :class:`Instance`'s ``A`` and ``b`` and of the ``b`` that
+    :func:`path_to_candidate` takes.  Anything else raises :class:`InvalidInstanceError`;
+    so does a string, boolean or complex entry, which numpy would read as real."""
+    refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_,  # numpy reads "0.5" as 0.5, True as 1.0
+               complex, np.complex64, np.complex128, np.clongdouble}  # and 0.5+1j as 0.5
+    for row in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(row, np.ndarray):  # an integer or float array needs no walk
+            row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
+        if not refused.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
+            raise InvalidInstanceError(
+                f"entries of {key!r} must be real numbers, not strings, booleans or complex numbers")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or huge integer
+        raise InvalidInstanceError(f"A and b must be arrays of numbers ({exc})") from None
+    if not np.isfinite(array).all():
+        raise InvalidInstanceError("A and b must be finite")
+    if array.size and (array.min() < 0.0 or array.max() > 1.0):
+        raise InvalidInstanceError(f"entries of {key} must lie in [0, 1]")
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Instance(Record):
     """A max-min relational constraint system ``A phi x = b``, its entries real numbers in [0, 1].
-    A string, boolean or complex entry, which numpy reads as real, raises :class:`InvalidInstanceError`."""
+    Any other entry, also a string, boolean or complex one, raises :class:`InvalidInstanceError`."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_,  # numpy reads "0.5" as 0.5, True as 1.0
-                   complex, np.complex64, np.complex128, np.clongdouble}  # and 0.5+1j as 0.5
-        for key in ("A", "b"):
-            value = getattr(self, key)
-            for row in value if isinstance(value, (list, tuple)) else [value]:
-                if isinstance(row, np.ndarray):  # an integer or float array needs no walk
-                    row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
-                if not refused.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
-                    raise InvalidInstanceError(
-                        f"entries of {key!r} must be real numbers, not strings, booleans or complex numbers")
-        try:
-            A = np.asarray(self.A, dtype=float)
-            b = np.asarray(self.b, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or huge integer
-            raise InvalidInstanceError(f"A and b must be arrays of numbers ({exc})") from None
+        A, b = _unit_entries("A", self.A), _unit_entries("b", self.b)
         if A.ndim != 2 or A.size == 0:
             raise InvalidInstanceError("A must be a non-empty 2-D matrix")
         if b.ndim != 1 or b.size == 0:
             raise InvalidInstanceError("b must be a non-empty vector")
         if A.shape[0] != b.shape[0]:
             raise InvalidInstanceError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
-        if not np.isfinite(A).all() or not np.isfinite(b).all():
-            raise InvalidInstanceError("A and b must be finite")
-        if A.min() < 0.0 or A.max() > 1.0:
-            raise InvalidInstanceError("entries of A must lie in [0, 1]")
-        if b.min() < 0.0 or b.max() > 1.0:
-            raise InvalidInstanceError("entries of b must lie in [0, 1]")
         self.__setstate__({"A": A.copy(), "b": b.copy()})
 
     @property
@@ -173,7 +177,8 @@ def _max_scatter(lower: np.ndarray, paths: np.ndarray, b: np.ndarray) -> None:
     """Raise ``lower[r, paths[r, i]]`` to at least ``b[i]`` for every path r
     and row i, in place: ``lower`` k x n, integer ``paths`` k x m inside
     ``[0, n)``.  Unchecked: :func:`path_to_candidate` checks library input,
-    and the engine's paths come from its candidate table.  ``max`` is exact
+    the engine's paths come from its candidate table and the oracle's from
+    the candidate sets.  ``max`` is exact
     and order-free, so any number of rows may share a column."""
     np.maximum.at(lower, (np.arange(len(paths))[:, None], paths), b)
 
@@ -187,16 +192,19 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
     boundary: paths must be integer arrays (a float or bool path raises
     :class:`InvalidPathError` rather than being truncated) with columns
     in ``[0, n)``, ``b`` must be a vector as long as a path (anything else
-    raises :class:`DimensionMismatchError`), and an ``n`` that is not an
-    integer >= 1 raises :class:`ValueError`.  The engine, whose paths come
-    from the candidate table, shares the unchecked kernel behind it.
+    raises :class:`DimensionMismatchError`) whose entries follow the rule of
+    an :class:`Instance`'s ``b`` (else :class:`InvalidInstanceError`), and
+    an ``n`` that is not an integer >= 1 raises :class:`ValueError`.  The
+    engine, whose paths come from the candidate table, and the oracle,
+    whose paths come from :func:`~freaco.oracle.enumerate_paths`, share
+    the unchecked kernel behind it.
     """
     n = whole("n", n, 1)
     paths = np.asarray(paths)
     if paths.dtype.kind not in "iu":
         raise InvalidPathError(f"path indices must be integers, got dtype {paths.dtype}")
     paths = paths.astype(np.int64, copy=False)
-    b = np.asarray(b, dtype=float)
+    b = _unit_entries("b", b)
     rows = paths.shape[-1] if paths.ndim in (1, 2) else -1  # -1: neither a path nor a batch
     if b.ndim != 1:  # a column b would give each path one entry for all its rows
         raise DimensionMismatchError("b", rows, -1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EvalDomainError, PathSpaceTooLargeError, real, whole
 from .expr import evaluate_many
-from .fre import Instance, Record, path_space_size, path_to_candidate
+from .fre import Instance, Record, _max_scatter, path_space_size
 from .problems import Problem
 
 DEFAULT_PATH_CAP = 10**6
@@ -33,6 +33,10 @@ SAMPLE_BLOCK = 2**13
 #: Candidate coordinates (cells x moves x n) one pattern-search round may
 #: hold: the search runs over blocks of cells that fit.
 SEARCH_BLOCK = 2**19
+
+#: Pattern-search working sets of at most this many cells keep their
+#: resting cells: below it a round costs per numpy call, not per cell.
+COMPACT_MIN = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +104,16 @@ def _pattern_search(
     Cells are independent, so the search runs them in rounds:
 
     * **Live cells.**  A cell whose pass improves nothing would see the
-      same point and moves in its next pass; it drops out until the
-      step halves.
+      same point and moves in its next pass; it rests until the step
+      halves.  A round runs over the block's rows of the points and
+      reads each cell's moves from tables built once per block (the
+      lower bound of each move) and once per level (its signed step); a
+      resting cell stands past its last move, where a move has no step
+      and no bounds, so it yields no point.  Once fewer than half of
+      more than ``COMPACT_MIN`` cells are live, the level goes on with a
+      copy of the live cells' rows, written back to the points when it
+      shrinks again and at the level's end, so a round costs in
+      proportion to its live cells.
     * **Whole-pass rounds.**  One :func:`evaluate_many` call evaluates
       the next ``ahead`` moves (default: the rest of the pass) of every
       live cell, all from its current point.  A cell keeps its first
@@ -130,66 +142,90 @@ def _pattern_search(
     moves = 2 * n  # move 2j is x_j - h, move 2j + 1 is x_j + h
     width = moves if ahead is None else min(ahead, moves)
     window = np.arange(width)
-    past = np.arange(moves + width)  # a window may run past the last move
-    coord = np.minimum(past, moves - 1) // 2
-    sign = np.where(past % 2 == 1, 1.0, -1.0)
+    past = np.arange(moves + width)  # a window may run past the last move; a resting cell's starts there
     real = past < moves
+    coord = np.minimum(past, moves - 1) // 2
+    # past the last move no step and no bounds: the candidate is its point, which is not evaluated
+    sign = np.where(real, np.where(past % 2 == 1, 1.0, -1.0), 0.0)
+    top = np.where(real, problem.xbar[coord], np.inf)
     x, fx = start.copy(), values.copy()
     h = np.maximum(0.5 * (problem.xbar - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
     per = K if width == 1 else max(1, SEARCH_BLOCK // (width * n))  # cells per block
     for lo in range(0, K, per):
-        block = np.arange(lo, min(lo + per, K))
+        B = min(per, K - lo)
+        floor = np.where(real, lows[lo : lo + B, coord], -np.inf)  # each cell's lower bound per move
+        floor_rows = np.arange(0, B * len(past), len(past))[:, None]  # flat index of each row of floor, steps
+        x_rows = np.arange(0, B * n, n)[:, None]  # and of each row of x
+        hb = h[lo : lo + B]
         level, quiet = 0, False  # quiet: the block's last level moved no cell
         while level < REFINE_STEPS:
             span = 1  # levels the first round covers: a window of several after a quiet level
             if quiet and ahead is None:
-                span = min(REFINE_STEPS - level, SEARCH_BLOCK // (len(block) * moves * n))
-            live = block  # cells still searching at this step
-            at = np.zeros(len(live), dtype=np.int64)  # each live cell's next move in its pass
-            passes = np.ones(len(live), dtype=np.int64)
-            improved = np.zeros(len(live), dtype=bool)  # in the current pass
+                span = min(REFINE_STEPS - level, SEARCH_BLOCK // (B * moves * n))
+            # the working set: the block's rows of x, then the live ones' copy once fewer
+            # than half of them are live (rows: their indices in x), written back when it shrinks
+            rows, xw, fw, fl, steps = None, x[lo : lo + B], fx[lo : lo + B], floor, sign * hb[:, None]
+            L, mo, xo = B, floor_rows, x_rows
+            at = np.zeros(B, dtype=np.int64)  # each cell's next move in its pass; moves: resting
+            passes = np.ones(B, dtype=np.int64)
+            improved = np.zeros(B, dtype=bool)  # in the current pass
             quiet = True
-            while live.size:
+            while True:
                 move = at[:, None] + window
-                j = coord[move]
-                cell = live[:, None]
-                old = x[cell, j]
-                step = h[cell]
+                mi = move + mo
+                j = coord.take(move)
+                xi = j + xo
+                old = xw.take(xi)
+                step = steps.take(mi)
                 if span > 1:  # a window: levels x cells x moves, level l's step h * 0.5**l (exact)
                     step = step * 0.5 ** np.arange(span)[:, None, None]
                 # np.clip's result, bit for bit on these NaN-free points, at about half its cost
-                new = np.minimum(np.maximum(old + sign[move] * step, lows[cell, j]), problem.xbar[j])
-                *_, c, w = moved = np.nonzero(real[move] & (new != old))  # ([level,] cell, move)
-                cand = x[live[c]]
-                cand[np.arange(len(c)), j[c, w]] = new[moved]
+                new = old + step
+                np.maximum(new, fl.take(mi), out=new)
+                np.minimum(new, top.take(move), out=new)
+                flat = (new != old).reshape(-1).nonzero()[0]  # ([level,] cell, move), flat
+                g = flat % (L * width) if span > 1 else flat  # (cell, move) of each
+                cand = xw.take(g // width, axis=0)
+                cand[np.arange(len(g)), j.reshape(-1).take(g)] = new.reshape(-1).take(flat)
                 fc = np.full(new.shape, np.inf)
-                fc[moved] = evaluate_many(problem.objective, cand)
-                better = fc < fx[cell]
+                fc.reshape(-1)[flat] = evaluate_many(problem.objective, cand)
+                better = fc < fw[:, None]
                 if span > 1:  # levels before the first that moves a cell are done
                     moving = np.flatnonzero(better.reshape(span, -1).any(axis=1))
                     skip = int(moving[0]) if moving.size else span - 1
-                    h[block] *= 0.5**skip  # exact: a power of two
+                    hb *= 0.5**skip  # exact: a power of two
                     level += skip
                     if not moving.size:  # the block stays quiet through the last level
                         break
                     new, fc, better = new[skip], fc[skip], better[skip]  # that level's first round
+                    steps = sign * hb[:, None]
                     span = 1
-                hit = better.any(axis=1)
                 first = better.argmax(axis=1)
-                r = np.flatnonzero(hit)
-                quiet = quiet and not r.size
-                fr = first[r]
-                x[live[r], j[r, fr]] = new[r, fr]
-                fx[live[r]] = fc[r, fr]
-                improved |= hit
-                at = np.where(hit, at + first + 1, at + width)
+                r = better.any(axis=1).nonzero()[0]
+                at += width
+                if r.size:
+                    quiet = False
+                    fr = first[r]
+                    xw.reshape(-1)[xi[r, fr]] = new[r, fr]
+                    fw[r] = fc[r, fr]
+                    improved[r] = True
+                    at[r] = move[r, fr] + 1
                 again = (at >= moves) & improved & (passes < MAX_PASSES_PER_LEVEL)
-                at[again] = 0
-                passes[again] += 1
-                improved[again] = False
+                passes += again
+                improved ^= again
+                at = np.where(again, 0, np.minimum(at, moves))  # a resting cell waits at moves
                 keep = at < moves
-                live, at, passes, improved = live[keep], at[keep], passes[keep], improved[keep]
-            h[block] *= 0.5
+                live = np.count_nonzero(keep)
+                if 2 * live < L and (L > COMPACT_MIN or not live):
+                    if rows is not None:
+                        x[rows], fx[rows] = xw, fw
+                    if not live:
+                        break
+                    rows = (np.arange(lo, lo + B) if rows is None else rows)[keep]
+                    xw, fw, fl, steps = xw[keep], fw[keep], fl[keep], steps[keep]
+                    at, passes, improved = at[keep], passes[keep], improved[keep]
+                    L, mo, xo = live, floor_rows[:live], x_rows[:live]
+            hb *= 0.5
             level += 1
     return x, fx
 
@@ -203,14 +239,18 @@ def reference_optimum(
     """Dense search of the whole feasible region, cell by cell.
 
     Enumerates every path of the problem's candidate sets
-    (``problem.sets``, within ``cap``), deduplicates the cells they span,
-    draws ``samples_per_cell`` uniform points per cell (plus both corners),
-    cell after cell in blocks of whole cells (a cell larger than
-    ``SAMPLE_BLOCK`` coordinates in pieces, each led by the cell's best so
-    far), and refines each cell's best sample by clamped coordinate pattern
-    search over ``REFINE_STEPS`` step halvings: live cells only, in
-    whole-pass rounds of one batched evaluation each, over blocks of at
-    most ``SEARCH_BLOCK`` candidate coordinates, where one round covers
+    (``problem.sets``, within ``cap``), lists the distinct lower corners
+    of the cells they span in lexicographic order (one ``np.lexsort`` of
+    the corners and a comparison of adjacent rows: the rows of
+    ``np.unique(..., axis=0)``), draws ``samples_per_cell`` uniform
+    points per cell (plus both corners), cell after cell in blocks of
+    whole cells (a cell larger than ``SAMPLE_BLOCK`` coordinates in
+    pieces, each led by the cell's best so far), and refines each cell's
+    best sample by clamped coordinate pattern search over
+    ``REFINE_STEPS`` step halvings: live cells only, in whole-pass rounds
+    of one batched evaluation each over the rows of a block of at most
+    ``SEARCH_BLOCK`` candidate coordinates, or over a copy of its live
+    rows once fewer than half of them are live, where one round covers
     the levels after a level that moves no cell, up to and including the
     first that moves a cell, which continues from that round's values
     (see :func:`_pattern_search`).
@@ -233,7 +273,12 @@ def reference_optimum(
     rng = _generator(rng, 0)
     inst, xbar = problem.instance, problem.xbar
     paths = enumerate_paths(problem.sets, cap)
-    lows = np.unique(path_to_candidate(paths, inst.b, inst.n), axis=0)
+    corners = np.zeros((len(paths), inst.n))
+    _max_scatter(corners, paths, inst.b)  # the paths come from the candidate sets
+    corners = corners[np.lexsort(corners.T[::-1])]  # rows in lexicographic order
+    first = np.ones(len(corners), dtype=bool)  # of its run of equal rows
+    np.any(corners[1:] != corners[:-1], axis=1, out=first[1:])
+    lows = corners[first]
     K, n = lows.shape
 
     best_x, best_f = np.empty((K, n)), np.empty(K)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ from freaco import (
     EvalDomainError,
     ExperimentError,
     ExperimentSpec,
+    ExperimentSummary,
+    ProblemSummary,
     SolverConfig,
     builtin_problem,
     export,
@@ -255,6 +258,75 @@ def test_trace_csv_rows(tmp_path):
     assert rows[-1]["run"] == "2" and rows[-1]["iter"] == str(SMALL.t_max)
     value = float(rows[-1]["best_so_far"])
     assert value == summary.problems[0].trace[2, -1]
+
+
+def reference_json(summary, path):
+    """``summary.json`` as ``json.dump`` writes it, every trace value through its encoder."""
+    payload = {
+        "runs": summary.runs,
+        "base_seed": summary.base_seed,
+        "config": dataclasses.asdict(summary.config),
+        "problems": [{**vars(p), "trace": p.trace.tolist()} for p in summary.problems],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def reference_trace_csv(summary, path):
+    """``traces.csv`` written one ``csv.writer`` row and one ``repr`` per value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(bench.TRACE_COLUMNS)
+        for p in summary.problems:
+            for r, row in enumerate(p.trace):
+                for t, value in enumerate(row, start=1):
+                    writer.writerow((p.name, r, t, repr(float(value))))
+
+
+def traced_summary(traces, names):
+    problems = tuple(
+        ProblemSummary(
+            name=name, known_optimum=None if k % 2 else -0.5, avg_best=0.25, median_best=float("nan"),
+            sd_best=float("inf"), f_best=-0.0, mean_eval_count=347.0, mean_error=None if k % 2 else 0.75,
+            trace=np.asarray(trace, dtype=float),
+        )
+        for k, (name, trace) in enumerate(zip(names, traces))
+    )
+    return ExperimentSummary(problems=problems, runs=3, base_seed=0, config=SMALL)
+
+
+NAN_PAYLOAD = np.int64(0x7FF8000000000001).view(float)  # a NaN whose bits differ from np.nan's
+
+TRACE_CASES = {
+    "plateaus": ([[3.0, 3.0, 2.5, 2.5, 1.0], [4.0, 4.0, 4.0, 4.0, 4.0], [2.5, 1.0, 1.0, 0.5, 0.5]],),
+    "signed-zeros": ([[0.0, -0.0, -0.0, 0.0, 0.0, -0.0]],),
+    "non-finite": ([[np.nan, np.nan, NAN_PAYLOAD, -np.nan, np.inf, np.inf, -np.inf, -np.inf, 5e-324, 1e300]],),
+    "rows-share-a-value": ([[1.0, 0.5], [0.5, 0.5], [0.5, 1.0]], [[0.5]]),
+    "empty": (np.zeros((2, 0)), np.zeros((0, 3)), [[0.1]]),
+}
+QUOTED_NAMES = ['a,b', 'say "hi"', "line\nbreak", "ü名\t\\", ""]
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_export_equals_the_per_value_writers(tmp_path, case):
+    traces = TRACE_CASES[case]
+    summary = traced_summary(traces, QUOTED_NAMES[: len(traces)])
+    for format, reference in (("json", reference_json), ("trace-csv", reference_trace_csv)):
+        export(summary, format, tmp_path / "new")
+        reference(summary, tmp_path / "reference")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes(), format
+
+
+def test_trace_export_equals_the_per_value_writers_on_a_bench_run(tmp_path):
+    spec = ExperimentSpec(problems=(builtin_problem(2), builtin_problem(7)), runs=3, config=SMALL)
+    summary = run_experiment(spec)
+    renamed = traced_summary([p.trace for p in summary.problems], QUOTED_NAMES[:2])
+    for s in (summary, renamed):
+        for format, reference in (("json", reference_json), ("trace-csv", reference_trace_csv)):
+            export(s, format, tmp_path / "new")
+            reference(s, tmp_path / "reference")
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes(), format
 
 
 def test_unknown_format_rejected(tmp_path):

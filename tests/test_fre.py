@@ -328,6 +328,35 @@ def test_path_to_candidate_checks_n(ex_instance, n, message):
         path_to_candidate(EX_PATH, ex_instance.b, n)
 
 
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        ([np.nan, 0.5], "A and b must be finite"),
+        ([np.inf, 0.5], "A and b must be finite"),
+        ([0.5, -np.inf], "A and b must be finite"),
+        ([1.5, 0.5], r"entries of b must lie in \[0, 1\]"),
+        ([0.5, -3.0], r"entries of b must lie in \[0, 1\]"),
+        (["0.5", "0.2"], "entries of 'b' must be real numbers"),
+        ([True, 0.5], "entries of 'b' must be real numbers"),
+        (np.array([0.5, 0.2]).astype(str), "entries of 'b' must be real numbers"),
+    ],
+    ids=["nan", "inf", "minus-inf", "above-one", "negative", "strings", "boolean", "numpy-strings"],
+)
+def test_path_to_candidate_refuses_b_values_an_instance_refuses(b, message):
+    for paths in ([0, 1], [[0, 1], [1, 1]]):
+        with pytest.raises(InvalidInstanceError, match=message):
+            path_to_candidate(paths, b, 2)
+    with pytest.raises(InvalidInstanceError, match=message):  # the same rule and message
+        Instance([[0.5, 0.5], [0.5, 0.5]], b)
+
+
+def test_path_to_candidate_of_no_rows_is_the_zero_corner():
+    # the engine's base corner takes this form when every row has a choice
+    assert np.array_equal(path_to_candidate(np.empty(0, dtype=np.int64), [], 3), [0.0, 0.0, 0.0])
+    batch = path_to_candidate(np.empty((2, 0), dtype=np.int64), np.empty(0), 3)
+    assert np.array_equal(batch, np.zeros((2, 3)))
+
+
 def test_path_to_candidate_batch_matches_plain_loop(ex_instance):
     rng = np.random.default_rng(37)
     instances = [ex_instance] + [

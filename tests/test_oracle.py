@@ -290,6 +290,42 @@ def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, block, schedule, 
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=search_inputs())
+def test_compacted_search_equals_move_by_move_bit_for_bit(case):
+    # every working set compacts once fewer than half its cells are live
+    problem, lows, start, values = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "COMPACT_MIN", 0)
+        x, fx = oracle._pattern_search(problem, lows, start, values)
+        rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    density=st.sampled_from([1.0, 0.6, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_searched_cells_are_the_distinct_corners_in_order(m, n, density, seed):
+    inst = random_feasible_instance(m, n, density, rng=np.random.default_rng(seed))
+    problem = make_problem("planted", inst.A, inst.b, "x1")
+    searched = []
+
+    def recording(problem, lows, start, values, ahead=None):
+        searched.append(lows.copy())
+        return start, values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_pattern_search", recording)
+        report = reference_optimum(problem, samples_per_cell=1)
+    want = cells(problem)
+    assert len(searched) == 1 and searched[0].shape == want.shape == (report.cells_examined, n)
+    assert np.array_equal(searched[0], want)
+
+
 def counted_search(monkeypatch, problem, lows, start, values):
     """``oracle._pattern_search`` and the batches it evaluated, in order."""
     batches = []
@@ -326,6 +362,30 @@ def test_a_window_skips_its_quiet_levels_and_keeps_the_first_that_moves(monkeypa
     # 0.9 is not evaluated again at step 0.1.
     assert [b.ravel().tolist() for b in batches[2:4]] == [[1.0], [0.8, 1.0]]
     assert len(batches) == 34  # 42 when the moving level ran again from 1
+    rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+@pytest.mark.parametrize("compact_min", [oracle.COMPACT_MIN, 0], ids=["resting-cells-kept", "compacted"])
+def test_only_the_moving_cell_is_evaluated_after_the_first_round(monkeypatch, compact_min):
+    # Eight cells [lows, 1] of x1 + x2.  Seven start at their lower corner, the
+    # minimum, and rest after the first round; the fifth starts at xbar.
+    problem = make_problem("boxes", [[0.5, 0.5]], [0.5], "x1 + x2")
+    assert problem.xbar.tolist() == [1.0, 1.0]
+    lows = np.array([[0.1 * k, 0.05 * k] for k in range(8)])
+    start = lows.copy()
+    start[4] = problem.xbar
+    values = evaluate_many(problem.objective, start)
+    monkeypatch.setattr(oracle, "REFINE_STEPS", 1)  # one level: every round after the first continues it
+    monkeypatch.setattr(oracle, "COMPACT_MIN", compact_min)
+    alone = counted_search(monkeypatch, problem, lows[4:5], start[4:5], values[4:5])
+    x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
+    assert len(batches) == len(alone[2]) > 2
+    assert len(batches[0]) > len(alone[2][0])  # the first round tries every cell
+    for batch, own in zip(batches[1:], alone[2][1:]):
+        assert np.array_equal(batch, own)
+    assert np.array_equal(x[4], alone[0][0]) and fx[4] == alone[1][0]
+    assert np.array_equal(np.delete(x, 4, axis=0), np.delete(start, 4, axis=0))
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
