@@ -206,8 +206,9 @@ def cell_points(
     """The point uniforms ``u`` place in each path's cell, and the cell's
     lower corner: paths ... x m' of columns, for the rows whose right-hand
     sides are ``b``, give points and corners ... x n.  ``base`` is the
-    corner the rows outside the paths fix: each corner starts from it and
-    the paths' ``b`` are scattered in by maximum.  Points and corners are
+    corner the rows outside the paths fix: each corner starts from it,
+    the paths' ``b`` are scattered in by maximum and the result is capped
+    at ``xbar``, so every point lies in ``[corner, xbar]``.  Points and corners are
     the two halves of ``out`` (... x 2n, new if not given), whose leading
     axes must merge into one without a copy, as the rows of a C-contiguous
     table do.  The paths are not checked (see :func:`~freaco.fre.path_to_candidate`)."""
@@ -219,6 +220,7 @@ def cell_points(
     if lower.size and not np.may_share_memory(lower, LB):  # a copy: the corners would be lost
         raise ValueError("out's leading axes must merge into one without a copy")
     _max_scatter(lower, E.reshape(-1, E.shape[-1]), b)
+    np.minimum(LB, xbar, out=LB)  # a near-tie candidate's b_i may exceed xbar_j by up to EPS_EQ
     np.multiply(u, xbar - LB, out=x)
     x += LB
     return x, LB

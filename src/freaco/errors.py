@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copyreg
 import operator
 
 import numpy as np
@@ -36,8 +37,38 @@ def real(name: str, value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
+#: Entry types numpy reads as real that the package refuses: "0.5" as 0.5, True as 1.0, 0.5+1j as 0.5.
+_NOT_REAL = frozenset({str, bytes, bool, np.str_, np.bytes_, np.bool_,
+                       complex, np.complex64, np.complex128, np.clongdouble})
+
+
+def real_entries(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Refuse a string, boolean or complex entry of ``value``, an array,
+    a number or a list of numbers or of rows: the check before every
+    ``np.asarray(..., dtype=float)`` of caller data.  Such an entry raises
+    ``error``, a :class:`ValueError` subclass, naming ``name``.  An integer
+    or float array passes at the cost of one dtype test.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return
+    for row in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(row, np.ndarray):  # an integer or float array needs no walk
+            row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
+        if not _NOT_REAL.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
+            raise error(f"entries of {name!r} must be real numbers, not strings, booleans or complex numbers")
+
+
 class FreacoError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass pickles by one rule, so an error crosses the benchmark's
+    process pool intact without code of its own: the copy is made by
+    ``cls.__new__``, which restores ``args`` (the message) without calling
+    ``__init__``, and the default ``__setstate__`` restores the fields.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidInstanceError(FreacoError, ValueError):
@@ -52,9 +83,6 @@ class DimensionMismatchError(FreacoError, ValueError):
         self.what = what
         self.expected = expected
         self.got = got
-
-    def __reduce__(self):
-        return (type(self), (self.what, self.expected, self.got))
 
 
 class InvalidPathError(FreacoError, ValueError):
@@ -75,9 +103,6 @@ class InfeasibleInstanceError(FreacoError):
         self.xbar = np.asarray(xbar, dtype=float)
         self.rows = rows
 
-    def __reduce__(self):
-        return (type(self), (self.xbar, self.rows))
-
 
 class PathSpaceTooLargeError(FreacoError):
     """Exhaustive enumeration was requested beyond the configured cap."""
@@ -86,9 +111,6 @@ class PathSpaceTooLargeError(FreacoError):
         super().__init__(f"path space has {path_count} paths, above cap {cap}")
         self.path_count = path_count
         self.cap = cap
-
-    def __reduce__(self):
-        return (type(self), (self.path_count, self.cap))
 
 
 class ExprParseError(FreacoError, ValueError):
@@ -99,9 +121,6 @@ class ExprParseError(FreacoError, ValueError):
         self.message = message
         self.line = line
         self.col = col
-
-    def __reduce__(self):
-        return (type(self), (self.message, self.line, self.col))
 
 
 class EvalDomainError(FreacoError, ArithmeticError):
@@ -117,9 +136,6 @@ class EvalDomainError(FreacoError, ArithmeticError):
         self.reason = reason
         self.point = np.asarray(point, dtype=float)
 
-    def __reduce__(self):
-        return (type(self), (self.reason, self.point))
-
 
 class ExperimentError(FreacoError):
     """A benchmark run failed; wraps the cause with problem and run index."""
@@ -128,6 +144,3 @@ class ExperimentError(FreacoError):
         super().__init__(f"run {run_index} of problem {problem!r} failed")
         self.problem = problem
         self.run_index = run_index
-
-    def __reduce__(self):
-        return (type(self), (self.problem, self.run_index))

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvalDomainError, ExprParseError, whole
+from .errors import DimensionMismatchError, EvalDomainError, ExprParseError, real_entries, whole
 
 # + - * / and negation use Python's operators; ^ (see _power) and the
 # named functions use numpy ufuncs.  np.float64 scalars and arrays then
@@ -523,11 +523,21 @@ def _reason(exc: FloatingPointError) -> str:
 def evaluate(expr: Expr, x) -> float:
     """Evaluate at a single point of length n.
 
-    Raises :class:`EvalDomainError` carrying the point on domain faults.
+    The coordinates must be real numbers: a string, boolean or complex
+    coordinate, which numpy would read as real, raises :class:`ValueError`
+    naming ``x``, and a point of another length raises
+    :class:`DimensionMismatchError`.  Raises :class:`EvalDomainError`
+    carrying the point on domain faults.
     """
+    real_entries("x", x)
     x = np.asarray(x, dtype=float)
     if x.shape != (expr.n,):
         raise DimensionMismatchError("point", expr.n, x.shape[0] if x.ndim == 1 else -1)
+    return _evaluate(expr, x)
+
+
+def _evaluate(expr: Expr, x: np.ndarray) -> float:
+    """:func:`evaluate` at a float point of length n, unchecked."""
     try:
         value = _run(expr, x).item()  # a sum leaves shape (1,)
     except FloatingPointError:
@@ -545,17 +555,21 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
     A domain fault or non-finite result raises the same
     :class:`EvalDomainError` as :func:`evaluate` at the first faulting
     row.  A batch of zero rows gives an empty array; a batch of one row
-    goes through :func:`evaluate`, whose scalar operations cost less than
-    array operations on one element.  Rows run in blocks of ``BLOCK``
+    goes through the code behind :func:`evaluate`, without its checks,
+    whose scalar operations cost less than array operations on one
+    element.  Rows run in blocks of ``BLOCK``
     values (rows x terms), which bounds a long sum's temporaries.
+    Coordinates follow the rule of :func:`evaluate`: a string, boolean or
+    complex one raises :class:`ValueError` naming ``X``.
     """
+    real_entries("X", X)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (points by coordinates)")
     if X.shape[1] != expr.n:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
     if len(X) < 2:
-        return np.array([evaluate(expr, x) for x in X])
+        return np.array([_evaluate(expr, x) for x in X])
     if len(X) > (step := max(1, BLOCK // expr.terms)):  # bound a long sum's temporaries
         return np.concatenate([evaluate_many(expr, X[i : i + step]) for i in range(0, len(X), step)])
     try:
@@ -565,7 +579,7 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
         # Rows are independent and evaluate() gives each row's value or
         # fault: run them alone to find the first that faults.
         for row in X:
-            evaluate(expr, row)
+            _evaluate(expr, row)
         raise EvalDomainError(_reason(exc), X[-1].copy()) from None
     finite = np.isfinite(values)
     if not finite.all():

@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidInstanceError,
     InvalidPathError,
+    real_entries,
     whole,
 )
 
@@ -64,18 +65,13 @@ class Record:
 
 
 def _unit_entries(key: str, value) -> np.ndarray:
-    """``value`` as a float array of finite reals in [0, 1]: the rule for the
-    entries of an :class:`Instance`'s ``A`` and ``b`` and of the ``b`` that
-    :func:`path_to_candidate` takes.  Anything else raises :class:`InvalidInstanceError`;
-    so does a string, boolean or complex entry, which numpy would read as real."""
-    refused = {str, bytes, bool, np.str_, np.bytes_, np.bool_,  # numpy reads "0.5" as 0.5, True as 1.0
-               complex, np.complex64, np.complex128, np.clongdouble}  # and 0.5+1j as 0.5
-    for row in value if isinstance(value, (list, tuple)) else [value]:
-        if isinstance(row, np.ndarray):  # an integer or float array needs no walk
-            row = [] if row.dtype.kind in "iuf" else row.ravel().tolist()
-        if not refused.isdisjoint(map(type, row if isinstance(row, (list, tuple)) else [row])):
-            raise InvalidInstanceError(
-                f"entries of {key!r} must be real numbers, not strings, booleans or complex numbers")
+    """``value`` as a new float array of finite reals in [0, 1], with no
+    signed zero: the rule for the entries of an :class:`Instance`'s ``A``
+    and ``b`` and of the ``b`` that :func:`path_to_candidate` takes.
+    Anything else raises :class:`InvalidInstanceError`; so does a string,
+    boolean or complex entry, which numpy would read as real
+    (:func:`~freaco.errors.real_entries`)."""
+    real_entries(key, value, InvalidInstanceError)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or huge integer
@@ -84,7 +80,7 @@ def _unit_entries(key: str, value) -> np.ndarray:
         raise InvalidInstanceError("A and b must be finite")
     if array.size and (array.min() < 0.0 or array.max() > 1.0):
         raise InvalidInstanceError(f"entries of {key} must lie in [0, 1]")
-    return array
+    return np.add(array, 0.0, order="C")  # a C-ordered copy, in which -0.0 + 0.0 is 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +99,7 @@ class Instance(Record):
             raise InvalidInstanceError("b must be a non-empty vector")
         if A.shape[0] != b.shape[0]:
             raise InvalidInstanceError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
-        self.__setstate__({"A": A.copy(), "b": b.copy()})
+        self.__setstate__({"A": A, "b": b})
 
     @property
     def m(self) -> int:
@@ -116,7 +112,9 @@ class Instance(Record):
 
 def compose_many(inst: Instance, X) -> np.ndarray:
     """Row-wise ``max_j min(a_ij, x_j)`` for every point ``x`` in the rows
-    of ``X`` (N x n -> N x m)."""
+    of ``X`` (N x n -> N x m).  A string, boolean or complex coordinate,
+    which numpy would read as real, raises :class:`ValueError` naming ``X``."""
+    real_entries("X", X)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != inst.n:
         raise DimensionMismatchError("X columns", inst.n, X.shape[1] if X.ndim == 2 else -1)
@@ -125,7 +123,12 @@ def compose_many(inst: Instance, X) -> np.ndarray:
 
 
 def residual(inst: Instance, x) -> float:
-    """Sup-norm distance between ``A phi x`` and ``b`` for one point ``x``."""
+    """Sup-norm distance between ``A phi x`` and ``b`` for one point ``x``.
+
+    ``x``'s coordinates follow the rule of :func:`~freaco.expr.evaluate`:
+    a string, boolean or complex one raises :class:`ValueError` naming
+    ``x``, and a point of another length :class:`DimensionMismatchError`."""
+    real_entries("x", x)
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise DimensionMismatchError("x", inst.n, x.shape[0] if x.ndim == 1 else -1)
@@ -188,7 +191,11 @@ def path_to_candidate(paths, b, n: int) -> np.ndarray:
 
     Component j is the largest b_i among rows whose path choice is column
     j, or 0 when no row chose j.  The cell itself is the box from this
-    corner up to ``xbar``.  Every check lives here, at the public
+    corner up to ``xbar``.  The corner is the raw one, not capped at
+    ``xbar``: a candidate that entered its set within ``EPS_EQ`` of a
+    ``b_i`` above ``xbar_j`` gives a corner above ``xbar`` by as much,
+    where the engine's and the oracle's cells cap it (``freaco
+    enumerate`` lists the raw corners too).  Every check lives here, at the public
     boundary: paths must be integer arrays (a float or bool path raises
     :class:`InvalidPathError` rather than being truncated) with columns
     in ``[0, n)``, ``b`` must be a vector as long as a path (anything else

@@ -240,7 +240,8 @@ def reference_optimum(
 
     Enumerates every path of the problem's candidate sets
     (``problem.sets``, within ``cap``), lists the distinct lower corners
-    of the cells they span in lexicographic order (one ``np.lexsort`` of
+    of the cells they span, capped at ``xbar`` as the engine's are
+    (:func:`~freaco.engine.cell_points`), in lexicographic order (one ``np.lexsort`` of
     the corners and a comparison of adjacent rows: the rows of
     ``np.unique(..., axis=0)``), draws ``samples_per_cell`` uniform
     points per cell (plus both corners), cell after cell in blocks of
@@ -275,6 +276,7 @@ def reference_optimum(
     paths = enumerate_paths(problem.sets, cap)
     corners = np.zeros((len(paths), inst.n))
     _max_scatter(corners, paths, inst.b)  # the paths come from the candidate sets
+    np.minimum(corners, xbar, out=corners)  # capped at xbar, as the engine's cells are
     corners = corners[np.lexsort(corners.T[::-1])]  # rows in lexicographic order
     first = np.ones(len(corners), dtype=bool)  # of its run of equal rows
     np.any(corners[1:] != corners[:-1], axis=1, out=first[1:])

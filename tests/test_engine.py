@@ -21,7 +21,9 @@ from freaco import (
     compute_max_solution,
     evaluate_many,
     make_problem,
+    oracle,
     path_to_candidate,
+    reference_optimum,
     run,
     run_many,
 )
@@ -597,6 +599,36 @@ def test_trace_monotone_and_matches_best():
     result = run(builtin_problem(6), SolverConfig(seed=8))
     assert np.all(np.diff(result.trace) <= 0)
     assert result.trace[-1] == result.best.f
+
+
+def test_cells_never_pass_xbar_on_a_near_tie():
+    # j = 0 enters S_1 within EPS_EQ although b_1 = 0.5 + 5e-10 exceeds xbar_0 = 0.5:
+    # the raw corner of that cell lies above xbar
+    problem = make_problem("near-tie", [[1.0, 0.2], [0.8, 0.3]], [0.5 + 5e-10, 0.5], "x1 + x2")
+    xbar = problem.xbar
+    assert path_to_candidate([0, 0], problem.instance.b, 2)[0] > xbar[0]
+
+    def inside(lb, x):
+        assert np.all(lb <= x) and np.all(x <= xbar) and np.all(lb <= xbar)
+
+    for seed in range(10):
+        def observer(t, archive, tau):
+            for s in archive:
+                inside(s.lb, s.x)
+
+        result = run(problem, SolverConfig(seed=seed, t_max=5), observer=observer)
+        inside(result.best.lb, result.best.x)
+
+    searched = []
+
+    def recording(problem, lows, start, values, ahead=None):
+        searched.append(lows.copy())
+        return start, values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_pattern_search", recording)
+        reference_optimum(problem, samples_per_cell=4)
+    assert searched and all(np.all(lows <= xbar) for lows in searched)
 
 
 def test_archive_invariants_every_iteration(ex_problem):

@@ -18,6 +18,16 @@ from freaco import (
     PathSpaceTooLargeError,
 )
 
+
+class TwoFieldError(FreacoError):
+    """A subclass with fields and its own ``__init__``, but no pickling code."""
+
+    def __init__(self, name: str, count: int):
+        super().__init__(f"{name} failed {count} times")
+        self.name = name
+        self.count = count
+
+
 SAMPLES = [
     FreacoError("generic fault"),
     InvalidInstanceError("A must be 2-D"),
@@ -28,6 +38,7 @@ SAMPLES = [
     ExprParseError("unexpected ')'", 2, 9),
     EvalDomainError("overflow", [1.0, -2.5]),
     ExperimentError("problem-03", 4),
+    TwoFieldError("problem-07", 3),
 ]
 
 

@@ -719,6 +719,20 @@ def test_one_row_batch_keeps_shape_errors():
         evaluate_many(expr, np.full(3, 0.5))
 
 
+@pytest.mark.parametrize(
+    "bad", ["0.25", b"0.25", np.str_("0.25"), True, np.True_, 0.25 + 0j, np.complex64(0.25)],
+    ids=["str", "bytes", "numpy-str", "bool", "numpy-bool", "complex", "numpy-complex"],
+)
+def test_coordinates_must_be_real_numbers(bad):
+    expr = parse("x1 + x2", 2)
+    for x in ([0.5, bad], (0.5, bad), np.array([0.5, bad], dtype=object), np.array([bad, bad])):
+        with pytest.raises(ValueError, match="^entries of 'x' must be real numbers"):
+            evaluate(expr, x)
+    for X in ([[0.5, bad]], [[0.5, 0.5], [0.5, bad]], [np.array([0.5, bad], dtype=object)], np.array([[bad, bad]])):
+        with pytest.raises(ValueError, match="^entries of 'X' must be real numbers"):
+            evaluate_many(expr, X)
+
+
 @pytest.mark.parametrize("x, got", [(np.full(2, 0.5), 2), (np.full((1, 3), 0.5), -1), (0.5, -1)])
 def test_point_error_reports_its_length_or_minus_one_for_wrong_axes(x, got):
     with pytest.raises(DimensionMismatchError, match=f"^point: expected length 3, got {got}$"):

@@ -68,6 +68,14 @@ def test_instance_refuses_malformed_data(A, b, message):
         Instance(A, b)
 
 
+def test_instance_stores_no_signed_zero():
+    A, b = np.array([[0.5, -0.0]]), np.array([-0.0])
+    inst = Instance(A, b)
+    assert not np.signbit(inst.A).any() and not np.signbit(inst.b).any()
+    assert np.signbit(A[0, 1]) and np.signbit(b[0])  # the caller's arrays are left as they are
+    assert not np.may_share_memory(inst.A, A) and not np.may_share_memory(inst.b, b)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -99,6 +107,20 @@ def test_compose_dimension_mismatch(ex_instance):
     for x, got in ((np.zeros(5), 5), (np.zeros((1, 6)), -1)):
         with pytest.raises(DimensionMismatchError, match=f"^x: expected length 6, got {got}$"):
             residual(ex_instance, x)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5", True, np.True_, 0.5 + 0j, np.complex128(0.5)],
+    ids=["str", "bool", "numpy-bool", "complex", "numpy-complex"],
+)
+def test_compose_and_residual_refuse_coordinates_that_are_not_real(ex_instance, bad):
+    x = [bad] + [0.5] * (ex_instance.n - 1)
+    with pytest.raises(ValueError, match="^entries of 'x' must be real numbers"):
+        residual(ex_instance, x)
+    with pytest.raises(ValueError, match="^entries of 'X' must be real numbers"):
+        compose_many(ex_instance, [x])
+    with pytest.raises(ValueError, match="^entries of 'X' must be real numbers"):
+        compose_many(ex_instance, np.array([x], dtype=object))
 
 
 def test_compose_many_matches_single(ex_instance):
@@ -348,6 +370,11 @@ def test_path_to_candidate_refuses_b_values_an_instance_refuses(b, message):
             path_to_candidate(paths, b, 2)
     with pytest.raises(InvalidInstanceError, match=message):  # the same rule and message
         Instance([[0.5, 0.5], [0.5, 0.5]], b)
+
+
+def test_path_to_candidate_gives_no_signed_zero():
+    assert not np.signbit(path_to_candidate([[0]], [-0.0], 1)).any()
+    assert not np.signbit(path_to_candidate([0, 1], [-0.0, 0.5], 3)).any()
 
 
 def test_path_to_candidate_of_no_rows_is_the_zero_corner():
