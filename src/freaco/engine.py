@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import real, whole
 from .expr import evaluate_many
-from .fre import Record, _max_scatter, path_to_candidate
+from .fre import Record, _capped_corners, path_to_candidate
 from .problems import Problem
 
 #: Exponent clamp for pheromone deposits; keeps exp() inside double range.
@@ -219,8 +219,7 @@ def cell_points(
     lower = LB.reshape(-1, n)
     if lower.size and not np.may_share_memory(lower, LB):  # a copy: the corners would be lost
         raise ValueError("out's leading axes must merge into one without a copy")
-    _max_scatter(lower, E.reshape(-1, E.shape[-1]), b)
-    np.minimum(LB, xbar, out=LB)  # a near-tie candidate's b_i may exceed xbar_j by up to EPS_EQ
+    _capped_corners(lower, E.reshape(-1, E.shape[-1]), b, xbar)
     np.multiply(u, xbar - LB, out=x)
     x += LB
     return x, LB

@@ -568,10 +568,15 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
         raise ValueError("X must be 2-D (points by coordinates)")
     if X.shape[1] != expr.n:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
+    if len(X) <= (step := max(1, BLOCK // expr.terms)):  # bound a long sum's temporaries
+        return _evaluate_block(expr, X)
+    return np.concatenate([_evaluate_block(expr, X[i : i + step]) for i in range(0, len(X), step)])
+
+
+def _evaluate_block(expr: Expr, X: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_many` on one block of its checked float rows."""
     if len(X) < 2:
         return np.array([_evaluate(expr, x) for x in X])
-    if len(X) > (step := max(1, BLOCK // expr.terms)):  # bound a long sum's temporaries
-        return np.concatenate([evaluate_many(expr, X[i : i + step]) for i in range(0, len(X), step)])
     try:
         values = np.empty(len(X))
         values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar

@@ -186,6 +186,16 @@ def _max_scatter(lower: np.ndarray, paths: np.ndarray, b: np.ndarray) -> None:
     np.maximum.at(lower, (np.arange(len(paths))[:, None], paths), b)
 
 
+def _capped_corners(lower: np.ndarray, paths: np.ndarray, b: np.ndarray, xbar: np.ndarray) -> None:
+    """The lower corners of the engine's and the oracle's cells, in place:
+    :func:`_max_scatter`, then every corner capped at ``xbar``.  A candidate
+    that entered its set within ``EPS_EQ`` of a ``b_i`` above ``xbar_j``
+    raises its corner above ``xbar`` by as much; capped, every cell is a
+    box ``[corner, xbar]``.  Unchecked, as :func:`_max_scatter` is."""
+    _max_scatter(lower, paths, b)
+    np.minimum(lower, xbar, out=lower)
+
+
 def path_to_candidate(paths, b, n: int) -> np.ndarray:
     """Lower corner of one path's cell (m -> n), or of every path in a batch (k x m -> k x n).
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EvalDomainError, PathSpaceTooLargeError, real, whole
 from .expr import evaluate_many
-from .fre import Instance, Record, _max_scatter, path_space_size
+from .fre import Instance, Record, _capped_corners, path_space_size
 from .problems import Problem
 
 DEFAULT_PATH_CAP = 10**6
@@ -33,10 +33,6 @@ SAMPLE_BLOCK = 2**13
 #: Candidate coordinates (cells x moves x n) one pattern-search round may
 #: hold: the search runs over blocks of cells that fit.
 SEARCH_BLOCK = 2**19
-
-#: Pattern-search working sets of at most this many cells keep their
-#: resting cells: below it a round costs per numpy call, not per cell.
-COMPACT_MIN = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +105,8 @@ def _pattern_search(
       reads each cell's moves from tables built once per block (the
       lower bound of each move) and once per level (its signed step); a
       resting cell stands past its last move, where a move has no step
-      and no bounds, so it yields no point.  Once fewer than half of
-      more than ``COMPACT_MIN`` cells are live, the level goes on with a
-      copy of the live cells' rows, written back to the points when it
-      shrinks again and at the level's end, so a round costs in
-      proportion to its live cells.
+      and no bounds, so it yields no point.  The level ends once every
+      cell of the block rests.
     * **Whole-pass rounds.**  One :func:`evaluate_many` call evaluates
       the next ``ahead`` moves (default: the rest of the pass) of every
       live cell, all from its current point.  A cell keeps its first
@@ -162,29 +155,26 @@ def _pattern_search(
             span = 1  # levels the first round covers: a window of several after a quiet level
             if quiet and ahead is None:
                 span = min(REFINE_STEPS - level, SEARCH_BLOCK // (B * moves * n))
-            # the working set: the block's rows of x, then the live ones' copy once fewer
-            # than half of them are live (rows: their indices in x), written back when it shrinks
-            rows, xw, fw, fl, steps = None, x[lo : lo + B], fx[lo : lo + B], floor, sign * hb[:, None]
-            L, mo, xo = B, floor_rows, x_rows
+            xw, fw, steps = x[lo : lo + B], fx[lo : lo + B], sign * hb[:, None]  # views: writes reach x, fx
             at = np.zeros(B, dtype=np.int64)  # each cell's next move in its pass; moves: resting
             passes = np.ones(B, dtype=np.int64)
             improved = np.zeros(B, dtype=bool)  # in the current pass
             quiet = True
             while True:
                 move = at[:, None] + window
-                mi = move + mo
+                mi = move + floor_rows
                 j = coord.take(move)
-                xi = j + xo
+                xi = j + x_rows
                 old = xw.take(xi)
                 step = steps.take(mi)
                 if span > 1:  # a window: levels x cells x moves, level l's step h * 0.5**l (exact)
                     step = step * 0.5 ** np.arange(span)[:, None, None]
                 # np.clip's result, bit for bit on these NaN-free points, at about half its cost
                 new = old + step
-                np.maximum(new, fl.take(mi), out=new)
+                np.maximum(new, floor.take(mi), out=new)
                 np.minimum(new, top.take(move), out=new)
                 flat = (new != old).reshape(-1).nonzero()[0]  # ([level,] cell, move), flat
-                g = flat % (L * width) if span > 1 else flat  # (cell, move) of each
+                g = flat % (B * width) if span > 1 else flat  # (cell, move) of each
                 cand = xw.take(g // width, axis=0)
                 cand[np.arange(len(g)), j.reshape(-1).take(g)] = new.reshape(-1).take(flat)
                 fc = np.full(new.shape, np.inf)
@@ -214,17 +204,8 @@ def _pattern_search(
                 passes += again
                 improved ^= again
                 at = np.where(again, 0, np.minimum(at, moves))  # a resting cell waits at moves
-                keep = at < moves
-                live = np.count_nonzero(keep)
-                if 2 * live < L and (L > COMPACT_MIN or not live):
-                    if rows is not None:
-                        x[rows], fx[rows] = xw, fw
-                    if not live:
-                        break
-                    rows = (np.arange(lo, lo + B) if rows is None else rows)[keep]
-                    xw, fw, fl, steps = xw[keep], fw[keep], fl[keep], steps[keep]
-                    at, passes, improved = at[keep], passes[keep], improved[keep]
-                    L, mo, xo = live, floor_rows[:live], x_rows[:live]
+                if at.min() == moves:  # every cell rests
+                    break
             hb *= 0.5
             level += 1
     return x, fx
@@ -247,14 +228,9 @@ def reference_optimum(
     points per cell (plus both corners), cell after cell in blocks of
     whole cells (a cell larger than ``SAMPLE_BLOCK`` coordinates in
     pieces, each led by the cell's best so far), and refines each cell's
-    best sample by clamped coordinate pattern search over
-    ``REFINE_STEPS`` step halvings: live cells only, in whole-pass rounds
-    of one batched evaluation each over the rows of a block of at most
-    ``SEARCH_BLOCK`` candidate coordinates, or over a copy of its live
-    rows once fewer than half of them are live, where one round covers
-    the levels after a level that moves no cell, up to and including the
-    first that moves a cell, which continues from that round's values
-    (see :func:`_pattern_search`).
+    best sample by the clamped coordinate pattern search of
+    :func:`_pattern_search` over ``REFINE_STEPS`` step halvings, in
+    whole-pass rounds of one batched evaluation each.
     When a round faults, the search reruns with one move per round, which
     evaluates exactly the points of a move-by-move search in its order: it
     returns that search's result or raises its :class:`EvalDomainError`,
@@ -275,8 +251,7 @@ def reference_optimum(
     inst, xbar = problem.instance, problem.xbar
     paths = enumerate_paths(problem.sets, cap)
     corners = np.zeros((len(paths), inst.n))
-    _max_scatter(corners, paths, inst.b)  # the paths come from the candidate sets
-    np.minimum(corners, xbar, out=corners)  # capped at xbar, as the engine's cells are
+    _capped_corners(corners, paths, inst.b, xbar)  # the paths come from the candidate sets
     corners = corners[np.lexsort(corners.T[::-1])]  # rows in lexicographic order
     first = np.ones(len(corners), dtype=bool)  # of its run of equal rows
     np.any(corners[1:] != corners[:-1], axis=1, out=first[1:])

@@ -606,11 +606,19 @@ def test_single_and_batch_agree_bit_for_bit(data):
         assert np.array_equal(evaluate_many(expr, X), singles)
 
 
-def test_batch_of_several_row_blocks():
+def test_batch_of_several_row_blocks(monkeypatch):
     expr = parse("sum(k, 1, 1000, ln(x1 + k - 1)*x2)", 2)
     assert expr_module.BLOCK // expr.terms == 65  # rows per block
     X = np.random.default_rng(53).random((300, 2)) + 0.25
-    assert np.array_equal(evaluate_many(expr, X), [evaluate(expr, x) for x in X])
+    calls = []
+
+    def counting(expr, X):
+        calls.append(len(X))
+        return evaluate_many(expr, X)
+
+    monkeypatch.setattr(expr_module, "evaluate_many", counting)
+    assert np.array_equal(expr_module.evaluate_many(expr, X), [evaluate(expr, x) for x in X])
+    assert calls == [300]  # the blocks do not re-enter evaluate_many: X is checked once
     X[[200, 250], 0] = 0.0  # ln(0) at k = 1, in the fourth block only
     with pytest.raises(EvalDomainError, match="divide by zero") as info:
         evaluate_many(expr, X)

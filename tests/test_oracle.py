@@ -290,18 +290,6 @@ def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, block, schedule, 
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=search_inputs())
-def test_compacted_search_equals_move_by_move_bit_for_bit(case):
-    # every working set compacts once fewer than half its cells are live
-    problem, lows, start, values = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "COMPACT_MIN", 0)
-        x, fx = oracle._pattern_search(problem, lows, start, values)
-        rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
-    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 6),
@@ -366,18 +354,16 @@ def test_a_window_skips_its_quiet_levels_and_keeps_the_first_that_moves(monkeypa
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
 
-@pytest.mark.parametrize("compact_min", [oracle.COMPACT_MIN, 0], ids=["resting-cells-kept", "compacted"])
-def test_only_the_moving_cell_is_evaluated_after_the_first_round(monkeypatch, compact_min):
-    # Eight cells [lows, 1] of x1 + x2.  Seven start at their lower corner, the
-    # minimum, and rest after the first round; the fifth starts at xbar.
+def test_only_the_moving_cell_is_evaluated_after_the_first_round(monkeypatch):
+    # Forty cells [lows, 1] of x1 + x2.  Thirty-nine start at their lower corner,
+    # the minimum, and rest after the first round; the fifth starts at xbar.
     problem = make_problem("boxes", [[0.5, 0.5]], [0.5], "x1 + x2")
     assert problem.xbar.tolist() == [1.0, 1.0]
-    lows = np.array([[0.1 * k, 0.05 * k] for k in range(8)])
+    lows = np.array([[0.02 * k, 0.01 * k] for k in range(40)])
     start = lows.copy()
     start[4] = problem.xbar
     values = evaluate_many(problem.objective, start)
     monkeypatch.setattr(oracle, "REFINE_STEPS", 1)  # one level: every round after the first continues it
-    monkeypatch.setattr(oracle, "COMPACT_MIN", compact_min)
     alone = counted_search(monkeypatch, problem, lows[4:5], start[4:5], values[4:5])
     x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
     assert len(batches) == len(alone[2]) > 2
