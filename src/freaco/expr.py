@@ -28,8 +28,9 @@ Sum bounds and index literals (INT) are integer-valued numbers, such as
 once into flat register code.  A ``sum`` body is compiled once: its loop
 variable is the vector ``lo..hi`` on a new leading axis, ``x(index)`` a
 gather, and one fold adds the terms left to right like an unrolled ``+``
-chain.  Indices are exact integers, range-checked as read; the first
-error read wins, so an index out of range in any term beats a later
+chain.  Indices are exact integers, in int64 while a bound on their
+bits stays at 62 and on Python ints beyond, range-checked as read; the
+first error read wins, so an index out of range in any term beats a later
 syntax error.  A product in an index whose integers for all terms would
 pass ``MAX_INDEX_BITS`` bits is refused.  A sum that unrolls past ``MAX_OPERATIONS`` operations is
 refused as soon as that shows: on entry, at an ``x(...)`` whose indices
@@ -139,6 +140,23 @@ _NOT_INDEX = "variable index must use integer arithmetic over loop variables"
 
 def _bits(value) -> int:
     return int(np.max(np.abs(value))).bit_length()
+
+
+def _exact(op, a, b, bits: int | None = None):
+    """``op(a, b)``, one of + - *, of two index values (ints or integer
+    arrays), exact.  int64 arrays stay int64 while ``bits``, a bound on the
+    result's bits (by default a sum's, one past the wider operand's), is at
+    most 62; past that, and once an operand holds Python ints, the
+    arithmetic runs on Python ints."""
+    arrays = [v for v in (a, b) if isinstance(v, np.ndarray)]
+    if arrays and all(v.dtype != object for v in arrays):
+        if bits is None:
+            bits = max(_bits(a), _bits(b)) + 1
+        if bits <= 62:
+            return op(a, b)
+    if arrays:
+        a, b = (np.asarray(v, dtype=object) if isinstance(v, np.ndarray) else v for v in (a, b))
+    return op(a, b)
 
 
 def _reserved(name: str) -> bool:
@@ -273,12 +291,14 @@ class _Compiler:
             self.expect("(")
             index = self.index_expr(tok)
             self.expect(")")
-            for i in index.T.flat if isinstance(index, np.ndarray) else [index]:  # reading order
-                if not 1 <= i <= self.n:
-                    self.fail(f"computed index evaluates to {i}, outside 1..{self.n}", tok)
-            if isinstance(index, int):
+            if not isinstance(index, np.ndarray):
+                if not 1 <= index <= self.n:
+                    self.fail(f"computed index evaluates to {index}, outside 1..{self.n}", tok)
                 self.reads.add(index - 1)
                 return index - 1
+            bad = np.flatnonzero(((index < 1) | (index > self.n)).T)  # in reading order, index.T.flat
+            if bad.size:
+                self.fail(f"computed index evaluates to {index.T.flat[bad[0]]}, outside 1..{self.n}", tok)
             return self.emit(_gather, d, self.n, self.register((index - 1).astype(np.intp)), ops=0)
         if name in FUNCTIONS:
             self.expect("(")
@@ -314,7 +334,11 @@ class _Compiler:
         if self.ops > MAX_OPERATIONS or size > 2 * MAX_OPERATIONS + 4:
             self.fail(f"sum expands to more than {MAX_OPERATIONS} operations", tok)
         self.terms = max(self.terms, size)
-        k = np.array(range(lo, hi + 1), dtype=object).reshape(-1, *(1 for _ in self.env))
+        if max(abs(lo), abs(hi)).bit_length() <= 62:
+            k = np.arange(lo, hi + 1, dtype=np.int64)
+        else:
+            k = np.array(range(lo, hi + 1), dtype=object)
+        k = k.reshape(-1, *(1 for _ in self.env))
         self.env[var] = (k, self.register(k[..., None].astype(float)), tok)
         start = self.peak = self.ops
         total = self.emit(_fold, d, self.expr(d), self.env.pop(var)[1], ops=0)
@@ -345,7 +369,7 @@ class _Compiler:
     def index_expr(self, at: _Token) -> int:
         value = self.index_term(at)
         while self.peek().text in ("+", "-"):
-            value = _BINARY[self.advance().text](value, self.index_term(at))
+            value = _exact(_BINARY[self.advance().text], value, self.index_term(at))
         return value
 
     def index_term(self, at: _Token) -> int:
@@ -355,9 +379,10 @@ class _Compiler:
                 self.fail(_NOT_INDEX, at)
             factor = self.index_factor(at)
             size = np.broadcast(value, factor).size
-            if size > 1 and size * (_bits(value) + _bits(factor)) > MAX_INDEX_BITS:
+            bits = _bits(value) + _bits(factor)
+            if size > 1 and size * bits > MAX_INDEX_BITS:
                 self.fail(f"computed index needs more than {MAX_INDEX_BITS} bits over its terms", at)
-            value = value * factor  # never in place: value may be a loop variable
+            value = _exact(operator.mul, value, factor, bits)  # never in place: value may be a loop variable
         return value
 
     def index_factor(self, at: _Token) -> int:

@@ -89,125 +89,134 @@ def _pattern_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate pattern search inside each cell ``[lows, problem.xbar]`` (Hooke & Jeeves).
 
-    Starts from ``start`` (one point per cell, objective ``values``),
-    with an initial step of half the cell's largest edge.  A pass tries
-    the 2n moves x_j - h, x_j + h in order, each clamped to the cell, and
-    keeps every move that lowers the value; passes repeat until one
-    improves nothing (at most ``MAX_PASSES_PER_LEVEL``), then the step
-    halves; ``REFINE_STEPS`` halvings total.  Iterates never leave their
-    cell, so every visited point stays feasible.
+    Starts from ``start`` (one point per cell, inside it, objective
+    ``values``), with an initial step of half the cell's largest edge.
+    A pass tries the 2n moves x_j - h, x_j + h in order, each clamped to
+    the cell, and keeps every move that lowers the value; passes repeat
+    until one improves nothing (at most ``MAX_PASSES_PER_LEVEL``), then
+    the step halves; ``REFINE_STEPS`` halvings total.  Iterates never
+    leave their cell, so every visited point stays feasible.
 
-    Cells are independent, so the search runs them in rounds:
+    Cells are independent, so the search runs them in rounds, and each
+    round takes every cell to its next improving move, wherever it lies:
+    the cell's trajectory is the move-by-move search's, bit for bit.
 
-    * **Live cells.**  A cell whose pass improves nothing would see the
-      same point and moves in its next pass; it rests until the step
-      halves.  A round runs over the block's rows of the points and
-      reads each cell's moves from tables built once per block (the
-      lower bound of each move) and once per level (its signed step); a
-      resting cell stands past its last move, where a move has no step
-      and no bounds, so it yields no point.  The level ends once every
-      cell of the block rests.
-    * **Whole-pass rounds.**  One :func:`evaluate_many` call evaluates
-      the next ``ahead`` moves (default: the rest of the pass) of every
-      live cell, all from its current point.  A cell keeps its first
-      improving move and resumes after it in the next round, which is
-      the move-by-move trajectory, bit for bit.
+    * **Windows.**  One :func:`evaluate_many` call evaluates each cell's
+      window, all from its current point, and the cell keeps the
+      window's first improving move.  After a move at q the moves still
+      unknown are the rest of the pass and the next pass's moves up to
+      q; the next pass's later moves repeat points already evaluated, so
+      they can neither improve nor fault.  So the window runs from
+      q + 1 through the next pass's move q, or, in the level's last
+      pass, to the pass's end.  A cell counts its moves from its level's
+      start: ``at`` is its next, ``end`` the first it does not try.  A
+      window that keeps no move ends the cell's level.
+    * **Per-cell levels.**  Each cell has its own level and step
+      ``h * 0.5**level`` (exact: powers of two).  A cell done with a
+      level starts the next one in the next round; a block ends once
+      every cell is done with level ``REFINE_STEPS - 1``.
+    * **Look-ahead.**  A window goes on with the first pass of the
+      cell's next level, from the same point at half the step; when the
+      own level's part keeps no move, that pass is the next level's
+      first round.  After a round that moved no cell, every cell stands
+      at a level's start, and the window holds the first pass of every
+      level left; a cell keeps the first level where it improves.
     * **Search blocks.**  Cells run in blocks that hold at most
-      ``SEARCH_BLOCK`` candidate coordinates (cells x moves x n).  With
-      ``ahead=1`` a round holds one point per cell, so all cells run as
-      one block and every point is evaluated in the move-by-move order.
-    * **Quiet levels.**  A level that follows one where no cell of the
-      block moved opens, when ``ahead`` is ``None``, with one round that
-      evaluates every cell's whole pass at this level and at each
-      following level, all from its current point: the points the
-      level-by-level search evaluates while no cell moves.  It spans as
-      many levels as remain and as fit in ``SEARCH_BLOCK``, and opens
-      only for two or more.  The levels before the first where a cell
-      improves are done, and that level's part of the window is its
-      first round: its cells continue from those values.
+      ``SEARCH_BLOCK`` candidate coordinates (cells x moves x n) of one
+      pass per cell; the further levels of a window use only what the
+      block leaves.
 
-    A move beyond the first improving one, or at a level beyond the first
-    that moves a cell, may fault on a point the move-by-move search never
+    With ``ahead`` given, a window holds the next ``ahead`` moves of the
+    cell's own level and nothing further, and the levels run in
+    lockstep: a cell done with its level waits until the whole block
+    is.  With ``ahead=1`` all cells run as one block, so every point of
+    the move-by-move search that can fault is evaluated in that search's
+    order; the only points skipped are repeats, which have already
+    returned a finite value.  A move beyond the first improving one, or
+    at a later level, may fault on a point the move-by-move search never
     visits; :func:`reference_optimum` then reruns the search with
     ``ahead=1``.
     """
     K, n = lows.shape
     moves = 2 * n  # move 2j is x_j - h, move 2j + 1 is x_j + h
-    width = moves if ahead is None else min(ahead, moves)
-    window = np.arange(width)
-    past = np.arange(moves + width)  # a window may run past the last move; a resting cell's starts there
-    real = past < moves
-    coord = np.minimum(past, moves - 1) // 2
-    # past the last move no step and no bounds: the candidate is its point, which is not evaluated
-    sign = np.where(real, np.where(past % 2 == 1, 1.0, -1.0), 0.0)
-    top = np.where(real, problem.xbar[coord], np.inf)
-    x, fx = start.copy(), values.copy()
+    width = moves if ahead is None else min(ahead, moves)  # own-level moves per window
+    levels = REFINE_STEPS if ahead is None else 1  # a window's levels, at most
+    # slot s of a window: the own level's move at + s (s < width), else move pos[s] of
+    # the first pass lof[s] levels on
+    slot = np.arange(width + (levels - 1) * moves)
+    lof, pos = slot // moves, slot % moves
+    after, base = pos + 1, lof == 0  # a mover's next move: after + base * at
+    move = np.arange(moves)
+    move_coord, move_sign = move >> 1, np.where(move & 1, 1.0, -1.0)
+    near = min(len(slot), 2 * moves)  # the slots of a window of one or two levels
+    mv = (move[:, None] + slot[:near]) % moves  # each slot's move, by at % moves
+    mv[:, width:] = pos[width:near]
+    coord, sign = move_coord.take(mv), move_sign.take(mv)
+    scale = np.zeros(2 * REFINE_STEPS)  # exact steps, powers of two; none past the last level
+    scale[:REFINE_STEPS] = 0.5 ** np.arange(REFINE_STEPS)
     h = np.maximum(0.5 * (problem.xbar - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
+    steps = h[:, None] * scale  # each cell's step at each level
+    cap = MAX_PASSES_PER_LEVEL * moves  # a level's moves end with its last pass
+    x, fx = start.copy(), values.copy()
     per = K if width == 1 else max(1, SEARCH_BLOCK // (width * n))  # cells per block
     for lo in range(0, K, per):
         B = min(per, K - lo)
-        floor = np.where(real, lows[lo : lo + B, coord], -np.inf)  # each cell's lower bound per move
-        floor_rows = np.arange(0, B * len(past), len(past))[:, None]  # flat index of each row of floor, steps
-        x_rows = np.arange(0, B * n, n)[:, None]  # and of each row of x
-        hb = h[lo : lo + B]
-        level, quiet = 0, False  # quiet: the block's last level moved no cell
-        while level < REFINE_STEPS:
-            span = 1  # levels the first round covers: a window of several after a quiet level
-            if quiet and ahead is None:
-                span = min(REFINE_STEPS - level, SEARCH_BLOCK // (B * moves * n))
-            xw, fw, steps = x[lo : lo + B], fx[lo : lo + B], sign * hb[:, None]  # views: writes reach x, fx
-            at = np.zeros(B, dtype=np.int64)  # each cell's next move in its pass; moves: resting
-            passes = np.ones(B, dtype=np.int64)
-            improved = np.zeros(B, dtype=bool)  # in the current pass
-            quiet = True
-            while True:
-                move = at[:, None] + window
-                mi = move + floor_rows
-                j = coord.take(move)
-                xi = j + x_rows
-                old = xw.take(xi)
-                step = steps.take(mi)
-                if span > 1:  # a window: levels x cells x moves, level l's step h * 0.5**l (exact)
-                    step = step * 0.5 ** np.arange(span)[:, None, None]
-                # np.clip's result, bit for bit on these NaN-free points, at about half its cost
-                new = old + step
-                np.maximum(new, floor.take(mi), out=new)
-                np.minimum(new, top.take(move), out=new)
-                flat = (new != old).reshape(-1).nonzero()[0]  # ([level,] cell, move), flat
-                g = flat % (B * width) if span > 1 else flat  # (cell, move) of each
-                cand = xw.take(g // width, axis=0)
-                cand[np.arange(len(g)), j.reshape(-1).take(g)] = new.reshape(-1).take(flat)
-                fc = np.full(new.shape, np.inf)
-                fc.reshape(-1)[flat] = evaluate_many(problem.objective, cand)
-                better = fc < fw[:, None]
-                if span > 1:  # levels before the first that moves a cell are done
-                    moving = np.flatnonzero(better.reshape(span, -1).any(axis=1))
-                    skip = int(moving[0]) if moving.size else span - 1
-                    hb *= 0.5**skip  # exact: a power of two
-                    level += skip
-                    if not moving.size:  # the block stays quiet through the last level
-                        break
-                    new, fc, better = new[skip], fc[skip], better[skip]  # that level's first round
-                    steps = sign * hb[:, None]
-                    span = 1
-                first = better.argmax(axis=1)
-                r = better.any(axis=1).nonzero()[0]
-                at += width
-                if r.size:
-                    quiet = False
-                    fr = first[r]
-                    xw.reshape(-1)[xi[r, fr]] = new[r, fr]
-                    fw[r] = fc[r, fr]
-                    improved[r] = True
-                    at[r] = move[r, fr] + 1
-                again = (at >= moves) & improved & (passes < MAX_PASSES_PER_LEVEL)
-                passes += again
-                improved ^= again
-                at = np.where(again, 0, np.minimum(at, moves))  # a resting cell waits at moves
-                if at.min() == moves:  # every cell rests
-                    break
-            hb *= 0.5
-            level += 1
+        wide = min(levels, max(1, SEARCH_BLOCK // (B * moves * n)))  # levels a window may reach
+        xw, fw, lw = x[lo : lo + B], fx[lo : lo + B], lows[lo : lo + B]  # views: writes reach x, fx
+        sb = steps[lo : lo + B].reshape(-1)  # the block's steps, flat
+        s_rows = np.arange(0, B * len(scale), len(scale))  # flat index of each row of sb
+        x_rows = np.arange(0, B * n, n)[:, None]  # and of x
+        level = np.zeros(B, dtype=np.int64)
+        at = np.zeros(B, dtype=np.int64)  # each cell's next move, counted from its level's start
+        end = np.full(B, moves)  # and the first it does not try
+        span = min(wide, 2)  # levels a window reaches: its own and one look-ahead
+        while True:
+            W = width + (span - 1) * moves
+            if span > 2:  # after a round without a move every cell stands at a level's start
+                j, sg = np.broadcast_to(move_coord.take(pos[:W]), (B, W)), move_sign.take(pos[:W])
+            else:
+                ph = at % moves
+                j, sg = coord[ph, :W], sign[ph, :W]
+            xi = j + x_rows
+            old = xw.take(xi)
+            # a slot past the cell's end or last level has no step: its candidate is its point
+            new = sg * sb.take((level + s_rows)[:, None] + lof[:W])  # the step
+            if ahead is not None or cap - at.max() < moves:  # a window cut short by its end
+                new[:, :width] *= slot[:width] < (end - at)[:, None]
+            new += old
+            # np.clip's result, bit for bit on these NaN-free points inside their cells
+            np.maximum(new, lw.take(xi), out=new)
+            np.minimum(new, problem.xbar.take(j), out=new)
+            flat = (new != old).reshape(-1).nonzero()[0]  # (cell, slot), flat
+            cand = xw.take(flat // W, axis=0)
+            cand[np.arange(len(flat)), j.reshape(-1).take(flat)] = new.reshape(-1).take(flat)
+            fc = np.full(new.shape, np.inf)
+            fc.reshape(-1)[flat] = evaluate_many(problem.objective, cand)
+            better = fc < fw[:, None]
+            first = better.argmax(axis=1)
+            moved = better.any(axis=1)
+            r = moved.nonzero()[0]
+            if r.size:
+                fr = first[r]
+                xw.reshape(-1)[xi[r, fr]] = new[r, fr]
+                fw[r] = fc[r, fr]
+            nxt = after.take(first) + base.take(first) * at  # a mover's next move
+            if ahead is None:  # a cell without a move is done with every level its window reached
+                level += np.where(moved, lof.take(first), span)
+                np.minimum(level, REFINE_STEPS, out=level)  # done: past the last level
+                at = nxt * moved
+                end = np.minimum(at + moves, cap)
+            else:
+                at = np.where(moved, nxt, at + width)
+                end = np.where(moved, np.minimum(nxt + moves, cap), end)
+                if (at >= end).all():  # lockstep: the block is done with its level
+                    level += 1
+                    at[:] = 0
+                    end[:] = moves
+            low = level.min()
+            if low == REFINE_STEPS:
+                break
+            span = min(wide, 2 if r.size else REFINE_STEPS - low)
     return x, fx
 
 
@@ -230,9 +239,11 @@ def reference_optimum(
     pieces, each led by the cell's best so far), and refines each cell's
     best sample by the clamped coordinate pattern search of
     :func:`_pattern_search` over ``REFINE_STEPS`` step halvings, in
-    whole-pass rounds of one batched evaluation each.
-    When a round faults, the search reruns with one move per round, which
-    evaluates exactly the points of a move-by-move search in its order: it
+    rounds of one batched evaluation each that take every cell to its
+    next improving move.  When a round faults, the search reruns with one
+    move per round and the levels in lockstep.  That evaluates every point
+    of a move-by-move search that can fault, in its order (the only points
+    it skips are repeats, which have already returned a finite value): it
     returns that search's result or raises its :class:`EvalDomainError`,
     with the same ``reason`` and ``point``.  A cell's best sample is
     the first minimum over its lower corner, ``xbar``, then its samples in

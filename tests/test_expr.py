@@ -270,6 +270,13 @@ def test_index_arithmetic_is_exact():
     )
 
 
+def test_index_product_past_int64_is_exact():
+    # (k + 1.5 * 2^40) * 1.75 * 2^22, 41 + 23 bits, passes 2^63 in 64-bit integers
+    with pytest.raises(ExprParseError) as info:
+        parse("sum(k, 1, 2, x((k + 1649267441664) * 7340032))", 1)
+    assert str(info.value).startswith("computed index evaluates to 12105675798379233280, outside 1..1 ")
+
+
 def test_index_product_too_large_for_all_terms_is_refused():
     # 40 factors of 1e308 in each of 10^6 terms would hold 5 GB; the
     # unrolled compiler computed one term at a time
@@ -292,6 +299,55 @@ def test_index_out_of_range_in_a_later_term_comes_before_a_later_syntax_error():
     with pytest.raises(ExprParseError, match="evaluates to 4") as info:
         parse("sum(k, 1, 2, x(k + 2) + * x1)", 3)  # unrolled: the "*", in term 1
     assert info.value.col == 14
+
+
+@st.composite
+def index_sources(draw, depth=3):
+    """An index over loop variables i and j: its source, and its value as a
+    function of (i, j) on Python ints.  Literals reach 2^70 (each a double,
+    as literals are read), so products pass int64 and the compiler goes on
+    with Python ints."""
+    if depth == 0 or draw(st.booleans()):
+        large = st.integers(2**20, 2**70).map(lambda v: int(float(v)))
+        leaf = draw(st.one_of(st.sampled_from(["i", "j"]), st.integers(0, 9), large))
+        if leaf == "i":
+            return leaf, lambda i, j: i
+        if leaf == "j":
+            return leaf, lambda i, j: j
+        return str(leaf), lambda i, j: leaf
+    op = draw(st.sampled_from(["+", "-", "*", "neg"]))
+    a, fa = draw(index_sources(depth - 1))
+    if op == "neg":
+        return f"-({a})", lambda i, j: -fa(i, j)
+    b, fb = draw(index_sources(depth - 1))
+    f = expr_module._BINARY[op]
+    return f"({a} {op} {b})", lambda i, j: f(fa(i, j), fb(i, j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    big=index_sources(),
+    other=index_sources(),
+    cancel=st.booleans(),
+    small=index_sources(depth=1),
+    bounds=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+def test_index_arithmetic_equals_python_integer_arithmetic(big, other, cancel, small, bounds):
+    # int64 while the bits allow, Python ints beyond: the same indices, and
+    # the same first out-of-range term, as Python ints term by term
+    (a, fa), (b, fb), (c, fc) = big, big if cancel else other, small
+    lo1, hi1, lo2, hi2 = min(bounds[:2]), max(bounds[:2]), min(bounds[2:]), max(bounds[2:])
+    src = f"sum(i, {lo1}, {hi1}, sum(j, {lo2}, {hi2}, x({a} - ({b}) + {c} + 3)))"
+    want = [[fa(i, j) - fb(i, j) + fc(i, j) + 3 for j in range(lo2, hi2 + 1)] for i in range(lo1, hi1 + 1)]
+    bad = [v for row in want for v in row if not 1 <= v <= 6]  # terms in reading order
+    if bad:
+        with pytest.raises(ExprParseError) as info:
+            parse(src, 6)
+        assert str(info.value).startswith(f"computed index evaluates to {bad[0]}, outside 1..6 ")
+    else:  # the terms written out, each sum's in its parentheses
+        unrolled = " + ".join("(" + " + ".join(f"x{v}" for v in row) + ")" for row in want)
+        X = np.random.default_rng(0).random((4, 6))
+        assert np.array_equal(evaluate_many(parse(src, 6), X), evaluate_many(parse(unrolled, 6), X))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,8 @@ def search_inputs(draw):
     [(None, None), (1, None), (None, (2, 1)), (3, None), (None, (None, 2))],
     ids=["whole-pass", "one-move", "blocks", "three-moves", "two-level-windows"],
 )
-@pytest.mark.parametrize("schedule", [None, (3, 1)], ids=["full", "short"])
+# (3, 2): a window that crosses a pass end runs into the level's last pass
+@pytest.mark.parametrize("schedule", [None, (3, 1), (3, 2)], ids=["full", "short", "capped"])
 @settings(max_examples=30, deadline=None)
 @given(case=search_inputs())
 def test_pattern_search_equals_move_by_move_bit_for_bit(ahead, block, schedule, case):
@@ -330,7 +331,9 @@ def test_a_search_that_never_moves_takes_one_round_and_one_window(monkeypatch):
     problem = builtin_problem(3)  # no move improves any of its 3 cells
     lows, start, values = corner_starts(problem)
     x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
-    assert len(batches) == 2  # level 0, then one window for the other 19 levels
+    # two moves off the cells' points per level: levels 0 and 1 (the first
+    # pass and its look-ahead), then, as no cell moved, one window for the other 18
+    assert [len(b) for b in batches] == [2 * 2, 2 * 18]
     assert np.array_equal(x, start) and np.array_equal(fx, values)
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
@@ -343,13 +346,18 @@ def test_a_window_skips_its_quiet_levels_and_keeps_the_first_that_moves(monkeypa
     lows, start, values = corner_starts(problem)
     assert start.tolist() == [[1.0]]
     x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
-    # level 0, then a window of the 19 other levels' moves down from 1
-    assert [len(b) for b in batches[:2]] == [1, oracle.REFINE_STEPS - 1]
-    # level 2 keeps the window's move to 0.9 and resumes after it: the move
-    # 0.9 + 0.1 (clamped to 1), then one pass from 0.9 that improves nothing.
-    # 0.9 is not evaluated again at step 0.1.
-    assert [b.ravel().tolist() for b in batches[2:4]] == [[1.0], [0.8, 1.0]]
-    assert len(batches) == 34  # 42 when the moving level ran again from 1
+    # level 0 and its look-ahead, level 1 (the moves up are clamped to 1, so
+    # not evaluated), then, as no cell moved, a window of the other 18 levels'
+    # moves down from 1
+    assert batches[0].ravel().tolist() == [0.6, 0.8]
+    assert batches[1].ravel().tolist() == pytest.approx(1 - 0.1 * 0.5 ** np.arange(18))
+    # level 2 keeps the window's move to 0.9 and resumes after it, in one
+    # round: its move 0.9 + 0.1, the next pass's move 0.9 - 0.1 (the pass's
+    # later moves repeat points), then the look-ahead, level 3's first pass
+    # from 0.9, where 0.9 + 0.05 improves.  0.9 is not evaluated again at step 0.1.
+    assert batches[2].ravel().tolist() == pytest.approx([1.0, 0.8, 0.85, 0.95])
+    assert batches[3].ravel().tolist() == pytest.approx([0.9, 1.0, 0.925, 0.975])
+    assert len(batches) == 19  # 34 with a round per pass and levels in lockstep
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
 
@@ -363,7 +371,8 @@ def test_only_the_moving_cell_is_evaluated_after_the_first_round(monkeypatch):
     start = lows.copy()
     start[4] = problem.xbar
     values = evaluate_many(problem.objective, start)
-    monkeypatch.setattr(oracle, "REFINE_STEPS", 1)  # one level: every round after the first continues it
+    # one level, so no look-ahead: every round after the first continues it
+    monkeypatch.setattr(oracle, "REFINE_STEPS", 1)
     alone = counted_search(monkeypatch, problem, lows[4:5], start[4:5], values[4:5])
     x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
     assert len(batches) == len(alone[2]) > 2
@@ -374,6 +383,53 @@ def test_only_the_moving_cell_is_evaluated_after_the_first_round(monkeypatch):
     assert np.array_equal(np.delete(x, 4, axis=0), np.delete(start, 4, axis=0))
     rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
     assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+def test_a_quiet_cell_adds_its_own_points_to_a_moving_cell_s_rounds(monkeypatch):
+    # Two cells of (x1 - 0.3)^2 + (x2 - 0.7)^2 under xbar = [1, 1].  The first
+    # starts at its minimum, its lower corner [0.5, 0.8], so no move improves it
+    # at any level; the second, [0, 1]^2, starts at xbar and moves at every level.
+    problem = make_problem("pair", [[0.5, 0.5]], [0.5], "(x1 - 0.3)^2 + (x2 - 0.7)^2")
+    lows = np.array([[0.5, 0.8], [0.0, 0.0]])
+    start = np.array([[0.5, 0.8], [1.0, 1.0]])
+    values = evaluate_many(problem.objective, start)
+    *moving, alone = counted_search(monkeypatch, problem, lows[1:], start[1:], values[1:])
+    x, fx, batches = counted_search(monkeypatch, problem, lows, start, values)
+    assert len(batches) == len(alone)
+    # each round: the quiet cell's points, then the moving cell's round alone
+    heads = [b[: len(b) - len(own)] for b, own in zip(batches, alone)]
+    for batch, own in zip(batches, alone):
+        assert np.array_equal(batch[len(batch) - len(own) :], own)
+    # the quiet cell's points are its first pass at every level, levels in order;
+    # its moves down are clamped to its corner, so not evaluated
+    steps = 0.25 * 0.5 ** np.arange(oracle.REFINE_STEPS)
+    want = np.stack([[0.5 + s, 0.8, 0.5, min(0.8 + s, 1.0)] for s in steps]).reshape(-1, 2)
+    assert np.array_equal(np.concatenate(heads), want)
+    # two levels a round (its own and the look-ahead) while the other cell
+    # moves, then the last ten in the window after the moving cell's first
+    # round without a move
+    assert [len(h) for h in heads] == [4] * 5 + [20] + [0] * (len(heads) - 6)
+    assert np.array_equal(x[0], start[0]) and fx[0] == values[0]
+    assert np.array_equal(x[1], moving[0][0]) and fx[1] == moving[1][0]
+    rx, rf = move_by_move(problem, lows, problem.xbar, start, values)
+    assert np.array_equal(x, rx) and np.array_equal(fx, rf)
+
+
+# 67 and 92 when a round took at most one move per cell, never crossed a pass
+# end and every cell waited at each level for the slowest of its block
+@pytest.mark.parametrize("number, most", [(7, 28), (10, 32)])
+def test_rounds_of_the_slowest_built_in_searches(monkeypatch, number, most):
+    problem, seen = builtin_problem(number), []
+
+    def recording(problem, lows, start, values):
+        seen.append((lows, start, values))
+        return start, values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_pattern_search", recording)
+        reference_optimum(problem, rng=np.random.default_rng([1, 0]))
+    *_, batches = counted_search(monkeypatch, problem, *seen[0])
+    assert len(batches) <= most
 
 
 # One cell, [0.2, 1] x [0, 1], entered at xbar.  At step 1/4 the search
@@ -419,6 +475,28 @@ def test_a_fault_of_the_move_by_move_search_is_raised_as_it_raises():
     assert whole_pass.value.point.tolist() != reference.value.point.tolist()
     with pytest.raises(EvalDomainError) as info:
         reference_optimum(problem, samples_per_cell=0)
+    assert info.value.reason == reference.value.reason
+    assert np.array_equal(info.value.point, reference.value.point)
+
+
+def test_the_one_move_rerun_keeps_the_cells_levels_in_lockstep():
+    # Two cells of a band |x3 - 0.01| < 0.005 under xbar = [1, 0.2, 1].  Cell 0
+    # reaches x3 = 0 by its first move, x3 - 1/2; cell 1 starts there.  Both
+    # fault at level 6, on x3 = 1/128.  The move-by-move search meets both
+    # faults in one call, cell 0's first; cell 1, which never moves, would get
+    # there rounds earlier if it went on to its next level alone.
+    problem = make_problem(
+        "band", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.2, 0.5, 0.0]], [0.0, 0.0, 0.2], "(abs(x3 - 0.01) - 0.005)^0.5"
+    )
+    lows = cells(problem)
+    assert lows.tolist() == [[0.0, 0.2, 0.0], [0.2, 0.0, 0.0]] and problem.xbar.tolist() == [1.0, 0.2, 1.0]
+    start = np.array([[0.6, 0.2, 0.5], [0.9, 0.2, 0.0]])
+    values = evaluate_many(problem.objective, start)
+    with pytest.raises(EvalDomainError) as reference:
+        move_by_move(problem, lows, problem.xbar, start, values)
+    assert reference.value.point.tolist() == [0.6, 0.2, 0.0078125]
+    with pytest.raises(EvalDomainError) as info:
+        oracle._pattern_search(problem, lows, start, values, ahead=1)
     assert info.value.reason == reference.value.reason
     assert np.array_equal(info.value.point, reference.value.point)
 
