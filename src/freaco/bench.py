@@ -21,6 +21,8 @@ import io
 import json
 import math
 import os
+# at module level, although only the pool path needs it: perfbench's tracer counts pools by
+# rebinding bench.ProcessPoolExecutor, and tests/test_bench.py monkeypatches that name
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
