@@ -51,12 +51,18 @@ reads: the kept rows' table, their ``b`` and ``base`` (the one checked
 pheromone rows that :func:`update_pheromone` deposits through, the run
 index of the Gaussian phase's gather, the cumulative rank weights, the
 deposit clamp, and the buffers of the iterations after the first, whose
-shapes never change: uniforms with their path and point views, rank
-uniforms, normals and fresh rows, each overwritten in full every
-iteration.  The loop does not check its own paths, which come from the
-candidate table: :func:`cell_points` starts each corner from ``base``
-and raises it through the unchecked max-scatter kernel of
-:mod:`freaco.fre`.
+shapes never change: uniforms, rank uniforms, normals and fresh rows,
+each overwritten in full every iteration.  Each buffer set comes with
+the views the loop reads and writes it through, built with it: the
+path and point views of the uniforms, the fresh rows one per line, their
+points and corners, and a 2-D rows x n view of the corners with the row
+that each path raises.  So an iteration pays for its arithmetic, not for
+reshaping.  The loop does not check its own paths, which come from the
+candidate table: it starts each corner from ``base``, raises it through
+the unchecked max-scatter kernel of :mod:`freaco.fre`, writing into the
+2-D view, and places the point with ``u * (xbar - corner) + corner``.
+After the first iteration the archive changes only in place, so its
+deposit, path and best-value views are built once too.
 
 Reproducibility: a run owns a single ``numpy.random.default_rng(seed)``
 (PCG64) and consumes it in a fixed order that does not depend on the
@@ -192,37 +198,11 @@ def construct_paths(
     ``searchsorted(side="right")`` and a clamp.  The zero padding leaves
     each row's partial sums exact and puts its total in the last column.
     """
-    cum = (values / sums[..., None]).cumsum(axis=-1)
+    cum = np.add.accumulate(values / sums[..., None], axis=-1)
     target = u * cum[..., None, :, -1]
-    picks = (cum[..., None, :, :-1] <= target[..., None]).sum(axis=-1)
+    picks = np.add.reduce(cum[..., None, :, :-1] <= target[..., None], axis=-1)
     # a partial sum in the padding is the total, counted only when the target reaches it: the clamp
     return np.minimum(picks, last, out=picks)
-
-
-def cell_points(
-    E: np.ndarray, b: np.ndarray, xbar: np.ndarray, u: np.ndarray,
-    base: np.ndarray | float = 0.0, out: np.ndarray | None = None,
-):
-    """The point uniforms ``u`` place in each path's cell, and the cell's
-    lower corner: paths ... x m' of columns, for the rows whose right-hand
-    sides are ``b``, give points and corners ... x n.  ``base`` is the
-    corner the rows outside the paths fix: each corner starts from it,
-    the paths' ``b`` are scattered in by maximum and the result is capped
-    at ``xbar``, so every point lies in ``[corner, xbar]``.  Points and corners are
-    the two halves of ``out`` (... x 2n, new if not given), whose leading
-    axes must merge into one without a copy, as the rows of a C-contiguous
-    table do.  The paths are not checked (see :func:`~freaco.fre.path_to_candidate`)."""
-    n = len(xbar)
-    out = np.empty((*E.shape[:-1], 2 * n)) if out is None else out
-    x, LB = out[..., :n], out[..., n:]
-    LB[...] = base
-    lower = LB.reshape(-1, n)
-    if lower.size and not np.may_share_memory(lower, LB):  # a copy: the corners would be lost
-        raise ValueError("out's leading axes must merge into one without a copy")
-    _capped_corners(lower, E.reshape(-1, E.shape[-1]), b, xbar)
-    np.multiply(u, xbar - LB, out=x)
-    x += LB
-    return x, LB
 
 
 def weights(s_pop: int, q: float) -> np.ndarray:
@@ -236,7 +216,8 @@ def weights(s_pop: int, q: float) -> np.ndarray:
 
 def select_rank(cw: np.ndarray, u: np.ndarray) -> np.ndarray:
     """0-based ranks drawn by uniforms ``u`` (any shape) from cumulative weights."""
-    return np.minimum(cw.searchsorted(u * cw[-1], side="right"), len(cw) - 1)
+    ranks = cw.searchsorted(u * cw[-1], side="right")
+    return np.minimum(ranks, len(cw) - 1, out=ranks)
 
 
 def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
@@ -249,7 +230,7 @@ def sigma_vector(X: np.ndarray, loc: np.ndarray, xi: float) -> np.ndarray:
     """
     gaps = X[:, None] - loc[:, :, None]
     # abs in place: one R x k x s x n block, not two
-    return xi * np.abs(gaps, out=gaps).sum(axis=2) / (X.shape[1] - 1)
+    return xi * np.add.reduce(np.abs(gaps, out=gaps), axis=2) / (X.shape[1] - 1)
 
 
 def gaussian_samples(
@@ -275,11 +256,12 @@ def gaussian_samples(
     raw = ranks.tobytes()  # one rank everywhere: its bytes repeat
     one = raw == raw[: ranks.itemsize] * ranks.size
     scale = sigma_vector(archive[..., 2 : 2 + n], loc[:, :1] if one else loc, xi)
-    if xi > 1:  # a draw may pass the double range: +-inf, which the clamp puts on a face
+    if xi > 1:  # a step may pass the double range: +-inf, which the clamp puts on a face
         with np.errstate(over="ignore"):
-            Xs = loc + scale * z
-    else:  # a spread is xi times a mean gap of at most 1, so at most 1: the draw stays finite
-        Xs = loc + scale * z
+            Xs = scale * z
+    else:  # a spread is xi times a mean gap of at most 1, so at most 1: the step stays finite
+        Xs = scale * z
+    Xs += loc  # loc + scale * z; a point lies in [0, 1], so the sum cannot overflow
     np.minimum(np.maximum(Xs, LB, out=Xs), xbar, out=loc)
     return new
 
@@ -292,8 +274,8 @@ def deposit(f: np.ndarray, big_q: float, limit: float = DEPOSIT_EXP_LIMIT) -> np
     instead of overflowing.
     """
     low = -DEPOSIT_EXP_LIMIT
-    exponents = (-f).ravel().tolist()
-    amounts = [big_q * math.exp(low if x < low else limit if x > limit else x) for x in exponents]
+    amounts = [big_q * math.exp(low if (x := -v) < low else limit if x > limit else x)
+               for v in f.ravel().tolist()]
     return np.array(amounts).reshape(f.shape)
 
 
@@ -327,11 +309,11 @@ def update_pheromone(
     entries = E + offsets
     np.add.at(values.reshape(-1), entries.ravel(), d.repeat(values.shape[1]))
     values *= 1.0 - rho
-    sums = values.sum(axis=2)
-    dead = sums < ROW_SUM_FLOOR
-    if dead.any():
+    sums = np.add.reduce(values, axis=2)
+    if sums.size and np.minimum.reduce(sums, axis=None) < ROW_SUM_FLOOR:
+        dead = sums < ROW_SUM_FLOOR
         values[dead] = np.broadcast_to(table >= 0, values.shape)[dead]
-        sums[dead] = values[dead].sum(axis=1)
+        sums[dead] = np.add.reduce(values[dead], axis=1)
     return sums
 
 
@@ -345,13 +327,15 @@ def insert(archive: np.ndarray, new: np.ndarray) -> None:
     pushing the worst row out.  So ties keep older rows first, as a
     stable sort of the archive and then the new rows, cut to s, would.
     """
-    f, s = archive[..., 0], archive.shape[1]
-    runs, rows = (new[..., 0] < f[:, -1:]).nonzero()  # the worst only falls
-    for r, i in zip(runs.tolist(), rows.tolist()):
-        p = f[r].searchsorted(new[r, i, 0], side="right")
-        if p < s:
-            archive[r, p + 1 :] = archive[r, p:-1]
-            archive[r, p] = new[r, i]
+    f = archive[..., 0]
+    worst = f[:, -1].tolist()
+    for r, values in enumerate(new[..., 0].tolist()):
+        for i, value in enumerate(values):
+            if value < worst[r]:
+                p = f[r].searchsorted(value, side="right")
+                archive[r, p + 1 :] = archive[r, p:-1]
+                archive[r, p] = new[r, i]
+                worst[r] = f[r, -1]
 
 
 def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> list[RunResult]:
@@ -398,7 +382,7 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
     keep = np.concatenate([np.flatnonzero(multi), np.flatnonzero(~multi)[:1]])
     home = np.full(m, len(keep) - 1)
     home[keep] = np.arange(len(keep))
-    kept, kb, rows, last = table[keep], inst.b[keep], np.arange(len(keep)), last[keep]
+    kept, kb, slot_rows, last = table[keep], inst.b[keep], np.arange(len(keep)), last[keep]
     base = path_to_candidate(table[~multi, 0], inst.b[~multi], n)
     # archive columns after f and d: point, lower corner, path slots
     X, LB, E = slice(2, 2 + n), slice(2 + n, 2 + 2 * n), slice(2 + 2 * n, None)
@@ -424,44 +408,61 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
 
     def buffers(ants, samples):
         """An iteration's buffers for ``ants`` paths and ``samples`` Gaussian
-        samples: rank uniforms, normals, fresh rows, the path and point
-        views of the uniforms, and per run its Generator and its rows of
-        uniforms, rank uniforms and normals.  Each iteration overwrites
-        every entry."""
+        samples, with the views the loop reads and writes them through.
+        Each iteration overwrites every entry of the rank uniforms, the
+        normals, the uniforms and the fresh rows (runs x ants, one per
+        path).  The views: the fresh rows one per line (C-contiguous, so
+        a view), their points and corners both ways, the row of the
+        corners that each path's columns raise, the path and point views
+        of the uniforms, and per run its Generator, its uniforms, rank
+        uniforms and its normals by sample."""
         u = np.empty((runs, ants * (m + n)))
         pick, z = np.empty((runs, samples)), np.empty((runs, samples, n))
-        return (pick, z, np.empty((runs, ants, E.start + len(keep))),
+        new = np.empty((runs, ants, E.start + len(keep)))
+        flat = new.reshape(-1, new.shape[-1])
+        return (pick, z, new, flat, flat[:, X], new[..., X], new[..., LB], flat[:, LB],
+                np.arange(runs * ants).reshape(runs, ants, 1),
                 u[:, : ants * m].reshape(runs, ants, m), u[:, ants * m :].reshape(runs, ants, n),
-                [(g, a, v, list(w)) for g, a, v, w in zip(gens, u, pick, z)])
+                [(g, a, v, list(enumerate(w))) for g, a, v, w in zip(gens, u, pick, z)])
 
     later = buffers(1, k)  # the shapes of every iteration after the first
 
-    def score(new):
-        """Write the value and the deposit of each ``new`` row's point."""
-        new[..., 0] = evaluate_many(objective, new[..., X].reshape(-1, n)).reshape(new.shape[:2])
-        new[..., 1] = deposit(new[..., 0], config.big_q, limit)
+    def score(rows, points):
+        """Write the value and the deposit of each row's point: ``rows``
+        (N x width) and ``points``, their point columns."""
+        f = evaluate_many(objective, points)
+        rows[:, 0] = f
+        rows[:, 1] = deposit(f, config.big_q, limit)
 
     for t in range(1, config.t_max + 1):
-        pick, z, new, up, ux, draws = buffers(s_pop, 0) if t == 1 else later
+        pick, z, new, flat, points, x, corners, lower, at, up, ux, draws = (
+            buffers(s_pop, 0) if t == 1 else later)
         for g, a, v, w in draws:
             g.random(out=a)
-            for s, normals in enumerate(w):
+            for s, normals in w:
                 v[s] = g.random()
                 g.standard_normal(out=normals)
-        e = new[..., E] = construct_paths(values, sums, last, up[..., keep])
-        cell_points(kept[rows, e], kb, xbar, ux, base, new[..., 2 : E.start])
-        score(new)
+        e = new[..., E] = construct_paths(values, sums, last, up.take(keep, axis=-1))
+        # each point's cell: the corner from base, raised by the path's rows and capped
+        corners[...] = base
+        _capped_corners(lower, kept[slot_rows, e], kb, xbar, at)
+        np.multiply(ux, xbar - corners, out=x)
+        x += corners
+        score(flat, points)
         if t == 1:
             archive = np.take_along_axis(new, new[..., :1].argsort(axis=1, kind="stable"), axis=1)
+            # the archive changes in place from here on: views of it stay current
+            deposits, archive_slots, best = archive[..., 1], archive[..., E], archive[:, 0, 0]
         else:
             insert(archive, new)
         if t > 1 and k:
             new = gaussian_samples(archive, select_rank(cw, pick), z, config.xi, xbar, run_index)
-            score(new)
+            flat = new.reshape(-1, new.shape[-1])
+            score(flat, flat[:, X])
             insert(archive, new)
-        slots = archive[..., E].astype(np.int64)
-        sums = update_pheromone(values, kept, archive[..., 1], slots, config.rho, offsets)
-        trace[:, t - 1] = archive[:, 0, 0]
+        slots = archive_slots.astype(np.int64)
+        sums = update_pheromone(values, kept, deposits, slots, config.rho, offsets)
+        trace[:, t - 1] = best
         if observer is not None:
             dense = np.zeros((runs, m, n))
             dense[:, support] = values[:, home][:, live]  # slots ascend with columns
@@ -472,10 +473,10 @@ def run_many(problem: Problem, config: SolverConfig, seeds, observer=None) -> li
                 observer(t, r, views, PheromoneMatrix(dense[r], support))
 
     evals = s_pop + (config.t_max - 1) * (1 + k)
-    best, paths = archive[:, 0].copy(), columns(slots[:, 0])
+    first, paths = archive[:, 0].copy(), columns(slots[:, 0])
     return [
         RunResult(
-            best=ArchiveSolution(best[r, X], best[r, LB], paths[r], float(best[r, 0])),
+            best=ArchiveSolution(first[r, X], first[r, LB], paths[r], float(first[r, 0])),
             trace=trace[r],
             eval_count=evals,
             seed=seed,

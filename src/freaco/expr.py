@@ -579,13 +579,14 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
 
     A domain fault or non-finite result raises the same
     :class:`EvalDomainError` as :func:`evaluate` at the first faulting
-    row.  A batch of zero rows gives an empty array; a batch of one row
-    goes through the code behind :func:`evaluate`, without its checks,
+    row.  A batch of zero rows gives an empty array.  A batch of one row
+    goes straight to the code behind :func:`evaluate`, without its checks,
     whose scalar operations cost less than array operations on one
-    element.  Rows run in blocks of ``BLOCK``
-    values (rows x terms), which bounds a long sum's temporaries.
-    Coordinates follow the rule of :func:`evaluate`: a string, boolean or
-    complex one raises :class:`ValueError` naming ``X``.
+    element; so does the last block of a long batch when it holds one
+    row.  Rows run in blocks of ``BLOCK`` values (rows x terms), which
+    bounds a long sum's temporaries.  Coordinates follow the rule of
+    :func:`evaluate`: a string, boolean or complex one raises
+    :class:`ValueError` naming ``X``.
     """
     real_entries("X", X)
     X = np.asarray(X, dtype=float)
@@ -593,6 +594,8 @@ def evaluate_many(expr: Expr, X) -> np.ndarray:
         raise ValueError("X must be 2-D (points by coordinates)")
     if X.shape[1] != expr.n:
         raise DimensionMismatchError("points", expr.n, X.shape[1])
+    if len(X) == 1:
+        return np.array([_evaluate(expr, X[0])])
     if len(X) <= (step := max(1, BLOCK // expr.terms)):  # bound a long sum's temporaries
         return _evaluate_block(expr, X)
     return np.concatenate([_evaluate_block(expr, X[i : i + step]) for i in range(0, len(X), step)])
@@ -603,15 +606,18 @@ def _evaluate_block(expr: Expr, X: np.ndarray) -> np.ndarray:
     if len(X) < 2:
         return np.array([_evaluate(expr, x) for x in X])
     try:
-        values = np.empty(len(X))
-        values[:] = _run(expr, X.T.copy())  # a constant objective gives a scalar
+        values = _run(expr, X.T.copy())
     except FloatingPointError as exc:
         # Rows are independent and evaluate() gives each row's value or
         # fault: run them alone to find the first that faults.
         for row in X:
             _evaluate(expr, row)
         raise EvalDomainError(_reason(exc), X[-1].copy()) from None
+    if values.shape != X.shape[:1]:  # a constant objective: a scalar, or a sum's one value
+        values = np.full(len(X), values)
+    elif values.base is not None:  # a view: of the columns, or of a sum's partial sums
+        values = values.copy()
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) < len(X):
         raise EvalDomainError("non-finite result", X[finite.argmin()].copy())
     return values

@@ -176,23 +176,30 @@ def path_space_size(sets: list[np.ndarray]) -> int:
     return math.prod(int(s.size) for s in sets)
 
 
-def _max_scatter(lower: np.ndarray, paths: np.ndarray, b: np.ndarray) -> None:
+def _max_scatter(
+    lower: np.ndarray, paths: np.ndarray, b: np.ndarray, at: np.ndarray | None = None,
+) -> None:
     """Raise ``lower[r, paths[r, i]]`` to at least ``b[i]`` for every path r
     and row i, in place: ``lower`` k x n, integer ``paths`` k x m inside
-    ``[0, n)``.  Unchecked: :func:`path_to_candidate` checks library input,
-    the engine's paths come from its candidate table and the oracle's from
-    the candidate sets.  ``max`` is exact
-    and order-free, so any number of rows may share a column."""
-    np.maximum.at(lower, (np.arange(len(paths))[:, None], paths), b)
+    ``[0, n)``.  Paths may also come in any ... x m shape of k paths,
+    with ``at`` (... x 1) the row of ``lower`` each one raises;
+    ``at`` defaults to ``arange(k)[:, None]``.  Unchecked:
+    :func:`path_to_candidate` checks library input, the engine's paths
+    come from its candidate table and the oracle's from the candidate
+    sets.  ``max`` is exact and order-free, so any number of rows may
+    share a column."""
+    np.maximum.at(lower, (np.arange(len(paths))[:, None] if at is None else at, paths), b)
 
 
-def _capped_corners(lower: np.ndarray, paths: np.ndarray, b: np.ndarray, xbar: np.ndarray) -> None:
+def _capped_corners(
+    lower: np.ndarray, paths: np.ndarray, b: np.ndarray, xbar: np.ndarray, at: np.ndarray | None = None,
+) -> None:
     """The lower corners of the engine's and the oracle's cells, in place:
     :func:`_max_scatter`, then every corner capped at ``xbar``.  A candidate
     that entered its set within ``EPS_EQ`` of a ``b_i`` above ``xbar_j``
     raises its corner above ``xbar`` by as much; capped, every cell is a
     box ``[corner, xbar]``.  Unchecked, as :func:`_max_scatter` is."""
-    _max_scatter(lower, paths, b)
+    _max_scatter(lower, paths, b, at)
     np.minimum(lower, xbar, out=lower)
 
 

@@ -9,6 +9,7 @@ of solver output, not for production optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,6 +81,42 @@ def _generator(rng, seed: int | None) -> np.random.Generator:
     return rng
 
 
+@lru_cache(maxsize=64)
+def _search_tables(n: int, width: int, levels: int, refine: int) -> tuple:
+    """The tables of :func:`_pattern_search` that depend only on the
+    dimension ``n``, the own-level moves per window ``width``, the
+    levels a window may reach and the step halvings ``refine``
+    (``REFINE_STEPS`` at the call), built once per key and held read-only:
+
+    * ``slot``, ``lof``, ``pos``: slot s of a window is the own level's
+      move at + s (s < width), else move ``pos[s]`` of the first pass
+      ``lof[s]`` levels on;
+    * ``after``, ``base``: a mover's next move is ``after + base * at``;
+    * ``move_coord``, ``move_sign``: move 2j is x_j - h, move 2j + 1 is
+      x_j + h;
+    * ``coord``, ``sign``: each slot's coordinate and sign, by
+      ``at % moves``, for a window of one or two levels;
+    * ``scale``: the exact steps of each level, powers of two, and none
+      past the last level.
+    """
+    moves = 2 * n
+    slot = np.arange(width + (levels - 1) * moves)
+    lof, pos = slot // moves, slot % moves
+    after, base = pos + 1, lof == 0
+    move = np.arange(moves)
+    move_coord, move_sign = move >> 1, np.where(move & 1, 1.0, -1.0)
+    near = min(len(slot), 2 * moves)  # the slots of a window of one or two levels
+    mv = (move[:, None] + slot[:near]) % moves  # each slot's move, by at % moves
+    mv[:, width:] = pos[width:near]
+    coord, sign = move_coord.take(mv), move_sign.take(mv)
+    scale = np.zeros(2 * refine)
+    scale[:refine] = 0.5 ** np.arange(refine)
+    tables = (slot, lof, pos, after, base, move_coord, move_sign, coord, sign, scale)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _pattern_search(
     problem: Problem,
     lows: np.ndarray,
@@ -141,19 +178,8 @@ def _pattern_search(
     moves = 2 * n  # move 2j is x_j - h, move 2j + 1 is x_j + h
     width = moves if ahead is None else min(ahead, moves)  # own-level moves per window
     levels = REFINE_STEPS if ahead is None else 1  # a window's levels, at most
-    # slot s of a window: the own level's move at + s (s < width), else move pos[s] of
-    # the first pass lof[s] levels on
-    slot = np.arange(width + (levels - 1) * moves)
-    lof, pos = slot // moves, slot % moves
-    after, base = pos + 1, lof == 0  # a mover's next move: after + base * at
-    move = np.arange(moves)
-    move_coord, move_sign = move >> 1, np.where(move & 1, 1.0, -1.0)
-    near = min(len(slot), 2 * moves)  # the slots of a window of one or two levels
-    mv = (move[:, None] + slot[:near]) % moves  # each slot's move, by at % moves
-    mv[:, width:] = pos[width:near]
-    coord, sign = move_coord.take(mv), move_sign.take(mv)
-    scale = np.zeros(2 * REFINE_STEPS)  # exact steps, powers of two; none past the last level
-    scale[:REFINE_STEPS] = 0.5 ** np.arange(REFINE_STEPS)
+    slot, lof, pos, after, base, move_coord, move_sign, coord, sign, scale = _search_tables(
+        n, width, levels, REFINE_STEPS)
     h = np.maximum(0.5 * (problem.xbar - lows).max(axis=1), 1e-16)  # step; degenerate cells: no-op moves
     steps = h[:, None] * scale  # each cell's step at each level
     cap = MAX_PASSES_PER_LEVEL * moves  # a level's moves end with its last pass
@@ -231,7 +257,7 @@ def reference_optimum(
     Enumerates every path of the problem's candidate sets
     (``problem.sets``, within ``cap``), lists the distinct lower corners
     of the cells they span, capped at ``xbar`` as the engine's are
-    (:func:`~freaco.engine.cell_points`), in lexicographic order (one ``np.lexsort`` of
+    (:func:`~freaco.engine.run_many`), in lexicographic order (one ``np.lexsort`` of
     the corners and a comparison of adjacent rows: the rows of
     ``np.unique(..., axis=0)``), draws ``samples_per_cell`` uniform
     points per cell (plus both corners), cell after cell in blocks of

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freaco import Instance
+from freaco import Instance, path_to_candidate
 
 # Worked 5x6 system used throughout: feasible, 72 paths, greatest point
 # [1, 0.5, 0.3, 0.1, 0.7, 1].
@@ -24,6 +24,14 @@ def compact(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Dense pheromone ``values`` (m x n) on the candidate slots of ``table``
     (m x kmax, -1 padded), zero in the padding: the engine's layout."""
     return np.where(table >= 0, values[np.arange(len(table))[:, None], table], 0.0)
+
+
+def cells(E, b, xbar, u):
+    """The points uniforms ``u`` (k x n) place in the cells of full paths
+    ``E`` (k x m) of columns, and the cells' lower corners, as the engine
+    computes them: the corner capped at ``xbar``, then ``u * (xbar - LB) + LB``."""
+    LB = np.minimum(path_to_candidate(E, b, len(xbar)), xbar)
+    return u * (xbar - LB) + LB, LB
 
 
 @pytest.fixture

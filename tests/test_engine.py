@@ -28,8 +28,8 @@ from freaco import (
     run_many,
 )
 from freaco.engine import (
+    ROW_SUM_FLOOR,
     candidate_table,
-    cell_points,
     construct_paths,
     deposit,
     gaussian_samples,
@@ -42,7 +42,7 @@ from freaco.engine import (
     weights,
 )
 
-from conftest import EX_A, EX_B, EX_JBAR, EX_OBJECTIVE, compact
+from conftest import EX_A, EX_B, EX_JBAR, EX_OBJECTIVE, cells, compact
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ def uniform_archive(problem, k, rng):
     inst, xbar, sets = ex_sets(problem)
     tau = init_pheromone(sets, inst.n)
     E = draw_paths(tau, candidate_table(sets), k, rng)
-    X, LB = cell_points(E, inst.b, xbar, rng.random((k, inst.n)))
+    X, LB = cells(E, inst.b, xbar, rng.random((k, inst.n)))
     f = evaluate_many(problem.objective, X)
     return pack(Fields(f, deposit(f, 1.0), X, LB, E))[None, np.argsort(f, kind="stable")]
 
@@ -221,11 +221,11 @@ def test_paths_reproducible_for_fixed_seed(ex_problem):
 
 def test_degenerate_cell_yields_its_unique_point():
     problem = make_problem("point", [[1.0]], [1.0], "x1")
-    inst = problem.instance
-    xbar = compute_max_solution(inst)
-    rng = np.random.default_rng(0)
-    X, LB = cell_points(np.array([[0]]), inst.b, xbar, rng.random((1, 1)))
-    assert X[0, 0] == 1.0 and evaluate_many(problem.objective, X)[0] == 1.0
+    seen = []
+    result = run(problem, SolverConfig(seed=0, s_pop=3, t_max=2),
+                 observer=lambda t, archive, tau: seen.extend(archive))
+    assert [(s.x.tolist(), s.f) for s in seen] == [([1.0], 1.0)] * 6
+    assert result.best.x.tolist() == [1.0] and result.best.f == 1.0
 
 
 def test_init_archive_samples_live_in_their_cells(ex_problem):
@@ -502,6 +502,27 @@ def test_degenerate_rows_reset_to_initial(ex_problem):
     assert np.array_equal(tau.values, tau.support.astype(float))
 
 
+def test_partial_floor_reset_touches_only_the_dead_row():
+    # two runs of three kept rows; only row 1 of run 1 falls under the floor
+    table = candidate_table([np.array([0, 2, 5]), np.array([1, 3]), np.array([4])])
+    live = table >= 0
+    rng = np.random.default_rng(11)
+    values = np.where(live, rng.random((2, 3, 3)) + 0.5, 0.0)
+    values[1, 1] = np.where(live[1], 1e-300, 0.0)
+    E = np.array([[[2, 1, 0], [0, 0, 0]], [[1, 0, 0], [2, 1, 0]]])  # slots, 2 members per run
+    f = np.array([[0.2, 1.5], [1e9, 1e9]])  # run 1's deposits are exp(-700)
+    d = deposit(f, 1.0)
+    want = values.copy()
+    for r, s, i in np.ndindex(E.shape):
+        want[r, i, E[r, s, i]] += d[r, s]
+    want *= 0.5
+    assert (want.sum(axis=2) < ROW_SUM_FLOOR).tolist() == [[False] * 3, [False, True, False]]
+    sums = update_pheromone(values, table, d, E, rho=0.5)
+    want[1, 1] = live[1]
+    assert values.tobytes() == want.tobytes()
+    assert sums.tobytes() == values.sum(axis=2).tobytes()
+
+
 def test_archive_carries_each_rows_deposit():
     f = np.array([[0.7, -0.2, 0.3]])
     rows = Fields(f, deposit(f, 2.0), f[..., None], f[..., None], np.zeros((1, 3, 1)))
@@ -518,16 +539,6 @@ def test_update_rejects_non_contiguous_pheromone():
     strided = np.ones((1, 2, 4))[:, :, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
         update_pheromone(strided, table, np.zeros((1, 1)), np.zeros((1, 1, 2), dtype=int), rho=0.5)
-
-
-def test_cell_points_refuses_an_out_whose_rows_do_not_merge():
-    # the corners are scattered through one rows x n view of out: a copy would lose them
-    out = np.empty((4, 3, 2)).T  # 2 x 3 x 4, its leading axes transposed
-    with pytest.raises(ValueError, match="without a copy"):
-        cell_points(np.zeros((2, 3, 1), dtype=np.int64), [0.5], np.ones(2), np.zeros((2, 3, 2)), out=out)
-    x, LB = cell_points(np.zeros((2, 3, 1), dtype=np.int64), [0.5], np.ones(2), np.zeros((2, 3, 2)),
-                        out=np.empty((2, 3, 4)))
-    assert np.array_equal(LB, np.broadcast_to([0.5, 0.0], (2, 3, 2))) and np.array_equal(x, LB)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +596,7 @@ def test_first_iteration_is_s_pop_paths_then_their_points_from_one_draw(ex_probl
     slots = construct_paths(compact(tau.values, table), tau.values.sum(axis=1), last_slots(table),
                             u[: 5 * m].reshape(5, m))
     E = table[np.arange(m), slots]
-    X, LB = cell_points(E, inst.b, xbar, u[5 * m :].reshape(5, n))
+    X, LB = cells(E, inst.b, xbar, u[5 * m :].reshape(5, n))
     f = evaluate_many(ex_problem.objective, X)
     order = np.argsort(f, kind="stable")
     (archive,) = seen  # s_pop rows, no Gaussian sample

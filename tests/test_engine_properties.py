@@ -24,12 +24,12 @@ from freaco import (
 from freaco import engine
 from freaco.engine import (
     candidate_table,
-    cell_points,
     construct_paths,
     init_pheromone,
     probability_matrix,
     sigma_vector,
 )
+from freaco.fre import _capped_corners
 
 from conftest import compact
 
@@ -149,7 +149,8 @@ def test_best_cell_is_the_cell_of_its_full_path(inst, seed):
 @given(inst=planted(), runs=st.integers(1, 3), ants=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_cell_corner_kernel_equals_the_checked_corner(inst, runs, ants, seed):
     # the kept rows and the base corner as run_many builds them, and the
-    # points and corners written into the middle of a wider row table
+    # corners written through one rows x n view into the middle of a wider
+    # row table, each path raising the row ``at`` names
     rng = np.random.default_rng(seed)
     m, n = inst.m, inst.n
     table = candidate_table(compute_candidate_sets(inst))
@@ -161,13 +162,14 @@ def test_cell_corner_kernel_equals_the_checked_corner(inst, runs, ants, seed):
     columns = table[keep][np.arange(len(keep)), slots]
     xbar = compute_max_solution(inst)
     rows = np.full((runs, ants, 2 + 2 * n + len(keep)), np.nan)
-    x, LB = cell_points(columns, inst.b[keep], xbar, rng.random((runs, ants, n)), base,
-                        rows[..., 2 : 2 + 2 * n])
-    want = np.maximum(path_to_candidate(columns.reshape(-1, len(keep)), inst.b[keep], n), base)
-    assert LB.tobytes() == want.reshape(LB.shape).tobytes()
-    assert np.array_equal(rows[..., 2 + n : 2 + 2 * n], LB)  # written into the table itself
-    assert np.isnan(rows[..., :2]).all() and np.isnan(rows[..., 2 + 2 * n :]).all()
-    assert np.all(LB <= x) and np.all(x <= xbar)
+    LB = rows[..., 2 + n : 2 + 2 * n]
+    LB[...] = base
+    lower = rows.reshape(-1, rows.shape[-1])[:, 2 + n : 2 + 2 * n]
+    _capped_corners(lower, columns, inst.b[keep], xbar, np.arange(runs * ants).reshape(runs, ants, 1))
+    raw = path_to_candidate(columns.reshape(-1, len(keep)), inst.b[keep], n)
+    want = np.minimum(np.maximum(raw, base), xbar)
+    assert LB.tobytes() == want.reshape(LB.shape).tobytes()  # written into the table itself
+    assert np.isnan(rows[..., : 2 + n]).all() and np.isnan(rows[..., 2 + 2 * n :]).all()
     # the kept rows and the base stand for every row: the full path's corner
     home = np.full(m, len(keep) - 1)
     home[keep] = np.arange(len(keep))

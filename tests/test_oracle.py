@@ -451,6 +451,21 @@ SEARCH_FAULT = (
 )
 
 
+def test_cached_search_tables_follow_the_refine_steps(monkeypatch):
+    # the tables are built once per key: one built for fewer step halvings
+    # must not serve a search with more, which would read past its steps
+    problem = builtin_problem(3)
+    lows, start, values = corner_starts(problem)
+    oracle._search_tables.cache_clear()
+    fresh = oracle._pattern_search(problem, lows, start, values, ahead=1)
+    oracle._search_tables.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "REFINE_STEPS", 1)
+        oracle._pattern_search(problem, lows, start, values, ahead=1)
+    x, fx = oracle._pattern_search(problem, lows, start, values, ahead=1)
+    assert x.tobytes() == fresh[0].tobytes() and fx.tobytes() == fresh[1].tobytes()
+
+
 def test_a_fault_of_a_speculative_move_alone_leaves_the_result():
     problem = make_problem("band", *SPECULATIVE_FAULT)
     lows, start, values = corner_starts(problem)

@@ -16,6 +16,8 @@ from freaco import (
     SolverConfig,
     builtin_problem,
     builtin_problems,
+    engine,
+    evaluate_many,
     make_problem,
     random_feasible_instance,
     run,
@@ -60,6 +62,28 @@ def test_blocks_match_golden_runs():
     for problem, seeds in blocks:
         for seed, got in zip(seeds, block_fingerprints(problem, SolverConfig(), seeds)):
             assert got == stored[key(problem, seed)], key(problem, seed)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_every_evaluation_goes_through_the_public_batch_entry(monkeypatch, runs):
+    # the benchmark's tracer times expr.evaluate_many where the engine binds it;
+    # per block: the first archive, then each iteration's fresh paths and samples
+    problem, config = builtin_problem(4), SolverConfig(t_max=6)
+    batches = []
+
+    def counting(expr, X):
+        assert expr is problem.objective and X.shape[1:] == (problem.instance.n,)
+        batches.append(len(X))
+        return evaluate_many(expr, X)
+
+    monkeypatch.setattr(engine, "evaluate_many", counting)
+    results = run_many(problem, config, range(runs))
+    later = [runs, runs * config.samples_per_iter] * (config.t_max - 1)  # fresh paths, then samples
+    assert batches == [runs * config.s_pop] + later
+    assert len(batches) == 1 + 2 * (config.t_max - 1)
+    monkeypatch.undo()
+    plain = run_many(problem, config, range(runs))
+    assert [r.trace.tobytes() for r in results] == [r.trace.tobytes() for r in plain]
 
 
 def test_no_seeds_no_runs():
